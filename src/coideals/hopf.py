@@ -3,9 +3,11 @@ and bialgebra pairings, with mechanical axiom checks.
 
 All structure maps are LinMaps over one shared field descriptor, with the
 tensor-leg flattening fixed in linalg.  Nothing here is assumed: every
-constructor stores raw structure constants and the check functions verify
-the axioms by composing matrices, reporting the first violating basis
-tuple on failure.
+constructor stores raw structure constants and checks their shapes, and the
+check functions verify the axioms exactly, reporting the first violating
+basis tuple on failure.  Most axioms are checked by composing matrices;
+multiplicativity of the comultiplication is evaluated on each basis pair
+from the structure constants, so no d^2 x d^4 map is ever built.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .certs import CertReport, VerificationFailed
 from .fields import same_field
-from .linalg import LinMap, identity_map, rank, swap_map, tensor_of_maps
+from .linalg import DimensionMismatchError, LinMap, identity_map, rank, swap_map
 
 
 def _default_labels(dim, stem="e"):
@@ -29,6 +31,10 @@ def _decode(index, dims):
     return tuple(reversed(out))
 
 
+def _basis_tuple(labels, idx):
+    return "(" + ", ".join(labels[i] for i in idx) + ")"
+
+
 def first_violation(diff, labels, arity):
     """Describe the first nonzero column of a difference map as basis labels."""
     if diff.is_zero():
@@ -36,8 +42,13 @@ def first_violation(diff, labels, arity):
     cols = sorted({c for (_, c), _ in diff.entries()})
     c = cols[0]
     dims = [len(labels)] * arity
-    idx = _decode(c, dims)
-    return "(" + ", ".join(labels[i] for i in idx) + ")"
+    return _basis_tuple(labels, _decode(c, dims))
+
+
+def _check_shape(name, m, rows, cols):
+    if (m.rows, m.cols) != (rows, cols):
+        raise DimensionMismatchError(
+            f"{name} must be {rows}x{cols}, got {m.rows}x{m.cols}")
 
 
 @dataclass
@@ -56,8 +67,8 @@ class AlgebraData:
     def __post_init__(self):
         if not self.labels:
             self.labels = _default_labels(self.dim)
-        assert (self.mult.rows, self.mult.cols) == (self.dim, self.dim * self.dim)
-        assert (self.unit.rows, self.unit.cols) == (self.dim, 1)
+        _check_shape("mult", self.mult, self.dim, self.dim * self.dim)
+        _check_shape("unit", self.unit, self.dim, 1)
         same_field(self.field, self.mult.field)
         same_field(self.field, self.unit.field)
 
@@ -94,12 +105,12 @@ class AlgebraData:
         return self.mult.column(i * self.dim + j)
 
     def left_mult_by(self, vec):
-        return self.mult @ tensor_of_maps(LinMap.from_column(self.field, vec),
-                                          identity_map(self.field, self.dim))
+        return self.mult @ LinMap.from_column(self.field, vec).tensor(
+            identity_map(self.field, self.dim))
 
     def right_mult_by(self, vec):
-        return self.mult @ tensor_of_maps(identity_map(self.field, self.dim),
-                                          LinMap.from_column(self.field, vec))
+        return self.mult @ identity_map(self.field, self.dim).tensor(
+            LinMap.from_column(self.field, vec))
 
     def op(self):
         return AlgebraData(self.field, self.dim,
@@ -110,11 +121,11 @@ class AlgebraData:
         rep = CertReport(f"algebra dim {self.dim}")
         f, d = self.field, self.dim
         i_d = identity_map(f, d)
-        assoc_diff = (self.mult @ tensor_of_maps(self.mult, i_d)
-                      - self.mult @ tensor_of_maps(i_d, self.mult))
+        assoc_diff = (self.mult @ self.mult.tensor(i_d)
+                      - self.mult @ i_d.tensor(self.mult))
         rep.add("assoc", assoc_diff.is_zero(), first_violation(assoc_diff, self.labels, 3))
-        lu = self.mult @ tensor_of_maps(self.unit, i_d) - i_d
-        ru = self.mult @ tensor_of_maps(i_d, self.unit) - i_d
+        lu = self.mult @ self.unit.tensor(i_d) - i_d
+        ru = self.mult @ i_d.tensor(self.unit) - i_d
         unit_diff = lu if not lu.is_zero() else ru
         rep.add("unit", lu.is_zero() and ru.is_zero(),
                 first_violation(unit_diff, self.labels, 1))
@@ -137,8 +148,8 @@ class CoalgebraData:
     def __post_init__(self):
         if not self.labels:
             self.labels = _default_labels(self.dim)
-        assert (self.comult.rows, self.comult.cols) == (self.dim * self.dim, self.dim)
-        assert (self.counit.rows, self.counit.cols) == (1, self.dim)
+        _check_shape("comult", self.comult, self.dim * self.dim, self.dim)
+        _check_shape("counit", self.counit, 1, self.dim)
         same_field(self.field, self.comult.field)
         same_field(self.field, self.counit.field)
 
@@ -164,11 +175,11 @@ class CoalgebraData:
         rep = CertReport(f"coalgebra dim {self.dim}")
         f, d = self.field, self.dim
         i_d = identity_map(f, d)
-        co_diff = (tensor_of_maps(self.comult, i_d) @ self.comult
-                   - tensor_of_maps(i_d, self.comult) @ self.comult)
+        co_diff = (self.comult.tensor(i_d) @ self.comult
+                   - i_d.tensor(self.comult) @ self.comult)
         rep.add("coassoc", co_diff.is_zero(), first_violation(co_diff, self.labels, 1))
-        lu = tensor_of_maps(self.counit, i_d) @ self.comult - i_d
-        ru = tensor_of_maps(i_d, self.counit) @ self.comult - i_d
+        lu = self.counit.tensor(i_d) @ self.comult - i_d
+        ru = i_d.tensor(self.counit) @ self.comult - i_d
         cu_diff = lu if not lu.is_zero() else ru
         rep.add("counit", lu.is_zero() and ru.is_zero(),
                 first_violation(cu_diff, self.labels, 1))
@@ -194,9 +205,11 @@ class HopfAlgebraData:
     name: str = ""
 
     def __post_init__(self):
-        assert self.algebra.dim == self.coalgebra.dim
+        if self.algebra.dim != self.coalgebra.dim:
+            raise DimensionMismatchError(
+                f"algebra has dim {self.algebra.dim}, coalgebra has dim {self.coalgebra.dim}")
         same_field(self.algebra.field, self.coalgebra.field)
-        assert (self.antipode.rows, self.antipode.cols) == (self.algebra.dim, self.algebra.dim)
+        _check_shape("antipode", self.antipode, self.algebra.dim, self.algebra.dim)
 
     @property
     def field(self):
@@ -230,6 +243,50 @@ class HopfAlgebraData:
         return self.algebra.unit_vector
 
 
+def _comult_multiplicative_violation(h):
+    """First basis pair (i, j), in the order i*d + j, with
+    Delta(e_i e_j) != Delta(e_i) Delta(e_j), or None if there is none.
+
+    Both sides are evaluated from the sparse columns of mult and comult:
+    Delta(e_i) Delta(e_j) = sum of (a.c) (x) (b.e) over the terms a (x) b of
+    Delta(e_i) and c (x) e of Delta(e_j).  This is the lowest nonzero column
+    of comult.mult - (mult (x) mult)(id (x) swap (x) id)(comult (x) comult).
+    """
+    f, d = h.field, h.dim
+    add, mul = f.add, f.mul
+    zero = f.zero
+    # products[i*d + j]: [(k, coeff)] for e_i e_j
+    products = [[] for _ in range(d * d)]
+    for (k, c), v in h.mult.entries():
+        products[c].append((k, v))
+    # coproducts[i]: [(a, b, coeff)] for Delta(e_i), with row a*d + b
+    coproducts = [[] for _ in range(d)]
+    for (r, i), v in h.comult.entries():
+        a, b = divmod(r, d)
+        coproducts[i].append((a, b, v))
+
+    def nonzero(acc):
+        return {k: v for k, v in acc.items() if v != zero}
+
+    for i in range(d):
+        for j in range(d):
+            lhs = {}
+            for k, v in products[i * d + j]:
+                for a, b, w in coproducts[k]:
+                    lhs[a, b] = add(lhs.get((a, b), zero), mul(v, w))
+            rhs = {}
+            for a, b, v in coproducts[i]:
+                for c, e, w in coproducts[j]:
+                    vw = mul(v, w)
+                    for x, s in products[a * d + c]:
+                        vws = mul(vw, s)
+                        for y, t in products[b * d + e]:
+                            rhs[x, y] = add(rhs.get((x, y), zero), mul(vws, t))
+            if nonzero(lhs) != nonzero(rhs):
+                return i, j
+    return None
+
+
 def check_hopf_axioms(h):
     """Full axiom suite; the report carries the first violating basis tuple
     for each failed check."""
@@ -239,22 +296,21 @@ def check_hopf_axioms(h):
     f, d = h.field, h.dim
     i_d = identity_map(f, d)
     # comult is an algebra map: Delta(xy) = Delta(x)Delta(y), Delta(1) = 1(x)1
-    mult_hh = (tensor_of_maps(h.mult, h.mult)
-               @ tensor_of_maps(i_d, tensor_of_maps(swap_map(f, d, d), i_d)))
-    dm = h.comult @ h.mult - mult_hh @ tensor_of_maps(h.comult, h.comult)
-    rep.add("comult-multiplicative", dm.is_zero(), first_violation(dm, h.labels, 2))
-    du = h.comult @ h.unit - tensor_of_maps(h.unit, h.unit)
+    bad_pair = _comult_multiplicative_violation(h)
+    rep.add("comult-multiplicative", bad_pair is None,
+            None if bad_pair is None else _basis_tuple(h.labels, bad_pair))
+    du = h.comult @ h.unit - h.unit.tensor(h.unit)
     rep.add("comult-unital", du.is_zero())
     # counit is an algebra map
-    em = h.counit @ h.mult - tensor_of_maps(h.counit, h.counit)
+    em = h.counit @ h.mult - h.counit.tensor(h.counit)
     rep.add("counit-multiplicative", em.is_zero(), first_violation(em, h.labels, 2))
     one = h.counit @ h.unit
     rep.add("counit-unital", one == identity_map(f, 1))
     # antipode laws: m(S(x)id)Delta = u.eps = m(id(x)S)Delta
     ue = h.unit @ h.counit
-    left = h.mult @ tensor_of_maps(h.antipode, i_d) @ h.comult - ue
+    left = h.mult @ h.antipode.tensor(i_d) @ h.comult - ue
     rep.add("antipode-left", left.is_zero(), first_violation(left, h.labels, 1))
-    right = h.mult @ tensor_of_maps(i_d, h.antipode) @ h.comult - ue
+    right = h.mult @ i_d.tensor(h.antipode) @ h.comult - ue
     rep.add("antipode-right", right.is_zero(), first_violation(right, h.labels, 1))
     return rep
 
@@ -298,7 +354,7 @@ class PairingData:
 
     def __post_init__(self):
         same_field(self.u.field, self.h.field)
-        assert (self.form.rows, self.form.cols) == (1, self.u.dim * self.h.dim)
+        _check_shape("form", self.form, 1, self.u.dim * self.h.dim)
 
     def value(self, uvec, hvec):
         f = self.u.field
@@ -318,22 +374,22 @@ def check_pairing(p):
     du, dh = p.u.dim, p.h.dim
     i_u, i_h = identity_map(f, du), identity_map(f, dh)
     # <uv, x> = <u, x1><v, x2>
-    lhs = p.form @ tensor_of_maps(p.u.mult, i_h)
-    reorder = tensor_of_maps(i_u, tensor_of_maps(swap_map(f, du, dh), i_h))
-    rhs = (tensor_of_maps(p.form, p.form) @ reorder
-           @ tensor_of_maps(tensor_of_maps(i_u, i_u), p.h.comult))
+    lhs = p.form @ p.u.mult.tensor(i_h)
+    reorder = i_u.tensor(swap_map(f, du, dh).tensor(i_h))
+    rhs = (p.form.tensor(p.form) @ reorder
+           @ i_u.tensor(i_u).tensor(p.h.comult))
     d1 = lhs - rhs
     rep.add("mult-vs-comult", d1.is_zero())
     # <u, xy> = <u1, x><u2, y>
-    lhs2 = p.form @ tensor_of_maps(i_u, p.h.mult)
-    rhs2 = (tensor_of_maps(p.form, p.form) @ reorder
-            @ tensor_of_maps(p.u.comult, tensor_of_maps(i_h, i_h)))
+    lhs2 = p.form @ i_u.tensor(p.h.mult)
+    rhs2 = (p.form.tensor(p.form) @ reorder
+            @ p.u.comult.tensor(i_h.tensor(i_h)))
     d2 = lhs2 - rhs2
     rep.add("comult-vs-mult", d2.is_zero())
     # units pair to counits
-    lu = p.form @ tensor_of_maps(p.u.unit, i_h) - p.h.counit
+    lu = p.form @ p.u.unit.tensor(i_h) - p.h.counit
     rep.add("unit-left", lu.is_zero())
-    ru = p.form @ tensor_of_maps(i_u, p.h.unit) - p.u.counit
+    ru = p.form @ i_u.tensor(p.h.unit) - p.u.counit
     rep.add("unit-right", ru.is_zero())
     return rep
 
@@ -354,16 +410,16 @@ def hit_action(p, side, certify=True):
     i_u, i_h = identity_map(f, du), identity_map(f, dh)
     if side == "right":
         # H (x) U -> H: (x, z) -> (x1, x2, z) -> (x2, z, x1) -> x2 <z, x1>
-        act = (tensor_of_maps(i_h, p.form)
-               @ tensor_of_maps(i_h, swap_map(f, dh, du))
-               @ tensor_of_maps(swap_map(f, dh, dh), i_u)
-               @ tensor_of_maps(p.h.comult, i_u))
+        act = (i_h.tensor(p.form)
+               @ i_h.tensor(swap_map(f, dh, du))
+               @ swap_map(f, dh, dh).tensor(i_u)
+               @ p.h.comult.tensor(i_u))
         mod = ModuleData(f, dh, act, p.u.algebra, side="right")
     elif side == "left":
         # U (x) H -> H: (z, x) -> (z, x1, x2) -> (x1, z, x2) -> x1 <z, x2>
-        act = (tensor_of_maps(i_h, p.form)
-               @ tensor_of_maps(swap_map(f, du, dh), i_h)
-               @ tensor_of_maps(i_u, p.h.comult))
+        act = (i_h.tensor(p.form)
+               @ swap_map(f, du, dh).tensor(i_h)
+               @ i_u.tensor(p.h.comult))
         mod = ModuleData(f, dh, act, p.u.algebra, side="left")
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")

@@ -6,7 +6,7 @@ Conventions used by the whole package:
   vectors; vectors are plain tuples of scalars.
 * Tensor legs are flattened index-major: the basis vector e_i (x) e_j of
   V (x) W sits at position i*dim(W) + j.  Both unitors and the associator
-  are then literal identities, and tensor_of_maps is the Kronecker product
+  are then literal identities, and f.tensor(g) is the Kronecker product
   with row index i*rows_g + i2, column index j*cols_g + j2.
 * A linear map f: V -> W, seen as a vector (for Hom-space computations),
   is flattened entry-major: entry (r, c) sits at position r*cols + c.
@@ -228,10 +228,6 @@ class LinMap:
 
     def __repr__(self):
         return f"LinMap({self.field}, {self.rows}x{self.cols}, nnz={self.nnz()})"
-
-
-def tensor_of_maps(f, g):
-    return f.tensor(g)
 
 
 def swap_map(field, m, n):

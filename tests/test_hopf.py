@@ -6,13 +6,19 @@ nonlinear solve for grouplike elements, and structure identities checked at
 the level of whole matrices.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
+from random import Random
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coideals
 from coideals.catalog import (
     canonical_pairing,
     cyclic_group,
@@ -26,16 +32,19 @@ from coideals.catalog import (
 from coideals.certs import VerificationFailed
 from coideals.fields import GF, QQ
 from coideals.hopf import (
+    AlgebraData,
     CoalgebraData,
     HopfAlgebraData,
+    PairingData,
     antipode_bijective,
     antipode_order,
     check_hopf_axioms,
     check_pairing,
     dual_hopf,
+    first_violation,
     hit_action,
 )
-from coideals.linalg import LinMap, basis_vector, swap_map, tensor_of_maps
+from coideals.linalg import DimensionMismatchError, LinMap, basis_vector, swap_map
 
 
 def catalog_instances():
@@ -45,6 +54,7 @@ def catalog_instances():
         function_algebra(QQ, symmetric_group_3(), "funS3"),
         sweedler4(),
         taft(3, GF(7)),
+        taft(6, GF(7)),
     ]
 
 
@@ -82,6 +92,112 @@ def test_broken_antipode_reports_first_witness():
     fail = {c.name: c for c in rep.checks if not c.ok}
     assert "antipode-left" in fail and fail["antipode-left"].witness == "(x)"
     assert "antipode-right" in fail
+
+
+def materialized_comult_multiplicative(h):
+    """Reference oracle: the whole difference map
+    comult.mult - (mult (x) mult)(id (x) swap (x) id)(comult (x) comult),
+    built as matrices, and its first nonzero column as the witness."""
+    f, d = h.field, h.dim
+    i_d = LinMap.identity(f, d)
+    mult_hh = h.mult.tensor(h.mult) @ i_d.tensor(swap_map(f, d, d).tensor(i_d))
+    dm = h.comult @ h.mult - mult_hh @ h.comult.tensor(h.comult)
+    return dm.is_zero(), first_violation(dm, h.labels, 2)
+
+
+def comult_multiplicative(h):
+    rep = check_hopf_axioms(h)
+    (c,) = [c for c in rep.checks if c.name == "comult-multiplicative"]
+    return c.ok, c.witness
+
+
+def add_to_one_entry(m, rng):
+    f = m.field
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    delta = f.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    ent = dict(m.entries())
+    ent[(r, c)] = f.add(m.entry(r, c), delta)
+    return LinMap(f, m.rows, m.cols, ent)
+
+
+def with_mult(h, mult):
+    a = h.algebra
+    return HopfAlgebraData(AlgebraData(a.field, a.dim, mult, a.unit, a.labels),
+                           h.coalgebra, h.antipode, "bad")
+
+
+def with_comult(h, comult):
+    c = h.coalgebra
+    return HopfAlgebraData(h.algebra,
+                           CoalgebraData(c.field, c.dim, comult, c.counit, c.labels),
+                           h.antipode, "bad")
+
+
+@pytest.mark.parametrize("which", ["mult", "comult"])
+@pytest.mark.parametrize("h", [sweedler4(), taft(3, GF(7)),
+                               group_algebra(QQ, symmetric_group_3(), "kS3")],
+                         ids=lambda h: h.name)
+def test_comult_multiplicative_matches_materialized_formula(h, which):
+    assert comult_multiplicative(h) == materialized_comult_multiplicative(h) == (True, None)
+    for seed in range(30):
+        rng = Random(seed)
+        if which == "mult":
+            bad = with_mult(h, add_to_one_entry(h.mult, rng))
+        else:
+            bad = with_comult(h, add_to_one_entry(h.comult, rng))
+        assert comult_multiplicative(bad) == materialized_comult_multiplicative(bad), seed
+
+
+def test_broken_comult_multiplicative_reports_first_pair():
+    h = sweedler4()
+    # x*x = 1 instead of 0 (column x(x)x = 1*4 + 1 of mult): then
+    # Delta(x x) = 1 (x) 1, while with Delta(x) = x (x) 1 + g (x) x and
+    # xg = -gx, Delta(x)Delta(x) = x^2 (x) 1 + g^2 (x) x^2 = 2 (1 (x) 1).
+    # Every earlier pair (1, -) and (x, 1) only multiplies by the unit.
+    ent = dict(h.mult.entries())
+    ent[(0, 5)] = Fr(1)
+    bad = with_mult(h, LinMap(QQ, 4, 16, ent))
+    assert comult_multiplicative(bad) == (False, "(x, x)")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda h: AlgebraData(QQ, 4, h.mult.transpose(), h.unit),
+     "mult must be 4x16, got 16x4"),
+    (lambda h: AlgebraData(QQ, 4, h.mult, h.counit), "unit must be 4x1, got 1x4"),
+    (lambda h: CoalgebraData(QQ, 4, h.mult, h.counit), "comult must be 16x4, got 4x16"),
+    (lambda h: CoalgebraData(QQ, 4, h.comult, h.unit), "counit must be 1x4, got 4x1"),
+    (lambda h: HopfAlgebraData(h.algebra, group_algebra(QQ, cyclic_group(2)).coalgebra,
+                               h.antipode),
+     "algebra has dim 4, coalgebra has dim 2"),
+    (lambda h: HopfAlgebraData(h.algebra, h.coalgebra, LinMap.identity(QQ, 3)),
+     "antipode must be 4x4, got 3x3"),
+    (lambda h: PairingData(h, h, h.counit), "form must be 1x16, got 1x4"),
+])
+def test_structure_shapes_are_checked(build, message):
+    with pytest.raises(DimensionMismatchError) as err:
+        build(sweedler4())
+    assert str(err.value) == message
+
+
+def test_shape_check_survives_python_O():
+    # python -O strips assert statements; the constructors must still refuse
+    code = (
+        "from coideals.catalog import sweedler4\n"
+        "from coideals.hopf import HopfAlgebraData\n"
+        "from coideals.linalg import DimensionMismatchError, LinMap\n"
+        "h = sweedler4()\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    HopfAlgebraData(h.algebra, h.coalgebra, LinMap.identity(h.field, 3))\n"
+        "except DimensionMismatchError as err:\n"
+        "    print(err)\n"
+    )
+    src = str(Path(coideals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False", "antipode must be 4x4, got 3x3"]
 
 
 def test_pairing_axioms_hold_for_evaluation_pairings():
@@ -184,7 +300,7 @@ def test_antipode_is_coalgebra_antimorphism_matrixwise():
               function_algebra(QQ, symmetric_group_3())):
         f, d = h.field, h.dim
         lhs = h.comult @ h.antipode
-        rhs = tensor_of_maps(h.antipode, h.antipode) @ swap_map(f, d, d) @ h.comult
+        rhs = h.antipode.tensor(h.antipode) @ swap_map(f, d, d) @ h.comult
         assert lhs == rhs, h.name
 
 

@@ -31,7 +31,6 @@ from coideals.linalg import (
     rank,
     solve,
     swap_map,
-    tensor_of_maps,
     vec_to_map,
 )
 
@@ -180,7 +179,7 @@ def test_solve_particular_solution():
 def test_kronecker_by_definition():
     f = qmap([[1, 2], [3, 4]])
     g = qmap([[0, 5], [6, 7]])
-    t = tensor_of_maps(f, g)
+    t = f.tensor(g)
     # literal expansion: t[(i*2+i2, j*2+j2)] = f[i,j] * g[i2,j2]
     for i in range(2):
         for j in range(2):
