@@ -7,6 +7,8 @@ functions enforce internally.  The final test runs the whole battery
 twice with the same seed and byte-compares the serialized reports.
 """
 
+import hashlib
+
 import pytest
 
 from coideals.suite import CRITERIA, DEFAULT_SEED, run_all
@@ -30,5 +32,8 @@ def test_criterion_12_determinism():
           f"battery (two full runs byte-identical, "
           f"{first.elapsed + second.elapsed:.1f}s total)")
     assert first.serialize() == second.serialize()
+    # recorded before the CLI report and the library report became one class
+    assert hashlib.sha256(first.serialize().encode("ascii")).hexdigest() \
+        == "7bd3a438bc88d6174fb813b7e9475ac2690326c03da4b3440cf3c69a1181c129"
     assert first.ok and second.ok
     assert first.elapsed + second.elapsed < 120.0

@@ -6,6 +6,8 @@ Oracles: the documented exit-code contract (0 pass, 1 check failure,
 comparison of reports across repeated runs with a fixed seed.
 """
 
+import hashlib
+
 import pytest
 
 from coideals.catalog import (
@@ -21,7 +23,9 @@ from coideals.correspondence import (
     verify_coideal_subalgebra,
 )
 from coideals.fields import QQ
-from coideals.linalg import Subspace, basis_vector
+from coideals.linalg import LinMap, Subspace, basis_vector
+from coideals.repcats import ComoduleData
+from coideals.report import Report
 from coideals.specfile import (
     save_spec,
     spec_from_coalgebra,
@@ -57,7 +61,22 @@ def specs(tmp_path_factory):
               d / "q1g.spec")
     save_spec(spec_from_coalgebra(kf.coalgebra, name="k^S3 coalgebra"),
               d / "ks3co.spec")
+    # sweedler4 with one coproduct coefficient doubled: not coassociative
+    (d / "bad.spec").write_text(
+        (d / "h4.spec").read_text().replace("g.x x 1/1", "g.x x 2/1"))
+    save_spec(spec_from_comodule(_two_weights(), name="two weights"),
+              d / "two.spec")
     return d
+
+
+def _two_weights():
+    """The comodule over k^C2 spanned by the two characters."""
+    from coideals.catalog import cyclic_group
+    kc2 = function_algebra(QQ, cyclic_group(2)).coalgebra
+    col = {(0, 0): QQ.one, (1, 0): QQ.one,
+           (2, 1): QQ.one, (3, 1): QQ.from_int(-1)}
+    return ComoduleData(QQ, 2, LinMap(QQ, 4, 2, col), kc2, "right",
+                        "two weights")
 
 
 def run(capsys, *argv):
@@ -216,18 +235,9 @@ class TestMorita:
         assert code == 2
         assert "agree" in err
 
-    def test_coend_data_from_a_comodule(self, specs, capsys, tmp_path):
-        from coideals.catalog import cyclic_group
-        from coideals.linalg import LinMap
-        from coideals.repcats import ComoduleData
-        kc2 = function_algebra(QQ, cyclic_group(2)).coalgebra
-        col = {(0, 0): QQ.one, (1, 0): QQ.one,
-               (2, 1): QQ.one, (3, 1): QQ.from_int(-1)}
-        two = ComoduleData(QQ, 2, LinMap(QQ, 4, 2, col), kc2, "right",
-                           "two weights")
-        f = tmp_path / "two.spec"
-        save_spec(spec_from_comodule(two, name="two weights"), f)
-        code, out, _ = run(capsys, "morita", f, "--data", "coend")
+    def test_coend_data_from_a_comodule(self, specs, capsys):
+        code, out, _ = run(capsys, "morita", specs / "two.spec",
+                           "--data", "coend")
         assert code == 0
         assert "check FAIL" not in out
 
@@ -282,3 +292,52 @@ class TestPlumbing:
         _, out, err = run(capsys, "check", specs / "h4.spec")
         assert "elapsed" in err
         assert "elapsed" not in out
+
+
+# (argv, exit code, sha256 of stdout), recorded before the CLI report and
+# the library report became one class; a spec file is named by basename.
+GOLDEN = (
+    (("check", "h4.spec"), 0,
+     "bb8f1673584832675b20b6f8e55edea693575fdf77c8f4683a44f90d807fdfeb"),
+    (("check", "bad.spec"), 1,
+     "6fe8b76b70215c056912ab1b45c7890fad90ef788c74b8765dbc5049cf84db81"),
+    (("catalog", "sweedler4"), 0,
+     "5a06a32fbcde150e37ed5339f1c18b7fdb0cd73482e74a17f333d0932253594c"),
+    (("correspond", "ks3fun.spec", "--subalgebra", "cosets.spec"), 0,
+     "1fc891fe170f717ade211416d46d960a87e7f5b8860e8208cf26dfa762aa34fd"),
+    (("mw", "h4.spec", "--subalgebra", "a1g.spec"), 0,
+     "279de11277a3640309a61d3f6ea2db69083cfe77ec75044a942fdff1aed50fdf"),
+    (("morita", "ks3co.spec"), 0,
+     "9abf98017f27a271143028e134748a1866a775c2de9f175b74ba48f6de1192ae"),
+    (("morita", "two.spec", "--data", "coend"), 0,
+     "5e3241bd3e0c7a32ae97ac98ec4838b1b2016f25723150d5b8de7ca501b94046"),
+)
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_report_bytes_are_pinned(specs, capsys, argv, code, digest):
+    argv = [specs / a if a.endswith(".spec") else a for a in argv]
+    got, out, _ = run(capsys, *argv)
+    assert (got, hashlib.sha256(out.encode("ascii")).hexdigest()) \
+        == (code, digest)
+
+
+def test_serialize_cleans_text_and_defaults_the_witness():
+    rep = Report("check\nsome  file")
+    rep.add("first\n name", False)
+    rep.add("second", True, "with\t tab")
+    rep.assume("one\n note")
+    rep.assume("one note")
+    rep.assume("other")
+    assert rep.serialize() == (
+        "report check some file\n"
+        "seed -\n"
+        "assume one note\n"
+        "assume other\n"
+        "check FAIL first name\n"
+        "witness no witness recorded\n"
+        "check ok second\n"
+        "witness with tab\n"
+        "runtime -\n")
+    assert rep.exit_code == 1
