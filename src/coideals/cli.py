@@ -23,7 +23,7 @@ from .catalog import (
     sweedler4,
     taft,
 )
-from .certs import VerificationFailed
+from .certs import CertReport, VerificationFailed
 from .correspondence import (
     classify_quantum,
     mw_equivalence_check,
@@ -42,7 +42,7 @@ from .morita import (
     verify_pre_equivalence,
 )
 from .repcats import ComoduleData, check_comodule, regular_comodule, simple_comodules
-from .report import Report
+from .report import content_hash
 from .specfile import (
     SpecParseError,
     load_spec,
@@ -157,13 +157,13 @@ def _emit_and_print(rep, emit, t0):
 
 def _object_checks(rep, sd, path):
     if sd.kind == "hopf":
-        rep.absorb(check_hopf_axioms(to_hopf(sd)))
+        rep.merge(check_hopf_axioms(to_hopf(sd)))
     elif sd.kind == "coalgebra":
-        rep.absorb(to_coalgebra(sd).check())
+        rep.merge(to_coalgebra(sd).check())
     elif sd.kind == "comodule":
         v = to_comodule(sd)
-        rep.absorb(v.over.check(), "over ")
-        rep.absorb(check_comodule(v))
+        rep.merge(v.over.check(), "over ")
+        rep.merge(check_comodule(v))
     elif sd.kind == "subspace":
         s = to_subspace(sd)
         nvec = sd.maps["vectors"].rows
@@ -189,8 +189,8 @@ def _object_checks(rep, sd, path):
 
 def _cmd_check(args, t0):
     sd = _load(args.spec)
-    rep = Report(command=f"check {os.path.basename(args.spec)}")
-    rep.add_input(sd, sd.kind)
+    rep = CertReport(f"check {os.path.basename(args.spec)}")
+    rep.add_input(content_hash(sd), sd.kind)
     _object_checks(rep, sd, args.spec)
     return _emit_and_print(rep, args.emit, t0)
 
@@ -199,9 +199,9 @@ def _cmd_catalog(args, t0):
     h = _catalog_object(args.name, args.params)
     _cap_check(h.dim, f"catalog {args.name}")
     sd = spec_from_hopf(h)
-    rep = Report(command=" ".join(["catalog", args.name] + args.params))
-    rep.add_input(sd, "constructed instance")
-    rep.absorb(check_hopf_axioms(h))
+    rep = CertReport(" ".join(["catalog", args.name] + args.params))
+    rep.add_input(content_hash(sd), "constructed instance")
+    rep.merge(check_hopf_axioms(h))
     if args.emit:
         save_spec(sd, args.emit)
     sys.stdout.write(rep.serialize())
@@ -216,25 +216,25 @@ def _verified_subalgebra(args, rep):
     if ssd.dim != h.dim:
         raise InputError(f"{args.subalgebra}: ambient dimension {ssd.dim} "
                          f"does not match the carrier dimension {h.dim}")
-    rep.add_input(sd, "ambient")
-    rep.add_input(ssd, "subalgebra")
+    rep.add_input(content_hash(sd), "ambient")
+    rep.add_input(content_hash(ssd), "subalgebra")
     a = verify_coideal_subalgebra(h, to_subspace(ssd),
                                   name=ssd.name or "subalgebra")
-    rep.absorb(a.report)
+    rep.merge(a.report)
     return h, a
 
 
 def _cmd_correspond(args, t0):
-    rep = Report(command=f"correspond {os.path.basename(args.spec)} "
-                         f"{os.path.basename(args.subalgebra)}")
+    rep = CertReport(f"correspond {os.path.basename(args.spec)} "
+                     f"{os.path.basename(args.subalgebra)}")
     h, a = _verified_subalgebra(args, rep)
     if a.ok:
         q = quotient_module_coalgebra(a)
-        rep.absorb(q.report, "quotient ")
+        rep.merge(q.report, "quotient ")
         rep.add("quotient-dimension", True, f"dimension {q.dim}")
         if q.ok:
             rt = roundtrip_correspondence(h, subalgebras=[a], quotients=[q])
-            rep.absorb(rt)
+            rep.merge(rt)
             rep.add("roundtrip", rt.ok, "exact" if rt.ok else "inexact")
             label, _ = classify_quantum(a)
             rep.add("classification", True, label)
@@ -242,8 +242,8 @@ def _cmd_correspond(args, t0):
 
 
 def _cmd_mw(args, t0):
-    rep = Report(command=f"mw {os.path.basename(args.spec)} "
-                         f"{os.path.basename(args.subalgebra)}")
+    rep = CertReport(f"mw {os.path.basename(args.spec)} "
+                     f"{os.path.basename(args.subalgebra)}")
     h, a = _verified_subalgebra(args, rep)
     if a.ok:
         comodules = None
@@ -263,14 +263,14 @@ def _cmd_mw(args, t0):
                         f"{len(vsd.over)}, the quotient has {b.dim}")
                 v = ComoduleData(h.field, vsd.dim, vsd.maps["coaction"], b,
                                  "right", vsd.name or os.path.basename(path))
-                rep.add_input(vsd, "test object")
-                rep.absorb(check_comodule(v), f"object {v.name} ")
+                rep.add_input(content_hash(vsd), "test object")
+                rep.merge(check_comodule(v), f"object {v.name} ")
                 comodules.append(v)
         try:
             mw = mw_equivalence_check(a, test_comodules=comodules)
-            rep.absorb(mw.report)
+            rep.merge(mw.report)
         except VerificationFailed as e:
-            rep.absorb(e.report, "precondition ")
+            rep.merge(e.report, "precondition ")
     return _emit_and_print(rep, args.emit, t0)
 
 
@@ -285,8 +285,8 @@ def _quotient_from_files(args, rep):
         raise InputError(f"{args.quotient}: projection source dimension "
                          f"{pi.cols} does not match the carrier "
                          f"dimension {h.dim}")
-    rep.add_input(sd, "ambient")
-    rep.add_input(qsd, "quotient")
+    rep.add_input(content_hash(sd), "ambient")
+    rep.add_input(content_hash(qsd), "quotient")
     sec = find_section(pi)
     if sec is None:
         rep.add("projection-surjective", False,
@@ -298,29 +298,29 @@ def _quotient_from_files(args, rep):
     sigma = pi @ h.mult @ identity_map(f, h.dim).tensor(sec)
     qd = quotient_data(h, b, pi, sigma, section=sec,
                        name=qsd.name or "quotient", certify=False)
-    rep.absorb(qd.report)
+    rep.merge(qd.report)
     return h, (qd if qd.ok else None)
 
 
 def _cmd_theorem2(args, t0):
-    rep = Report(command=f"theorem2 {os.path.basename(args.spec)} "
-                         f"{os.path.basename(args.quotient)}")
+    rep = CertReport(f"theorem2 {os.path.basename(args.spec)} "
+                     f"{os.path.basename(args.quotient)}")
     h, qd = _quotient_from_files(args, rep)
     if qd is not None:
         try:
             res = theorem2_pipeline(qd)
-            rep.absorb(res.report)
+            rep.merge(res.report)
             rep.add("recovered-subalgebra-dimension", True,
                     f"dimension {res.subalgebra.space.dim}")
         except VerificationFailed as e:
-            rep.absorb(e.report, "pipeline ")
+            rep.merge(e.report, "pipeline ")
     return _emit_and_print(rep, args.emit, t0)
 
 
 def _cmd_gamma(args, t0):
-    rep = Report(command=f"gamma {os.path.basename(args.spec)} "
-                         f"{os.path.basename(args.quotient)}",
-                 seed=args.seed)
+    rep = CertReport(f"gamma {os.path.basename(args.spec)} "
+                     f"{os.path.basename(args.quotient)}",
+                     seed=args.seed)
     h, qd = _quotient_from_files(args, rep)
     if qd is not None:
         b = qd.coalgebra
@@ -328,16 +328,16 @@ def _cmd_gamma(args, t0):
                             "quotient regular")
         try:
             res = gamma_isomorphism(regular_comodule(h), breg, qd,
-                                    seed=args.seed)
-            rep.absorb(res.report)
+                                        seed=args.seed)
+            rep.merge(res.report)
         except VerificationFailed as e:
-            rep.absorb(e.report, "comparison ")
+            rep.merge(e.report, "comparison ")
     return _emit_and_print(rep, args.emit, t0)
 
 
 def _cmd_morita(args, t0):
     names = " ".join(os.path.basename(p) for p in args.specs)
-    rep = Report(command=f"morita {names} --data {args.data}")
+    rep = CertReport(f"morita {names} --data {args.data}")
     if args.data == "identity":
         if len(args.specs) not in (1, 2):
             raise InputError("identity data takes one coalgebra spec or a "
@@ -348,21 +348,21 @@ def _cmd_morita(args, t0):
             raise InputError("identity data needs the two coalgebras to "
                              "agree entry for entry")
         for sd in sds:
-            rep.add_input(sd, "coalgebra")
+            rep.add_input(content_hash(sd), "coalgebra")
         e = identity_pre_equivalence(coalgebras[0])
     elif args.data == "coend":
         if len(args.specs) != 1:
             raise InputError("coend data takes exactly one comodule spec")
         vsd = _load(args.specs[0], kinds=("comodule",))
-        rep.add_input(vsd, "comodule")
+        rep.add_input(content_hash(vsd), "comodule")
         try:
             e = coend_pre_equivalence(to_comodule(vsd))
         except VerificationFailed as err:
-            rep.absorb(err.report, "construction ")
+            rep.merge(err.report, "construction ")
             return _emit_and_print(rep, args.emit, t0)
     else:
         raise InputError(f"--data takes identity or coend, got {args.data!r}")
-    rep.absorb(verify_pre_equivalence(e))
+    rep.merge(verify_pre_equivalence(e))
     return _emit_and_print(rep, args.emit, t0)
 
 
@@ -451,9 +451,7 @@ def main(argv=None):
         return 2
     except VerificationFailed as e:
         # a constructor refused mid-command; the certificate explains it
-        rep = Report(command="refused")
-        rep.absorb(e.report)
-        sys.stdout.write(rep.serialize())
+        sys.stdout.write(CertReport("refused").merge(e.report).serialize())
         return 1
 
 

@@ -14,10 +14,7 @@ Conventions used by the whole package:
   rows ordered by pivot column; two subspaces are equal iff their stored
   bases are identical.
 
-Storage of a LinMap is sparse (dict keyed by (row, col), no zeros kept)
-until density exceeds 1/2, then a dense row-major list of lists.  All
-operations go through representation-agnostic accessors, so both storages
-produce identical canonical outputs.
+A LinMap is stored sparse: a dict keyed by (row, col), with no zeros kept.
 """
 
 from __future__ import annotations
@@ -32,9 +29,9 @@ class DimensionMismatchError(ValueError):
 
 
 class LinMap:
-    """Exact matrix k^cols -> k^rows with automatic sparse/dense storage."""
+    """Exact matrix k^cols -> k^rows, stored sparse."""
 
-    __slots__ = ("field", "rows", "cols", "_d", "_m")
+    __slots__ = ("field", "rows", "cols", "_d")
 
     def __init__(self, field, rows, cols, entries):
         # entries: dict {(r, c): scalar}; zeros are dropped here
@@ -45,15 +42,7 @@ class LinMap:
         for r, c in d:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise DimensionMismatchError(f"entry {(r, c)} outside {rows}x{cols}")
-        if rows * cols > 0 and len(d) * 2 > rows * cols:
-            m = [[field.zero] * cols for _ in range(rows)]
-            for (r, c), v in d.items():
-                m[r][c] = v
-            self._d = None
-            self._m = m
-        else:
-            self._d = d
-            self._m = None
+        self._d = d
 
     # -- construction -------------------------------------------------
 
@@ -72,7 +61,9 @@ class LinMap:
         cols = len(mat[0]) if rows else 0
         d = {}
         for r, row in enumerate(mat):
-            assert len(row) == cols
+            if len(row) != cols:
+                raise DimensionMismatchError(
+                    f"row {r} has length {len(row)}, row 0 has {cols}")
             for c, v in enumerate(row):
                 if v != field.zero:
                     d[(r, c)] = v
@@ -97,30 +88,15 @@ class LinMap:
     # -- accessors ----------------------------------------------------
 
     def entry(self, r, c):
-        if self._d is not None:
-            return self._d.get((r, c), self.field.zero)
-        return self._m[r][c]
+        return self._d.get((r, c), self.field.zero)
 
     def entries(self):
         """Iterate ((r, c), v) over nonzero entries in row-major order."""
-        if self._d is not None:
-            for key in sorted(self._d):
-                yield key, self._d[key]
-        else:
-            z = self.field.zero
-            for r, row in enumerate(self._m):
-                for c, v in enumerate(row):
-                    if v != z:
-                        yield (r, c), v
-
-    def _dict(self):
-        if self._d is not None:
-            return self._d
-        z = self.field.zero
-        return {(r, c): v for r, row in enumerate(self._m) for c, v in enumerate(row) if v != z}
+        for key in sorted(self._d):
+            yield key, self._d[key]
 
     def nnz(self):
-        return len(self._dict())
+        return len(self._d)
 
     def is_zero(self):
         return self.nnz() == 0
@@ -135,12 +111,9 @@ class LinMap:
     def row(self, r):
         z = self.field.zero
         out = [z] * self.cols
-        if self._d is not None:
-            for (rr, c), v in self._d.items():
-                if rr == r:
-                    out[c] = v
-        else:
-            out = list(self._m[r])
+        for (rr, c), v in self._d.items():
+            if rr == r:
+                out[c] = v
         return tuple(out)
 
     def column(self, c):
@@ -152,9 +125,9 @@ class LinMap:
         same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        d = dict(self._dict())
+        d = dict(self._d)
         f = self.field
-        for k, v in other._dict().items():
+        for k, v in other._d.items():
             d[k] = op(d.get(k, f.zero), v)
         return LinMap(f, self.rows, self.cols, d)
 
@@ -166,13 +139,13 @@ class LinMap:
 
     def __neg__(self):
         f = self.field
-        return LinMap(f, self.rows, self.cols, {k: f.neg(v) for k, v in self._dict().items()})
+        return LinMap(f, self.rows, self.cols, {k: f.neg(v) for k, v in self._d.items()})
 
     def scale(self, scalar):
         f = self.field
         if scalar == f.zero:
             return LinMap.zero(f, self.rows, self.cols)
-        return LinMap(f, self.rows, self.cols, {k: f.mul(scalar, v) for k, v in self._dict().items()})
+        return LinMap(f, self.rows, self.cols, {k: f.mul(scalar, v) for k, v in self._d.items()})
 
     def __matmul__(self, other):
         """Composition self o other (apply other first)."""
@@ -182,10 +155,10 @@ class LinMap:
         f = self.field
         # index other's entries by row
         by_row = {}
-        for (r, c), v in other._dict().items():
+        for (r, c), v in other._d.items():
             by_row.setdefault(r, []).append((c, v))
         out = {}
-        for (r, k), v in self._dict().items():
+        for (r, k), v in self._d.items():
             for c, w in by_row.get(k, ()):
                 key = (r, c)
                 cur = out.get(key)
@@ -198,7 +171,7 @@ class LinMap:
             raise DimensionMismatchError(f"apply {self.rows}x{self.cols} to vector of length {len(vec)}")
         f = self.field
         out = [f.zero] * self.rows
-        for (r, c), v in self._dict().items():
+        for (r, c), v in self._d.items():
             w = vec[c]
             if w != f.zero:
                 out[r] = f.add(out[r], f.mul(v, w))
@@ -206,15 +179,15 @@ class LinMap:
 
     def transpose(self):
         return LinMap(self.field, self.cols, self.rows,
-                      {(c, r): v for (r, c), v in self._dict().items()})
+                      {(c, r): v for (r, c), v in self._d.items()})
 
     def tensor(self, other):
         """Kronecker product; see the module docstring for index flattening."""
         same_field(self.field, other.field)
         f = self.field
         out = {}
-        for (i, j), v in self._dict().items():
-            for (i2, j2), w in other._dict().items():
+        for (i, j), v in self._d.items():
+            for (i2, j2), w in other._d.items():
                 out[(i * other.rows + i2, j * other.cols + j2)] = f.mul(v, w)
         return LinMap(f, self.rows * other.rows, self.cols * other.cols, out)
 
@@ -224,7 +197,7 @@ class LinMap:
         if not isinstance(other, LinMap):
             return NotImplemented
         return (self.field == other.field and self.rows == other.rows
-                and self.cols == other.cols and self._dict() == other._dict())
+                and self.cols == other.cols and self._d == other._d)
 
     def __repr__(self):
         return f"LinMap({self.field}, {self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -333,18 +306,15 @@ class Subspace:
         return tuple(v)
 
     def coords(self, vec):
-        """Coefficients of vec on the canonical basis, or None if not a member."""
-        f = self.field
-        v = list(vec)
-        out = []
-        for row, p in zip(self.rows, self.pivots):
-            coeff = v[p]
-            out.append(coeff)
-            if coeff != f.zero:
-                v = [f.sub(x, f.mul(coeff, r)) for x, r in zip(v, row)]
-        if any(x != f.zero for x in v):
+        """Coefficients of vec on the canonical basis, or None if not a member.
+
+        The rows are in RREF, so row i is the only one nonzero at pivot i:
+        a member's coefficients are its pivot entries.
+        """
+        z = self.field.zero
+        if any(x != z for x in self.reduce(vec)):
             return None
-        return tuple(out)
+        return tuple(vec[p] for p in self.pivots)
 
     def contains(self, vec):
         return self.coords(vec) is not None
@@ -352,15 +322,19 @@ class Subspace:
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.rows)
 
-    def sum_with(self, other):
+    def _same_ambient(self, other):
         same_field(self.field, other.field)
-        assert self.ambient == other.ambient
+        if self.ambient != other.ambient:
+            raise DimensionMismatchError(
+                f"ambient dimensions {self.ambient} and {other.ambient}")
+
+    def sum_with(self, other):
+        self._same_ambient(other)
         return Subspace.from_vectors(self.field, self.ambient, list(self.rows) + list(other.rows))
 
     def intersect(self, other):
         """Zassenhaus-free intersection: solve x*R1 = y*R2 via a kernel."""
-        same_field(self.field, other.field)
-        assert self.ambient == other.ambient
+        self._same_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient)
         # columns of m: coefficients (x, y); rows: ambient conditions of x*R1 - y*R2 = 0
@@ -419,10 +393,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient} over {self.field})"
-
-
-def canonicalize_subspace(field, ambient, vectors):
-    return Subspace.from_vectors(field, ambient, vectors)
 
 
 def kernel_of(f):
@@ -508,7 +478,7 @@ def find_section(p, constraints=()):
 
     rows = []
     rhs = []
-    pd = p._dict()
+    pd = p._d
     # p o s = id_W
     for i in range(nW):
         for j in range(nW):
@@ -520,8 +490,11 @@ def find_section(p, constraints=()):
             rhs.append(field.one if i == j else field.zero)
     # s o u = v o s
     for u, v in constraints:
-        assert u.rows == u.cols == nW and v.rows == v.cols == nV
-        ud, vd = u._dict(), v._dict()
+        if not (u.rows == u.cols == nW and v.rows == v.cols == nV):
+            raise DimensionMismatchError(
+                f"constraint ({u.rows}x{u.cols}, {v.rows}x{v.cols}) must be "
+                f"({nW}x{nW}, {nV}x{nV})")
+        ud, vd = u._d, v._d
         for r in range(nV):
             for c in range(nW):
                 row = [field.zero] * nunk
@@ -548,21 +521,25 @@ def find_section(p, constraints=()):
             if v != field.zero:
                 ent[(r, c)] = v
     s = LinMap(field, nV, nW, ent)
-    assert (p @ s) == LinMap.identity(field, nW)
+    if p @ s != LinMap.identity(field, nW):
+        raise ValueError("computed section s fails p o s = id")
     return s
 
 
 def stack_maps(maps):
     """Stack LinMaps vertically (same cols); rows are concatenated in order."""
     maps = list(maps)
-    assert maps
+    if not maps:
+        raise DimensionMismatchError("stack_maps needs at least one map")
     field = maps[0].field
     cols = maps[0].cols
     ent = {}
     off = 0
     for m in maps:
         same_field(field, m.field)
-        assert m.cols == cols
+        if m.cols != cols:
+            raise DimensionMismatchError(
+                f"stacking a map with {m.cols} columns under {cols}")
         for (r, c), v in m.entries():
             ent[(off + r, c)] = v
         off += m.rows
@@ -593,7 +570,10 @@ def induced_on_subspaces(f, dom, cod):
     Returns None if some image falls outside cod (witnessing non-invariance).
     """
     field = f.field
-    assert f.cols == dom.ambient and f.rows == cod.ambient
+    if (f.cols, f.rows) != (dom.ambient, cod.ambient):
+        raise DimensionMismatchError(
+            f"{f.rows}x{f.cols} map between subspaces of k^{dom.ambient} "
+            f"and k^{cod.ambient}")
     cols = []
     for row in dom.rows:
         img = f.apply(row)
@@ -644,7 +624,9 @@ def matrix_of_operator(field, in_shape, out_shape, fn):
         for c in range(ic):
             e = LinMap(field, ir, ic, {(r, c): field.one})
             img = fn(e)
-            assert (img.rows, img.cols) == (orr, oc)
+            if (img.rows, img.cols) != (orr, oc):
+                raise DimensionMismatchError(
+                    f"operator gave {img.rows}x{img.cols}, expected {orr}x{oc}")
             col = r * ic + c
             for (rr, cc), v in img.entries():
                 ent[(rr * oc + cc, col)] = v
@@ -664,7 +646,9 @@ def contains_invertible(space, n, seed=0, tries=24):
     grid.  A returned witness is certain; None means none was found.
     """
     field = space.field
-    assert space.ambient == n * n
+    if space.ambient != n * n:
+        raise DimensionMismatchError(
+            f"subspace of k^{space.ambient} is not a space of {n}x{n} maps")
     mats = subspace_basis_maps(space, n, n)
     if not mats:
         return None

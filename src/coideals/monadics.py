@@ -44,7 +44,7 @@ from .linalg import (
     stack_maps,
     swap_map,
 )
-from .hopf import AlgebraData, CoalgebraData
+from .hopf import AlgebraData, CoalgebraData, antipode_bijective
 from .certs import CertReport, VerificationFailed
 from .repcats import (
     ComoduleData,
@@ -531,10 +531,6 @@ def _interleave_blocks(f, blocks, out_rows, cols):
     return LinMap(f, out_rows, cols, ent)
 
 
-def antipode_is_bijective(h):
-    return rank(h.antipode) == h.dim
-
-
 def internal_hom(a, n, name="", certify=True):
     """Internal hom from a verified coideal subalgebra into a right
     comodule, as a subspace of the plain map space.
@@ -554,7 +550,7 @@ def internal_hom(a, n, name="", certify=True):
         raise VerificationFailed(a.report)
     h = a.hopf
     f = h.field
-    if not antipode_is_bijective(h):
+    if not antipode_bijective(h)[0]:
         raise ValueError("antipode is not bijective")
     if n.side != "right":
         raise ValueError("internal hom takes a right comodule target")
@@ -1205,7 +1201,7 @@ def gamma_isomorphism(x, m, q, seed=20260822, samples=100, precheck=True):
     rep = CertReport(f"tensor/cotensor comparison at "
                      f"({_obj_name(x)}, {_obj_name(m)})")
     if precheck:
-        if not antipode_is_bijective(h):
+        if not antipode_bijective(h)[0]:
             raise ValueError("antipode is not bijective")
         fc = is_faithfully_coflat(q, "left")
         rep.add("faithfully coflat over the quotient", fc.ok)

@@ -49,10 +49,6 @@ def regular_comodule_of(c, name=""):
                         name or "regular comodule")
 
 
-def _left_regular(c):
-    return ComoduleData(c.field, c.dim, c.comult, c, "left", "left regular")
-
-
 def dual_comodule(v):
     """Dual of a comodule, on the other side over the same coalgebra.
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
 from .certs import CertReport, VerificationFailed
 from .fields import same_field
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData, _decode, dual_algebra
@@ -355,16 +353,6 @@ def is_coalgebra_map(psi, src, dst):
     return rep
 
 
-def is_algebra_map(phi, src, dst):
-    rep = CertReport("algebra map")
-    d1 = phi @ src.mult - dst.mult @ phi.tensor(phi)
-    rep.add("respects-multiplication", d1.is_zero(),
-            _witness(d1, [src.labels, src.labels]))
-    d2 = phi @ src.unit - dst.unit
-    rep.add("respects-unit", d2.is_zero(), None if d2.is_zero() else "(1)")
-    return rep
-
-
 def hom_colinear(v, w):
     """Subspace of maps V -> W commuting with the coactions, flattened
     entry-major into k^(dimW*dimV)."""
@@ -516,10 +504,6 @@ def radical(a):
     return kernel_of(LinMap.from_rows(f, gram))
 
 
-def is_semisimple_algebra(a):
-    return radical(a).dim == 0
-
-
 @dataclass
 class CosemisimplicityResult:
     ok: bool
@@ -640,6 +624,9 @@ def _coords_in(f, vecs, target):
 def factor_poly(field, coeffs):
     """Irreducible monic factors over the coefficient field via sympy.
     Returns a sorted list of (factor coeffs low-first, multiplicity)."""
+    # imported on first use: sympy is most of the time `import coideals` takes
+    import sympy
+
     x = sympy.Symbol("x")
     if field.char == 0:
         expr = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]

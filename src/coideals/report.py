@@ -1,28 +1,12 @@
-"""Deterministic run reports for the command line layer.
+"""Content hashing of spec files for the inputs named in a report.
 
-A report is a line-oriented certificate:
-
-    report <command>
-    seed <integer, or - when no randomness was used>
-    input <sha256> <role>
-    assume <text>
-    check ok <name>
-    check FAIL <name>
-    witness <text>
-    runtime -
-
-A witness line explains the check directly above it; every failing check
-carries one.  Inputs are identified by the hash of their canonical
-relabeling-invariant serialization rather than by raw file bytes, so
-comments, whitespace, and label order do not change identity.  The
-runtime field is a fixed placeholder: wall-clock time goes to the
-console, never into the report, so repeated runs over the same inputs
-and seed produce byte-identical reports.
+The report itself is `certs.CertReport`; `Report` is the same class under
+the name this module has always exported.
 """
 
 import hashlib
-from dataclasses import dataclass, field as dc_field
 
+from .certs import CertReport as Report  # noqa: F401
 from .specfile import canonical_form, serialize_spec
 
 
@@ -30,67 +14,3 @@ def content_hash(sd):
     """Identity of a parsed spec: sha256 of its canonical serialization."""
     text = serialize_spec(canonical_form(sd))
     return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-def _clean(text):
-    # reports are line-oriented, so embedded newlines would break parsing
-    return " ".join(str(text).split())
-
-
-@dataclass
-class Report:
-    """Ordered verdicts with witnesses, input hashes, and one seed."""
-
-    command: str
-    seed: int = None
-    inputs: list = dc_field(default_factory=list)
-    checks: list = dc_field(default_factory=list)
-    assumptions: list = dc_field(default_factory=list)
-    elapsed: float = None
-
-    def add_input(self, sd, role):
-        self.inputs.append((content_hash(sd), _clean(role)))
-
-    def add(self, name, ok, witness=None):
-        if not ok and witness is None:
-            witness = "no witness recorded"
-        self.checks.append((bool(ok), _clean(name),
-                            None if witness is None else _clean(witness)))
-
-    def assume(self, note):
-        note = _clean(note)
-        if note not in self.assumptions:
-            self.assumptions.append(note)
-
-    def absorb(self, cert, prefix=""):
-        """Fold a certificate report from the library into this report."""
-        for c in cert.checks:
-            self.add(prefix + c.name, c.ok, c.witness)
-        for note in cert.assumptions:
-            self.assume(note)
-
-    @property
-    def ok(self):
-        return all(ok for ok, _, _ in self.checks)
-
-    @property
-    def exit_code(self):
-        return 0 if self.ok else 1
-
-    def serialize(self):
-        lines = [f"report {_clean(self.command)}"]
-        lines.append(f"seed {self.seed if self.seed is not None else '-'}")
-        for digest, role in self.inputs:
-            lines.append(f"input {digest} {role}")
-        for note in self.assumptions:
-            lines.append(f"assume {note}")
-        for ok, name, witness in self.checks:
-            lines.append(f"check {'ok' if ok else 'FAIL'} {name}")
-            if witness is not None:
-                lines.append(f"witness {witness}")
-        lines.append("runtime -")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path):
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.serialize())

@@ -486,13 +486,6 @@ def spec_from_subspace(s, labels, name=""):
     return sd
 
 
-def spec_from_pairing(p, name=""):
-    sd = SpecData(p.u.field, "pairing", name, tuple(p.u.labels),
-                  tuple(p.h.labels))
-    sd.maps = {"pairing": p.form}
-    return sd
-
-
 def spec_from_quotient(q, name=None):
     sd = SpecData(q.hopf.field, "quotient",
                   q.name if name is None else name,

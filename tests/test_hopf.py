@@ -179,16 +179,22 @@ def test_structure_shapes_are_checked(build, message):
     assert str(err.value) == message
 
 
-def test_shape_check_survives_python_O():
-    # python -O strips assert statements; the constructors must still refuse
+@pytest.mark.parametrize("call,message", [
+    ("HopfAlgebraData(h.algebra, h.coalgebra, LinMap.identity(h.field, 3))",
+     "antipode must be 4x4, got 3x3"),
+    ("Subspace.full(h.field, 4).sum_with(Subspace.full(h.field, 3))",
+     "ambient dimensions 4 and 3"),
+], ids=["hopf", "linalg"])
+def test_shape_check_survives_python_O(call, message):
+    # python -O strips assert statements; the shape checks must still refuse
     code = (
         "from coideals.catalog import sweedler4\n"
         "from coideals.hopf import HopfAlgebraData\n"
-        "from coideals.linalg import DimensionMismatchError, LinMap\n"
+        "from coideals.linalg import DimensionMismatchError, LinMap, Subspace\n"
         "h = sweedler4()\n"
         "print(__debug__)\n"
         "try:\n"
-        "    HopfAlgebraData(h.algebra, h.coalgebra, LinMap.identity(h.field, 3))\n"
+        f"    {call}\n"
         "except DimensionMismatchError as err:\n"
         "    print(err)\n"
     )
@@ -197,7 +203,7 @@ def test_shape_check_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["False", "antipode must be 4x4, got 3x3"]
+    assert out.stdout.splitlines() == ["False", message]
 
 
 def test_pairing_axioms_hold_for_evaluation_pairings():

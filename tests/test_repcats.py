@@ -3,7 +3,11 @@ composition factors, cotensor and colinear hom, with oracles stated at each
 site (classical representation theory of small groups, hand-computed
 radicals, and sympy-factored minimal polynomials)."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +312,18 @@ def test_factor_poly():
     assert len(facs3) == 2 and all(len(f) == 2 and m == 1 for f, m in facs3)
     # x^2 + x + 1 is irreducible over the rationals
     assert len(factor_poly(QQ, (Fr(1), Fr(1), Fr(1)))) == 1
+
+
+def test_import_leaves_sympy_unloaded():
+    # factor_poly imports sympy on first use; importing the package must not
+    import coideals
+    src = str(Path(coideals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    code = "import sys, coideals; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 # -- comodules through duals -------------------------------------------
