@@ -204,9 +204,7 @@ def _cmd_catalog(args, t0):
     rep.merge(check_hopf_axioms(h))
     if args.emit:
         save_spec(sd, args.emit)
-    sys.stdout.write(rep.serialize())
-    print(f"elapsed {perf_counter() - t0:.2f}s", file=sys.stderr)
-    return rep.exit_code
+    return _emit_and_print(rep, None, t0)
 
 
 def _verified_subalgebra(args, rep):
