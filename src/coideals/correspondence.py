@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .certs import CertReport, VerificationFailed
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData, hit_action
 from .linalg import (
+    DimensionMismatchError,
     LinMap,
     Subspace,
     basis_vector,
@@ -97,7 +98,9 @@ def _hconcat(maps):
     ent = {}
     off = 0
     for m in maps:
-        assert m.rows == rows
+        if m.rows != rows:
+            raise DimensionMismatchError(
+                f"map with {m.rows} rows beside one with {rows}")
         for (r, c), v in m.entries():
             ent[(r, off + c)] = v
         off += m.cols
@@ -254,7 +257,8 @@ def quotient_data(h, b, pi, sigma, section=None, name="", certify=True):
     if section is None and surj:
         section = find_section(pi)
     if section is not None:
-        assert (pi @ section) == identity_map(f, b.dim)
+        if pi @ section != identity_map(f, b.dim):
+            raise ValueError("projection after section is not the identity")
 
     ker = kernel_of(pi)
     ker_labels = [h.labels[p] for p in ker.pivots]
@@ -414,7 +418,8 @@ def module_flatness(mod, carrier_labels=()):
             if best is None or gain > best[0]:
                 best = (gain, name, blk, grown)
         gain, name, blk, grown = best
-        assert gain > 0
+        if gain <= 0:
+            raise ValueError("no candidate vector enlarges the span")
         chosen.append((name, blk))
         span = grown
     p = _hconcat([blk for _, blk in chosen])
@@ -810,7 +815,8 @@ def c_semisimple_implication(u_hopf, k_space, modules, name=""):
 # -- definitional cross-check -------------------------------------------
 
 def _direct_sum(m1, m2):
-    assert m1.side == "right" and m2.side == "right"
+    if m1.side != "right" or m2.side != "right":
+        raise ValueError("direct sum of comodules takes two right comodules")
     f = m1.field
     da = m1.over.dim
     d1, d2 = m1.dim, m2.dim

@@ -38,7 +38,7 @@ class LinMap:
         self.field = field
         self.rows = rows
         self.cols = cols
-        d = {k: v for k, v in entries.items() if v != field.zero}
+        d = {k: v for k, v in entries.items() if v}
         for r, c in d:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise DimensionMismatchError(f"entry {(r, c)} outside {rows}x{cols}")
@@ -173,7 +173,7 @@ class LinMap:
         out = [f.zero] * self.rows
         for (r, c), v in self._d.items():
             w = vec[c]
-            if w != f.zero:
+            if w:
                 out[r] = f.add(out[r], f.mul(v, w))
         return tuple(out)
 
@@ -228,7 +228,11 @@ def rref(field, mat):
     Returns (rows, pivots): unit pivots, zeros above and below, rows ordered
     by pivot column, zero rows dropped.  Column scan is left-to-right and the
     first row with a nonzero entry is taken, so the output is deterministic.
+    Scalars are tested for zero by truthiness (exact for Fraction and for
+    canonical GF(p) ints), and a row update touches only the columns where
+    the pivot row is nonzero.
     """
+    mul, sub = field.mul, field.sub
     rows = [list(r) for r in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -237,21 +241,25 @@ def rref(field, mat):
     for c in range(ncols):
         pivot_row = None
         for r in range(pr, nrows):
-            if rows[r][c] != field.zero:
+            if rows[r][c]:
                 pivot_row = r
                 break
         if pivot_row is None:
             continue
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        pv = rows[pr][c]
+        prow = rows[pr]
+        nz = [j for j in range(c, ncols) if prow[j]]
+        pv = prow[c]
         if pv != field.one:
             inv = field.inv(pv)
-            rows[pr] = [field.mul(inv, x) for x in rows[pr]]
+            for j in nz:
+                prow[j] = mul(inv, prow[j])
         for r in range(nrows):
-            if r != pr and rows[r][c] != field.zero:
-                factor = rows[r][c]
-                prow = rows[pr]
-                rows[r] = [field.sub(x, field.mul(factor, p)) for x, p in zip(rows[r], prow)]
+            row = rows[r]
+            factor = row[c]
+            if factor and r != pr:
+                for j in nz:
+                    row[j] = sub(row[j], mul(factor, prow[j]))
         pivots.append(c)
         pr += 1
         if pr == nrows:
@@ -297,12 +305,14 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of vec after killing its pivot coordinates (canonical coset rep)."""
-        f = self.field
+        mul, sub = self.field.mul, self.field.sub
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             coeff = v[p]
-            if coeff != f.zero:
-                v = [f.sub(x, f.mul(coeff, r)) for x, r in zip(v, row)]
+            if coeff:
+                for j in range(p, len(row)):
+                    if row[j]:
+                        v[j] = sub(v[j], mul(coeff, row[j]))
         return tuple(v)
 
     def coords(self, vec):
@@ -311,8 +321,7 @@ class Subspace:
         The rows are in RREF, so row i is the only one nonzero at pivot i:
         a member's coefficients are its pivot entries.
         """
-        z = self.field.zero
-        if any(x != z for x in self.reduce(vec)):
+        if any(self.reduce(vec)):
             return None
         return tuple(vec[p] for p in self.pivots)
 
@@ -366,7 +375,7 @@ class Subspace:
         entries = {}
         for j, row in enumerate(self.rows):
             for i, v in enumerate(row):
-                if v != f.zero:
+                if v:
                     entries[(i, j)] = v
         return LinMap(f, self.ambient, self.dim, entries)
 
@@ -406,7 +415,7 @@ def kernel_of(f):
         v = [field.zero] * f.cols
         v[fc] = field.one
         for row, p in zip(rows, pivots):
-            if row[fc] != field.zero:
+            if row[fc]:
                 v[p] = field.neg(row[fc])
         vecs.append(tuple(v))
     return Subspace.from_vectors(field, f.cols, vecs)
@@ -562,31 +571,6 @@ def left_inverse(m):
             if v != field.zero:
                 ent[(i, j)] = v
     return LinMap(field, m.cols, m.rows, ent)
-
-
-def induced_on_subspaces(f, dom, cod):
-    """Matrix of f restricted to dom, expressed on cod's canonical basis.
-
-    Returns None if some image falls outside cod (witnessing non-invariance).
-    """
-    field = f.field
-    if (f.cols, f.rows) != (dom.ambient, cod.ambient):
-        raise DimensionMismatchError(
-            f"{f.rows}x{f.cols} map between subspaces of k^{dom.ambient} "
-            f"and k^{cod.ambient}")
-    cols = []
-    for row in dom.rows:
-        img = f.apply(row)
-        coords = cod.coords(img)
-        if coords is None:
-            return None
-        cols.append(coords)
-    ent = {}
-    for j, col in enumerate(cols):
-        for i, v in enumerate(col):
-            if v != field.zero:
-                ent[(i, j)] = v
-    return LinMap(field, cod.dim, dom.dim, ent)
 
 
 # -- spaces of maps ----------------------------------------------------

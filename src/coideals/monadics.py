@@ -30,7 +30,7 @@ map f: V -> W lives in a vector space of dimension dimW*dimV with index
 index ((n*dimA + a)*dimM + m).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .linalg import (
     LinMap,
@@ -1231,32 +1231,33 @@ def gamma_isomorphism(x, m, q, seed=20260822, samples=100, precheck=True):
 
 # -- cotensor adjunction and the full pipeline -------------------------
 
-def _cotensor_object(q, n):
-    """A right comodule over the quotient, cotensored back up against the
-    whole algebra: carrier the cotensor subspace, coaction induced by
-    comultiplying the algebra leg."""
-    h = q.hopf
-    f = h.field
-    s = cotensor(n, _left_quotient_comodule(q))
-    amb = ComoduleData(f, n.dim * h.dim,
-                       identity_map(f, n.dim).tensor(h.comult),
-                       h.coalgebra, "right",
-                       f"cotensor against {_obj_name(n)}")
-    com, _ = comodule_on_subspace(amb, s)
-    com.name = amb.name
-    return com, s
-
-
 def cotensor_psi_adjunction(q, objects=None, morphisms=(), extra_targets=None):
     """Left adjoint corestriction along the quotient projection, right
-    adjoint the cotensor back up against the whole algebra.
+    adjoint the cotensor back up against the whole algebra: carrier the
+    cotensor subspace, coaction induced by comultiplying the algebra leg.
 
     The unit at V is the coaction of V read in cotensor coordinates; the
     counit at N applies the algebra counit to the cotensor's second leg.
+    The left adjoint builds a new object on every call, so the cotensor
+    subspace and its comodule are memoized by the value of the object,
+    its dimension and coaction entries; every object of the target
+    category is a comodule over the quotient.
     """
     h = q.hopf
     f = h.field
     b = q.coalgebra
+    left = _left_quotient_comodule(q)
+    memo = {}
+
+    def cotensored(n):
+        key = (n.dim, tuple(n.coaction.entries()))
+        if key not in memo:
+            s = cotensor(n, left)
+            amb = ComoduleData(f, n.dim * h.dim,
+                               identity_map(f, n.dim).tensor(h.comult),
+                               h.coalgebra, "right")
+            memo[key] = s, comodule_on_subspace(amb, s)[0]
+        return memo[key]
 
     def left_on_objects(v):
         return corestrict_comodule(v, b, q.projection)
@@ -1265,12 +1266,11 @@ def cotensor_psi_adjunction(q, objects=None, morphisms=(), extra_targets=None):
         return m
 
     def right_on_objects(n):
-        com, _ = _cotensor_object(q, n)
-        return com
+        return replace(cotensored(n)[1],
+                       name=f"cotensor against {_obj_name(n)}")
 
     def right_on_maps(nsrc, ndst, mat):
-        s_src = cotensor(nsrc, _left_quotient_comodule(q))
-        s_dst = cotensor(ndst, _left_quotient_comodule(q))
+        s_src, s_dst = cotensored(nsrc)[0], cotensored(ndst)[0]
         amb = mat.tensor(identity_map(f, h.dim)) @ s_src.basis_map()
         out = s_dst.coords_map() @ amb
         if not (s_dst.basis_map() @ out - amb).is_zero():
@@ -1278,14 +1278,14 @@ def cotensor_psi_adjunction(q, objects=None, morphisms=(), extra_targets=None):
         return out
 
     def unit(v):
-        s = cotensor(left_on_objects(v), _left_quotient_comodule(q))
+        s = cotensored(left_on_objects(v))[0]
         out = s.coords_map() @ v.coaction
         if not (s.basis_map() @ out - v.coaction).is_zero():
             raise ValueError("coaction does not land in the cotensor")
         return out
 
     def counit(n):
-        s = cotensor(n, _left_quotient_comodule(q))
+        s = cotensored(n)[0]
         return identity_map(f, n.dim).tensor(h.counit) @ s.basis_map()
 
     if objects is None:

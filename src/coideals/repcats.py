@@ -31,7 +31,6 @@ from .linalg import (
     Subspace,
     basis_vector,
     contains_invertible,
-    induced_on_subspaces,
     kernel_of,
     left_inverse,
     map_to_vec,
@@ -422,22 +421,24 @@ def comodule_on_subspace(v, s):
     """Restrict a comodule coaction to an invariant subspace; raises if the
     subspace is not invariant.  Returns (comodule, inclusion).
 
-    The codomain subspace (s tensor full coalgebra) has a canonical basis
-    that is literally the product basis in product order, so the induced
-    matrix is already in (subspace index, coalgebra index) coordinates.
+    With B = s.basis_map() and P = s.coords_map(), which reads the pivot
+    coordinates and so inverts B on s, the restricted right coaction is
+    (P (x) I) o coaction o B, and (I (x) P) o coaction o B on the left.
+    s is invariant exactly when lifting that back, (B (x) I) on the right
+    or (I (x) B) on the left, gives coaction o B again.
     """
     f = v.field
-    dc = v.over.dim
+    ic = LinMap.identity(f, v.over.dim)
+    b = s.basis_map()
+    img = v.coaction @ b
     if v.side == "right":
-        rows = [_tensor_vec(f, r, basis_vector(f, dc, j)) for r in s.rows for j in range(dc)]
-        amb = Subspace.from_vectors(f, v.dim * dc, rows)
+        down, up = s.coords_map().tensor(ic), b.tensor(ic)
     else:
-        rows = [_tensor_vec(f, basis_vector(f, dc, j), r) for j in range(dc) for r in s.rows]
-        amb = Subspace.from_vectors(f, dc * v.dim, rows)
-    coact = induced_on_subspaces(v.coaction, s, amb)
-    if coact is None:
+        down, up = ic.tensor(s.coords_map()), ic.tensor(b)
+    coact = down @ img
+    if up @ coact != img:
         raise ValueError("subspace is not invariant under the coaction")
-    return ComoduleData(f, s.dim, coact, v.over, v.side, v.name), s.basis_map()
+    return ComoduleData(f, s.dim, coact, v.over, v.side, v.name), b
 
 
 def restrict_algebra(a, s, labels=()):
@@ -617,7 +618,8 @@ def _coords_in(f, vecs, target):
             if x != f.zero:
                 cols[(i, j)] = x
     sol = solve(LinMap(f, len(target), len(vecs), cols), target)
-    assert sol is not None
+    if sol is None:
+        raise ValueError("target is not in the span of the vectors")
     return sol
 
 
@@ -678,12 +680,14 @@ def algebra_from_matrix_span(field, span, n):
     for i in range(d):
         for j in range(d):
             coords = span.coords(map_to_vec(basis[i] @ basis[j]))
-            assert coords is not None, "span is not closed under products"
+            if coords is None:
+                raise ValueError("span is not closed under products")
             for k, c in enumerate(coords):
                 if c != field.zero:
                     ent[(k, i * d + j)] = c
     unit = span.coords(map_to_vec(LinMap.identity(field, n)))
-    assert unit is not None, "span does not contain the identity"
+    if unit is None:
+        raise ValueError("span does not contain the identity")
     alg = AlgebraData(field, d, LinMap(field, d, d * d, ent),
                       LinMap.from_column(field, unit))
     return alg, basis
@@ -777,7 +781,8 @@ def invariant_subspace(m):
             mats.append(mm)
         cols = [mm.apply(basis_vector(f, n, k)) for mm in mats for k in range(n)]
         sub = Subspace.from_vectors(f, n, cols)
-        assert 0 < sub.dim < n
+        if not 0 < sub.dim < n:
+            raise ValueError(f"split gave dimension {sub.dim} of {n}")
         return sub
     center = commutant_in_span(f, basis, basis, n)
     cands = list(center)
@@ -794,7 +799,8 @@ def invariant_subspace(m):
         if n > e_alg.dim:
             cols = [b.apply(basis_vector(f, n, 0)) for b in basis]
             sub = Subspace.from_vectors(f, n, cols)
-            assert 0 < sub.dim < n
+            if not 0 < sub.dim < n:
+                raise ValueError(f"split gave dimension {sub.dim} of {n}")
             return sub
         return None
     comm = full_commutant(f, basis, n)

@@ -311,6 +311,13 @@ GOLDEN = (
      "9abf98017f27a271143028e134748a1866a775c2de9f175b74ba48f6de1192ae"),
     (("morita", "two.spec", "--data", "coend"), 0,
      "5e3241bd3e0c7a32ae97ac98ec4838b1b2016f25723150d5b8de7ca501b94046"),
+    (("theorem2", "ks3fun.spec", "--quotient", "quot3.spec"), 0,
+     "e734761b373f50ed8582e8e402581316b2e301039390399347e07bf7775642e4"),
+    (("theorem2", "h4.spec", "--quotient", "q1g.spec"), 0,
+     "85411305a07b93ca3c7a791663854e84289819e15c5adb927e18a1f23ecf22a1"),
+    (("gamma", "ks3fun.spec", "--quotient", "quot3.spec",
+      "--seed", "20260822"), 0,
+     "ca92864282c16ad0552ac6e871184da6b9d45e34102c39049f44e9c48f1f6df3"),
 )
 
 

@@ -181,22 +181,30 @@ def test_structure_shapes_are_checked(build, message):
 
 @pytest.mark.parametrize("call,message", [
     ("HopfAlgebraData(h.algebra, h.coalgebra, LinMap.identity(h.field, 3))",
-     "antipode must be 4x4, got 3x3"),
+     "DimensionMismatchError antipode must be 4x4, got 3x3"),
     ("Subspace.full(h.field, 4).sum_with(Subspace.full(h.field, 3))",
-     "ambient dimensions 4 and 3"),
-], ids=["hopf", "linalg"])
+     "DimensionMismatchError ambient dimensions 4 and 3"),
+    ("quotient_data(h, h.coalgebra, LinMap.identity(h.field, 4), h.mult,"
+     " section=LinMap.identity(h.field, 4).scale(h.field.from_int(2)))",
+     "ValueError projection after section is not the identity"),
+    ("algebra_from_matrix_span(h.field, Subspace.from_vectors(h.field, 4,"
+     " [(0, 1, 0, 0), (0, 0, 1, 0)]), 2)",
+     "ValueError span is not closed under products"),
+], ids=["hopf", "linalg", "correspondence", "repcats"])
 def test_shape_check_survives_python_O(call, message):
-    # python -O strips assert statements; the shape checks must still refuse
+    # python -O strips assert statements; the checks must still refuse
     code = (
         "from coideals.catalog import sweedler4\n"
+        "from coideals.correspondence import quotient_data\n"
         "from coideals.hopf import HopfAlgebraData\n"
-        "from coideals.linalg import DimensionMismatchError, LinMap, Subspace\n"
+        "from coideals.linalg import LinMap, Subspace\n"
+        "from coideals.repcats import algebra_from_matrix_span\n"
         "h = sweedler4()\n"
         "print(__debug__)\n"
         "try:\n"
         f"    {call}\n"
-        "except DimensionMismatchError as err:\n"
-        "    print(err)\n"
+        "except ValueError as err:\n"
+        "    print(type(err).__name__, err)\n"
     )
     src = str(Path(coideals.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")

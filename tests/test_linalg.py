@@ -13,6 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from coideals.fields import GF, QQ, FieldMismatchError
 from coideals.linalg import (
@@ -28,6 +29,7 @@ from coideals.linalg import (
     map_to_vec,
     matrix_of_operator,
     rank,
+    rref,
     solve,
     swap_map,
     vec_to_map,
@@ -92,6 +94,51 @@ def test_canonicalize_idempotent(rows):
     assert s == again
     for v in vecs:
         assert s.contains(v)
+
+
+@st.composite
+def sparse_rows(draw, entries):
+    """A matrix as row lists with at least half of its entries zero."""
+    nr, nc = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    cells = [(i, j) for i in range(nr) for j in range(nc)]
+    nz = draw(st.lists(st.sampled_from(cells), unique=True,
+                       max_size=len(cells) // 2))
+    rows = [[0] * nc for _ in range(nr)]
+    for i, j in nz:
+        rows[i][j] = draw(entries)
+    return rows
+
+
+def sympy_rref(field, rows):
+    """Nonzero rows and pivots of sympy's DomainMatrix.rref()."""
+    dom = sympy.QQ if field == QQ else sympy.GF(field.p)
+
+    def back(x):
+        if field == QQ:
+            return F(int(x.numerator), int(x.denominator))
+        return int(x) % field.p
+
+    dm = DomainMatrix([[dom(x) for x in r] for r in rows],
+                      (len(rows), len(rows[0])), dom)
+    red, pivots = dm.rref()
+    return ([tuple(back(x) for x in r) for r in red.to_list()[:len(pivots)]],
+            tuple(pivots))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rref_matches_sympy_on_sparse_matrices(field, data):
+    # exercises the zero tests and the skipped updates where the pivot row
+    # is zero; RREF is unique, so rows and pivots must agree exactly
+    if field == QQ:
+        entries = st.fractions(-9, 9, max_denominator=4)
+    else:
+        entries = st.integers(0, field.p - 1)
+    rows = data.draw(sparse_rows(entries))
+    mat = [[field.parse(str(x)) for x in r] for r in rows]
+    ours, pivots = rref(field, mat)
+    assert (list(ours), pivots) == sympy_rref(field, rows)
 
 
 # -- kernels, images, rank --------------------------------------------

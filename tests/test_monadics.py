@@ -9,6 +9,7 @@ recovered through an independent construction (restriction of the ambient
 product, the comultiplication of the tensoring coalgebra, the quotient
 projection)."""
 
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -42,6 +43,7 @@ from coideals.monadics import (
     comonad_coalgebra,
     comonad_spot_check,
     compare_talgebras_to_modules,
+    cotensor_psi_adjunction,
     cotensor_psi_monad,
     free_forget_module_functor_report,
     free_forget_monad,
@@ -388,6 +390,34 @@ def test_pipeline_on_functions_on_the_symmetric_group():
     res = theorem2_pipeline(q3, objects=(trivial_comodule(kf), sign_com))
     assert res.ok
     assert res.subalgebra.space == a3.space
+
+
+def test_cotensor_adjunction_cotensors_each_object_once(monkeypatch):
+    # the left adjoint builds a new object on every call; the cotensor is
+    # still computed once per distinct object, compared by value
+    import coideals.monadics as monadics
+    _, _, q3 = subgroup_data(QQ, symmetric_group_3(), (0, 3))
+    seen = []
+    real = monadics.cotensor
+
+    def counted(v, w):
+        seen.append((v.dim, tuple(v.coaction.entries())))
+        return real(v, w)
+
+    monkeypatch.setattr(monadics, "cotensor", counted)
+    assert cotensor_psi_monad(q3).report.ok
+    assert len(seen) > 1
+    assert len(seen) == len(set(seen))
+
+
+def test_cotensor_adjunction_names_each_object(q_1g):
+    adj = cotensor_psi_adjunction(q_1g)
+    n = adj.sample_targets[0]
+    first = adj.right_on_objects(n)
+    other = adj.right_on_objects(replace(n, name="renamed"))
+    assert first.name == "cotensor against quotient regular"
+    assert other.name == "cotensor against renamed"
+    assert first.coaction == other.coaction
 
 
 def test_pipeline_monad_unit_object_is_the_coinvariants(q_1g, a_1g):

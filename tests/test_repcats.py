@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction as Fr
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -17,6 +18,7 @@ from coideals.catalog import (
     group_algebra,
     sweedler4,
     symmetric_group_3,
+    taft,
 )
 from coideals.certs import VerificationFailed
 from coideals.fields import GF, QQ
@@ -405,6 +407,85 @@ def test_comodule_on_subspace():
     bad = Subspace.from_vectors(QQ, 4, [basis_vector(QQ, 4, 1)])
     with pytest.raises(ValueError):
         comodule_on_subspace(regular_comodule(h), bad)
+
+
+def _dense_restriction(v, s):
+    """Oracle: the restricted coaction read off the canonical basis of
+    s (x) C (C (x) s on the left) spanned by the vectors r (x) e_j, one
+    coordinate vector per image of a basis row; None if some image is
+    not in that span."""
+    f = v.field
+    dc = v.over.dim
+    e = [basis_vector(f, dc, j) for j in range(dc)]
+    if v.side == "right":
+        vecs = [_kron(f, r, ej) for r in s.rows for ej in e]
+    else:
+        vecs = [_kron(f, ej, r) for ej in e for r in s.rows]
+    amb = Subspace.from_vectors(f, v.dim * dc, vecs)
+    cols = [amb.coords(v.coaction.apply(r)) for r in s.rows]
+    if None in cols:
+        return None
+    return LinMap(f, amb.dim, s.dim, {(i, j): x for j, col in enumerate(cols)
+                                      for i, x in enumerate(col)})
+
+
+def _kron(f, a, b):
+    return tuple(f.mul(x, y) for x in a for y in b)
+
+
+def _generated(v, vec):
+    """The smallest subcomodule containing vec: the span of the legs
+    (id (x) e_j*) of its coaction (e_j* (x) id on the left)."""
+    dc = v.over.dim
+    img = v.coaction.apply(vec)
+    if v.side == "right":
+        legs = [img[j::dc] for j in range(dc)]
+    else:
+        legs = [img[j * v.dim:(j + 1) * v.dim] for j in range(dc)]
+    return Subspace.from_vectors(v.field, v.dim, legs)
+
+
+def _sample_comodules(h):
+    """Regular and trivial (three copies of the unit) comodules, both sides."""
+    f = h.field
+    c = h.coalgebra
+    unit = LinMap.from_column(f, h.unit_vector())
+    i3 = LinMap.identity(f, 3)
+    return (ComoduleData(f, h.dim, h.comult, c, "right"),
+            ComoduleData(f, h.dim, h.comult, c, "left"),
+            ComoduleData(f, 3, i3.tensor(unit), c, "right"),
+            ComoduleData(f, 3, unit.tensor(i3), c, "left"))
+
+
+@pytest.mark.parametrize("h", [
+    sweedler4(),
+    function_algebra(QQ, symmetric_group_3()),
+    taft(3, GF(7)),
+    group_algebra(GF(5), symmetric_group_3()),
+], ids=["sweedler4", "kS3-functions", "taft3-GF7", "GF5-S3"])
+def test_comodule_on_subspace_matches_the_dense_formula(h):
+    f = h.field
+    rng = Random(20261201)
+    for v in _sample_comodules(h):
+        assert check_comodule(v).ok
+        for _ in range(6):
+            vecs = [tuple(f.from_int(rng.randint(-1, 1)) for _ in range(v.dim))
+                    for _ in range(rng.randint(1, 2))]
+            s = Subspace.zero(f, v.dim)
+            for vec in vecs:
+                s = s.sum_with(_generated(v, vec))
+            sub, incl = comodule_on_subspace(v, s)
+            assert (sub.dim, sub.side) == (s.dim, v.side)
+            assert sub.coaction == _dense_restriction(v, s)
+            assert incl == s.basis_map()
+            assert check_comodule(sub).ok
+            line = Subspace.from_vectors(f, v.dim, vecs[:1])
+            if _generated(v, vecs[0]).dim > line.dim:
+                # the generated subcomodule is the smallest one, so a
+                # line strictly inside it is not invariant
+                assert _dense_restriction(v, line) is None
+                with pytest.raises(ValueError):
+                    comodule_on_subspace(v, line)
 
 
 # -- coalgebra map recovery --------------------------------------------
