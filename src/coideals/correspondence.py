@@ -45,7 +45,7 @@ from .repcats import (
     ModuleData,
     RelHopfModuleData,
     _lab,
-    _tensor_vec,
+    _quotient_maps,
     check_comodule,
     check_module,
     check_relhopf,
@@ -72,23 +72,38 @@ from .repcats import (
 
 # -- shared small helpers ----------------------------------------------
 
-def _quotient_maps(sub):
-    """Projection onto the non-pivot coordinates of the ambient space modulo
-    a subspace, and the matching section.  proj @ sect = id, and
-    proj @ sub.basis_map() = 0."""
-    f = sub.field
-    d = sub.ambient
-    nonpiv = [c for c in range(d) if c not in sub.pivots]
-    qd = len(nonpiv)
-    ent = {}
-    for j in range(d):
-        red = sub.reduce(basis_vector(f, d, j))
-        for k, i in enumerate(nonpiv):
-            if red[i] != f.zero:
-                ent[(k, j)] = red[i]
-    proj = LinMap(f, qd, d, ent)
-    sect = LinMap(f, d, qd, {(nonpiv[k], k): f.one for k in range(qd)})
-    return proj, sect
+def _times_basis(f, r, d, j):
+    """r (x) e_j in k^len(r) (x) k^d: the entries of r placed at the
+    positions p*d + j, with no products formed."""
+    v = [f.zero] * (len(r) * d)
+    v[j::d] = r
+    return tuple(v)
+
+
+def _balanced_relations(f, left_ops, right_ops, dl, dr):
+    """The rows l.a (x) e_k - e_i (x) a.r spanning the relations of the
+    balanced tensor L (x)_A R, in the order (a, i, k); left_ops act on L
+    from the right, right_ops on R from the left, one per basis element a.
+    With e_i (x) e_k at i*dr + k, entry v of l.a at row r is placed at
+    r*dr + k and entry w of a.r at row s subtracted at i*dr + s."""
+    rels = []
+    for la, ra in zip(left_ops, right_ops):
+        lcols = [[] for _ in range(dl)]
+        for (r, i), v in la.entries():
+            lcols[i].append((r, v))
+        rcols = [[] for _ in range(dr)]
+        for (s, k), w in ra.entries():
+            rcols[k].append((s, w))
+        for i in range(dl):
+            for k in range(dr):
+                row = [f.zero] * (dl * dr)
+                for r, v in lcols[i]:
+                    row[r * dr + k] = v
+                for s, w in rcols[k]:
+                    p = i * dr + s
+                    row[p] = f.sub(row[p], w) if row[p] else f.neg(w)
+                rels.append(tuple(row))
+    return rels
 
 
 def _hconcat(maps):
@@ -215,8 +230,7 @@ def verify_coideal_subalgebra(h, s, name=""):
 
     mixed = Subspace.from_vectors(
         f, h.dim * h.dim,
-        [_tensor_vec(f, r, basis_vector(f, h.dim, j))
-         for r in s.rows for j in range(h.dim)])
+        [_times_basis(f, r, h.dim, j) for r in s.rows for j in range(h.dim)])
     co_ok, co_wit = True, None
     for i, r in enumerate(s.rows):
         if not mixed.contains(h.comult.apply(r)):
@@ -268,10 +282,11 @@ def quotient_data(h, b, pi, sigma, section=None, name="", certify=True):
 
     if ker.dim:
         two_sided = []
+        zeros = (f.zero,) * h.dim
         for r in ker.rows:
             for j in range(h.dim):
-                two_sided.append(_tensor_vec(f, r, basis_vector(f, h.dim, j)))
-                two_sided.append(_tensor_vec(f, basis_vector(f, h.dim, j), r))
+                two_sided.append(_times_basis(f, r, h.dim, j))
+                two_sided.append(zeros * j + r + zeros * (h.dim - 1 - j))
         mixed = Subspace.from_vectors(f, h.dim * h.dim, two_sided)
         co_ok, co_wit = True, None
         for i, r in enumerate(ker.rows):
@@ -374,23 +389,6 @@ def _cover_blocks(mod, vec):
     return mod.action @ col.tensor(ia)
 
 
-def _balanced_tensor_dim(f, left_ops, right_ops, dl, dr):
-    """dim of (L (x) R) / span{l.a (x) r - l (x) a.r}: the operators give the
-    right action on the left factor and the left action on the right one."""
-    rels = []
-    for j in range(len(left_ops)):
-        la, ra = left_ops[j], right_ops[j]
-        for i in range(dl):
-            e_i = basis_vector(f, dl, i)
-            li = la.column(i)
-            for k in range(dr):
-                e_k = basis_vector(f, dr, k)
-                rels.append(tuple(f.sub(x, y) for x, y in zip(
-                    _tensor_vec(f, li, e_k), _tensor_vec(f, e_i, ra.column(k)))))
-    span = Subspace.from_vectors(f, dl * dr, rels)
-    return dl * dr - span.dim
-
-
 def module_flatness(mod, carrier_labels=()):
     """Faithful flatness of the tensor functor attached to a one-sided
     module: projectivity via a module-linear section of a greedily chosen
@@ -425,31 +423,24 @@ def module_flatness(mod, carrier_labels=()):
     p = _hconcat([blk for _, blk in chosen])
     n = len(chosen)
 
-    if mod.side == "left":
-        regs = [alg.left_mult_by(basis_vector(f, da, j)) for j in range(da)]
-    else:
-        regs = [alg.right_mult_by(basis_vector(f, da, j)) for j in range(da)]
-    constraints = [(mod.act_by(basis_vector(f, da, j)), _block_diag([regs[j]] * n))
-                   for j in range(da)]
+    mops = mod.action_operators()
+    regs = regular_module(alg, mod.side).action_operators()
+    constraints = [(op, _block_diag([reg] * n)) for op, reg in zip(mops, regs)]
     section = find_section(p, constraints)
     projective = section is not None
     rep.add("projective", projective,
             None if projective else "no module-linear section of the free cover")
 
-    mops = mod.action_operators()
+    # dim of L (x)_A R, the module on its side and a simple on the other
+    left = mod.side == "left"
     dims = []
-    if mod.side == "left":
-        _, simples = radical_and_simples(alg)
-        for i, s in enumerate(simples):
-            dims.append((f"simple {i} dim {s.dim}",
-                         _balanced_tensor_dim(f, s.action_operators(), mops,
-                                              s.dim, dm)))
-    else:
-        _, simples = radical_and_simples(alg.op())
-        for i, s in enumerate(simples):
-            dims.append((f"simple {i} dim {s.dim}",
-                         _balanced_tensor_dim(f, mops, s.action_operators(),
-                                              dm, s.dim)))
+    for i, s in enumerate(radical_and_simples(alg if left else alg.op())[1]):
+        sops = s.action_operators()
+        lops, rops, dl, dr = ((sops, mops, s.dim, dm) if left
+                              else (mops, sops, dm, s.dim))
+        rels = _balanced_relations(f, lops, rops, dl, dr)
+        dims.append((f"simple {i} dim {s.dim}",
+                     dl * dr - Subspace.from_vectors(f, dl * dr, rels).dim))
     all_nonzero = all(d > 0 for _, d in dims)
     bad = next((nm for nm, d in dims if d == 0), None)
     rep.add("tensor-simples-nonzero", all_nonzero,
@@ -681,9 +672,8 @@ def mw_equivalence_check(a, test_modules=None, test_comodules=None):
         if lands and bij:
             rep.add(f"{nm}: unit-colinear",
                     comodule_morphism_ok(u, m.comodule, psi_rel.comodule))
-            linear = all((u @ m.module.act_by(basis_vector(f, a.algebra.dim, j))
-                          == psi_rel.module.act_by(basis_vector(f, a.algebra.dim, j)) @ u)
-                         for j in range(a.algebra.dim))
+            linear = all(u @ x == y @ u for x, y in zip(
+                m.module.action_operators(), psi_rel.module.action_operators()))
             rep.add(f"{nm}: unit-module-linear", linear)
         unit_items.append((nm, m.dim, s.dim))
     counit_items = []
@@ -724,8 +714,7 @@ def coideal_annihilator(p, z, name=""):
     f = u.field
     zu = Subspace.from_vectors(
         f, u.dim * u.dim,
-        [_tensor_vec(f, r, basis_vector(f, u.dim, j))
-         for r in z.rows for j in range(u.dim)])
+        [_times_basis(f, r, u.dim, j) for r in z.rows for j in range(u.dim)])
     for i, r in enumerate(z.rows):
         if not zu.contains(u.comult.apply(r)):
             raise ValueError(
@@ -816,17 +805,12 @@ def c_semisimple_implication(u_hopf, k_space, modules, name=""):
 
 def _direct_sum(m1, m2):
     if m1.side != "right" or m2.side != "right":
-        raise ValueError("direct sum of comodules takes two right comodules")
+        raise ValueError("direct sum takes two right modules")
     f = m1.field
     da = m1.over.dim
     d1, d2 = m1.dim, m2.dim
-    ent = {}
-    for (r, c), v in m1.action.entries():
-        i, j = divmod(c, da)
-        ent[(r, i * da + j)] = v
-    for (r, c), v in m2.action.entries():
-        i, j = divmod(c, da)
-        ent[(d1 + r, (d1 + i) * da + j)] = v
+    ent = dict(m1.action.entries())
+    ent.update(((d1 + r, d1 * da + c), v) for (r, c), v in m2.action.entries())
     act = LinMap(f, d1 + d2, (d1 + d2) * da, ent)
     return ModuleData(f, d1 + d2, act, m1.over, "right",
                       name=f"{m1.name or 'M'} (+) {m2.name or 'N'}")
@@ -897,7 +881,6 @@ def ses_cross_check(a, side="left", max_total=6):
         right_act = h.mult @ ih.tensor(a.inclusion)
         w_ops = ModuleData(f, h.dim, right_act @ swap_map(f, algx.dim, h.dim),
                            algx, "left").action_operators()
-    da = algx.dim
 
     pool = [regular_module(algx, "right")]
     _, simples = radical_and_simples(algx)
@@ -907,22 +890,16 @@ def ses_cross_check(a, side="left", max_total=6):
             pool.append(_direct_sum(simples[i], simples[j]))
     pool = [m for m in pool if 2 * m.dim <= max_total]
 
+    memo = {}  # all modules here are right algx-modules: key by action
+
     def tensor_data(mod):
-        rels = []
-        mops = mod.action_operators()
-        for jj in range(da):
-            ma, wa = mops[jj], w_ops[jj]
-            for i in range(mod.dim):
-                e_i = basis_vector(f, mod.dim, i)
-                mi = ma.column(i)
-                for k in range(h.dim):
-                    e_k = basis_vector(f, h.dim, k)
-                    rels.append(tuple(f.sub(x, y) for x, y in zip(
-                        _tensor_vec(f, mi, e_k),
-                        _tensor_vec(f, e_i, wa.column(k)))))
-        span = Subspace.from_vectors(f, mod.dim * h.dim, rels)
-        proj, sect = _quotient_maps(span)
-        return proj, sect
+        key = (mod.dim, tuple(mod.action.entries()))
+        if key not in memo:
+            rels = _balanced_relations(f, mod.action_operators(), w_ops,
+                                       mod.dim, h.dim)
+            memo[key] = _quotient_maps(
+                Subspace.from_vectors(f, mod.dim * h.dim, rels))
+        return memo[key]
 
     def tensor_map(fmap, src_data, dst_data):
         return dst_data[0] @ fmap.tensor(ih) @ src_data[1]

@@ -1150,14 +1150,13 @@ class GammaResult:
         return self.report.ok
 
 
-def _gamma_data(x, m, q, rep):
+def _gamma_data(x, m, s1, q, left, rep):
     """Build the two comparison maps in subspace coordinates, checking the
-    membership claims that make them well defined."""
+    membership claims that make them well defined.  s1 is the cotensor of
+    m against left, the left quotient comodule of q."""
     h = q.hopf
     f = h.field
     dx, dm, dh = x.dim, m.dim, h.dim
-    left = _left_quotient_comodule(q)
-    s1 = cotensor(m, left)
     hat = translated_tensor(x, m, q)
     s2 = cotensor(hat, left)
     ix = identity_map(f, dx)
@@ -1207,7 +1206,9 @@ def gamma_isomorphism(x, m, q, seed=20260822, samples=100, precheck=True):
         rep.add("faithfully coflat over the quotient", fc.ok)
         if not fc.ok:
             raise VerificationFailed(rep)
-    forward, backward, s1, s2 = _gamma_data(x, m, q, rep)
+    left = _left_quotient_comodule(q)
+    forward, backward, s1, s2 = _gamma_data(x, m, cotensor(m, left), q,
+                                            left, rep)
     f = h.field
     dsrc = x.dim * s1.dim
     d1 = backward @ forward - identity_map(f, dsrc)
@@ -1243,6 +1244,12 @@ def cotensor_psi_adjunction(q, objects=None, morphisms=(), extra_targets=None):
     its dimension and coaction entries; every object of the target
     category is a comodule over the quotient.
     """
+    return _cotensor_psi(q, objects, morphisms, extra_targets)[0]
+
+
+def _cotensor_psi(q, objects, morphisms, extra_targets):
+    """cotensor_psi_adjunction, the left quotient comodule and the memoized
+    lookup of an object's cotensor subspace and comodule."""
     h = q.hopf
     f = h.field
     b = q.coalgebra
@@ -1293,28 +1300,36 @@ def cotensor_psi_adjunction(q, objects=None, morphisms=(), extra_targets=None):
     if extra_targets is None:
         extra_targets = (ComoduleData(f, b.dim, b.comult, b, "right",
                                       "quotient regular"),)
-    return AdjunctionData(f"corestriction/cotensor over {q.name or 'quotient'}",
-                          left_on_objects, left_on_maps, right_on_objects,
-                          right_on_maps, unit, counit, tuple(objects),
-                          tuple(extra_targets), tuple(morphisms))
+    adj = AdjunctionData(f"corestriction/cotensor over {q.name or 'quotient'}",
+                         left_on_objects, left_on_maps, right_on_objects,
+                         right_on_maps, unit, counit, tuple(objects),
+                         tuple(extra_targets), tuple(morphisms))
+    return adj, left, cotensored
 
 
 def cotensor_psi_monad(q, objects=None, morphisms=()):
     """The induced monad with tensor witnesses given by the forward
     comparison map against the trivial comodule over the quotient."""
+    return _cotensor_psi_monad(q, objects, morphisms)[0]
+
+
+def _cotensor_psi_monad(q, objects, morphisms):
+    """cotensor_psi_monad, and the cotensor carrying its unit object."""
     h = q.hopf
-    adj = cotensor_psi_adjunction(q, objects, morphisms)
+    adj, left, cotensored = _cotensor_psi(q, objects, morphisms, None)
     i_obj = trivial_comodule(h)
     triv_b = corestrict_comodule(i_obj, q.coalgebra, q.projection)
+    s1 = cotensored(triv_b)[0]  # from the memo: triv_b is cotensored once
 
     def witness(v):
         rep = CertReport("tensor witness")
-        forward, backward, _, _ = _gamma_data(v, triv_b, q, rep)
+        forward, backward, _, _ = _gamma_data(v, triv_b, s1, q, left, rep)
         if not rep.ok:
             raise VerificationFailed(rep)
         return forward
 
-    return monad_from_adjunction(adj, unit_object=i_obj, tensor_witness=witness)
+    ms = monad_from_adjunction(adj, unit_object=i_obj, tensor_witness=witness)
+    return ms, s1
 
 
 @dataclass
@@ -1385,14 +1400,11 @@ def theorem2_pipeline(q, objects=None, name=""):
                     psi_module_functor_report(q))
 
     sub = CertReport("monad extraction")
-    ms = cotensor_psi_monad(q, objects)
+    ms, s1 = _cotensor_psi_monad(q, objects, ())
     sub.merge(ms.report)
     labels = tuple(h.labels[p] for p in a.space.pivots) if h.labels else ()
     ua = unit_object_algebra(ms, labels=labels, certify=False)
     sub.merge(ua.report)
-    s1 = cotensor(corestrict_comodule(trivial_comodule(h), q.coalgebra,
-                                      q.projection),
-                  _left_quotient_comodule(q))
     sub.add("unit object carrier matches the coinvariants",
             s1 == a.space)
     restricted, _ = restrict_algebra(h.algebra, a.space, labels)

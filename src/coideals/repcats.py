@@ -91,8 +91,16 @@ class ModuleData:
         return self.action @ c.tensor(i)
 
     def action_operators(self):
-        da = self.over.dim
-        return [self.act_by(basis_vector(self.field, da, i)) for i in range(da)]
+        """The operators of the basis elements e_0..e_{da-1} of the algebra,
+        sliced from the action's entries in one pass: column i*da + j of a
+        right action, and column j*dim + i of a left one, is column i of
+        the operator of e_j."""
+        d, da = self.dim, self.over.dim
+        ents = [{} for _ in range(da)]
+        for (r, c), v in self.action.entries():
+            j, i = (c % da, c // da) if self.side == "right" else divmod(c, d)
+            ents[j][(r, i)] = v
+        return [LinMap(self.field, d, d, e) for e in ents]
 
 
 @dataclass
@@ -409,14 +417,6 @@ def cotensor(v, w):
     return kernel_of(v.coaction.tensor(iw) - iv.tensor(w.coaction))
 
 
-def _tensor_vec(f, a, b):
-    out = []
-    for x in a:
-        for y in b:
-            out.append(f.mul(x, y))
-    return tuple(out)
-
-
 def comodule_on_subspace(v, s):
     """Restrict a comodule coaction to an invariant subspace; raises if the
     subspace is not invariant.  Returns (comodule, inclusion).
@@ -569,26 +569,32 @@ def module_on_subspace(m, s):
     return ModuleData(f, s.dim, act, m.over, "right", m.name), s.basis_map()
 
 
+def _quotient_maps(sub):
+    """Projection onto the non-pivot coordinates of the ambient space modulo
+    a subspace, and the matching section.  proj @ sect = id, and
+    proj @ sub.basis_map() = 0.  Column j of proj, the reduced e_j, is
+    placed: e_j itself off the pivots, minus the row with pivot j on them."""
+    f, d = sub.field, sub.ambient
+    piv = set(sub.pivots)
+    nonpiv = [c for c in range(d) if c not in piv]
+    ent = {(k, c): f.one for k, c in enumerate(nonpiv)}
+    for row, p in zip(sub.rows, sub.pivots):
+        ent.update({(k, p): f.neg(row[c]) for k, c in enumerate(nonpiv) if row[c]})
+    qd = len(nonpiv)
+    return (LinMap(f, qd, d, ent),
+            LinMap(f, d, qd, {(c, k): f.one for k, c in enumerate(nonpiv)}))
+
+
 def module_on_quotient(m, s):
     """Quotient a right module by an invariant subspace.  Returns
     (module, projection) on the non-pivot coordinates."""
     if m.side != "right":
         raise ValueError("quotient modules are implemented for right modules")
     f = m.field
-    d = m.dim
-    nonpiv = [c for c in range(d) if c not in s.pivots]
-    qd = len(nonpiv)
-    proj_ent = {}
-    for j in range(d):
-        red = s.reduce(basis_vector(f, d, j))
-        for k, i in enumerate(nonpiv):
-            if red[i] != f.zero:
-                proj_ent[(k, j)] = red[i]
-    proj = LinMap(f, qd, d, proj_ent)
-    sect = LinMap(f, d, qd, {(nonpiv[k], k): f.one for k in range(qd)})
+    proj, sect = _quotient_maps(s)
     im = LinMap.identity(f, m.over.dim)
     act = proj @ m.action @ sect.tensor(im)
-    return ModuleData(f, qd, act, m.over, "right", m.name), proj
+    return ModuleData(f, proj.rows, act, m.over, "right", m.name), proj
 
 
 # -- minimal polynomials -----------------------------------------------

@@ -7,6 +7,7 @@ constants of the four-dimensional instance multiplied out by hand, the
 translation action on functions on the symmetric group of degree three, and
 dimension counts forced by freeness."""
 
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -25,6 +26,7 @@ from coideals.catalog import (
     sweedler4,
     symmetric_group_3,
 )
+from coideals import correspondence
 from coideals.certs import VerificationFailed
 from coideals.fields import QQ
 from coideals.hopf import check_pairing
@@ -34,6 +36,7 @@ from coideals.correspondence import (
     NEITHER,
     QUANTUM_HOMOGENEOUS_SPACE,
     QUANTUM_SUBGROUP,
+    _balanced_relations,
     augmentation_ideal,
     c_semisimple_implication,
     classify_quantum,
@@ -50,6 +53,7 @@ from coideals.correspondence import (
     ses_cross_check,
     verify_coideal_subalgebra,
 )
+from coideals.suite import DEFAULT_SEED, criterion_10
 
 
 def span4(*idxs_or_vecs):
@@ -445,6 +449,72 @@ def test_ses_cross_check_coset_functions(idx):
     for side in ("left", "right"):
         rep = ses_cross_check(a, side)
         assert rep.ok, str(rep)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ses_cross_check_reports_a_flipped_verdict(monkeypatch, a_1g, side):
+    # H is free over span{1, g}, so tensoring preserves and reflects; a
+    # verdict flipped to False must show up as a disagreement
+    real = correspondence.is_faithfully_flat
+
+    def flipped(a, side="left"):
+        res = real(a, side)
+        return replace(res, ok=not res.ok)
+
+    monkeypatch.setattr(correspondence, "is_faithfully_flat", flipped)
+    rep = ses_cross_check(a_1g, side)
+    assert [c.name for c in rep.failures()] == ["definitional-check-agrees"]
+    assert rep.failures()[0].witness == \
+        "verdict False, preserve True, reflect True"
+
+
+def test_ses_cross_check_tensors_each_module_once(monkeypatch):
+    # criterion 10 meets 120 distinct modules over its eight instances and
+    # both sides; each submodule, quotient and parent was re-tensored
+    # before the per-call memo, 626 times in all
+    calls = []
+    real = correspondence._quotient_maps
+
+    def counted(sub):
+        calls.append(sub)
+        return real(sub)
+
+    monkeypatch.setattr(correspondence, "_quotient_maps", counted)
+    assert criterion_10(DEFAULT_SEED)[0]
+    assert len(calls) == 120
+
+
+def _dense_relations(f, left, right):
+    """Oracle: the relation rows l.a (x) e_k - e_i (x) a.r multiplied out
+    from dense vectors, with one act_by per basis element a."""
+    da, dl, dr = left.over.dim, left.dim, right.dim
+
+    def kron(u, w):
+        return tuple(f.mul(x, y) for x in u for y in w)
+
+    rels = []
+    for j in range(da):
+        la = left.act_by(basis_vector(f, da, j))
+        ra = right.act_by(basis_vector(f, da, j))
+        for i in range(dl):
+            for k in range(dr):
+                rels.append(tuple(f.sub(x, y) for x, y in zip(
+                    kron(la.column(i), basis_vector(f, dr, k)),
+                    kron(basis_vector(f, dl, i), ra.column(k)))))
+    return rels
+
+
+def test_balanced_relations_match_the_dense_builder(sample_modules):
+    # identical rows, hence identical spans; the unit's operators are the
+    # identity, so every one of its rows meets l.a and a.r at one position
+    rights, lefts = sample_modules
+    for left in rights:
+        for right in lefts:
+            f = left.field
+            rels = _balanced_relations(f, left.action_operators(),
+                                       right.action_operators(),
+                                       left.dim, right.dim)
+            assert rels == _dense_relations(f, left, right)
 
 
 def test_cyclic_group_tower_roundtrips():

@@ -6,6 +6,7 @@ nonlinear solve for grouplike elements, and structure identities checked at
 the level of whole matrices.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -212,6 +213,18 @@ def test_shape_check_survives_python_O(call, message):
                          text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["False", message]
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so a validating assert in the library would
+    # stop validating without a sound; checks raise explicit errors instead
+    src = Path(coideals.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, "assert statements in src/coideals: " + ", ".join(found)
 
 
 def test_pairing_axioms_hold_for_evaluation_pairings():

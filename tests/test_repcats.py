@@ -26,6 +26,7 @@ from coideals.hopf import AlgebraData, dual_algebra
 from coideals.linalg import LinMap, Subspace, basis_vector, kernel_of
 from coideals.repcats import (
     ComoduleData,
+    _quotient_maps,
     ModuleData,
     check_comodule,
     check_module,
@@ -291,6 +292,44 @@ def test_submodule_and_quotient_roundtrip():
     bad = Subspace.from_vectors(QQ, 4, [basis_vector(QQ, 4, 2)])
     with pytest.raises(ValueError):
         module_on_subspace(m, bad)  # g*g = 1 escapes the span of g
+
+
+def test_action_operators_match_act_by(sample_modules):
+    # the old path as oracle: one act_by per basis element of the algebra
+    rights, lefts = sample_modules
+    for m in rights + lefts:
+        assert check_module(m).ok
+        f, da = m.field, m.over.dim
+        assert m.action_operators() == [m.act_by(basis_vector(f, da, j))
+                                        for j in range(da)]
+
+
+def _reduced_projection(sub):
+    """Oracle: column j is e_j reduced modulo sub, read on the non-pivot
+    coordinates."""
+    f, d = sub.field, sub.ambient
+    nonpiv = [c for c in range(d) if c not in sub.pivots]
+    ent = {}
+    for j in range(d):
+        red = sub.reduce(basis_vector(f, d, j))
+        for k, i in enumerate(nonpiv):
+            ent[(k, j)] = red[i]
+    return LinMap(f, len(nonpiv), d, ent)
+
+
+@pytest.mark.parametrize("f", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_quotient_projection_matches_reduction(f):
+    rng = Random(20261501)
+    for d in range(1, 8):
+        for _ in range(8):
+            vecs = [tuple(f.from_int(rng.choice((-2, -1, 0, 0, 0, 1, 3)))
+                          for _ in range(d))
+                    for _ in range(rng.randint(0, d))]
+            sub = Subspace.from_vectors(f, d, vecs)
+            proj, sect = _quotient_maps(sub)
+            assert proj == _reduced_projection(sub)
+            assert proj @ sect == LinMap.identity(f, d - sub.dim)
+            assert (proj @ sub.basis_map()).is_zero()
 
 
 # -- minimal polynomials ------------------------------------------------
