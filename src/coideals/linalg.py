@@ -19,8 +19,6 @@ A LinMap is stored sparse: a dict keyed by (row, col), with no zeros kept.
 
 from __future__ import annotations
 
-from random import Random
-
 from .fields import Field, same_field
 
 
@@ -465,10 +463,6 @@ def invert(f):
     return LinMap.from_rows(field, inv_rows)
 
 
-def is_invertible(f):
-    return f.rows == f.cols and rank(f) == f.rows
-
-
 def find_section(p, constraints=()):
     """Section s of a surjection p: V -> W with p o s = id_W, or None.
 
@@ -616,45 +610,3 @@ def matrix_of_operator(field, in_shape, out_shape, fn):
                 ent[(rr * oc + cc, col)] = v
     return LinMap(field, orr * oc, ir * ic, ent)
 
-
-def subspace_basis_maps(space, rows, cols):
-    """Read the rows of a Subspace of flattened maps back as LinMaps."""
-    return [vec_to_map(space.field, rows, cols, r) for r in space.rows]
-
-
-def contains_invertible(space, n, seed=0, tries=24):
-    """Search a Subspace of flattened n x n maps for an invertible element.
-
-    Deterministic: basis elements first, then seeded pseudo-random integer
-    combinations, then (for very small bases) an exhaustive small-coefficient
-    grid.  A returned witness is certain; None means none was found.
-    """
-    field = space.field
-    if space.ambient != n * n:
-        raise DimensionMismatchError(
-            f"subspace of k^{space.ambient} is not a space of {n}x{n} maps")
-    mats = subspace_basis_maps(space, n, n)
-    if not mats:
-        return None
-    for m in mats:
-        if is_invertible(m):
-            return m
-    rng = Random(seed)
-    bound = max(4, n * n)
-    for _ in range(tries):
-        coeffs = [field.from_int(rng.randint(-bound, bound)) for _ in mats]
-        cand = LinMap.zero(field, n, n)
-        for c, m in zip(coeffs, mats):
-            cand = cand + m.scale(c)
-        if is_invertible(cand):
-            return cand
-    if len(mats) <= 4:
-        from itertools import product
-        for coeffs in product(range(-2, 3), repeat=len(mats)):
-            cand = LinMap.zero(field, n, n)
-            for c, m in zip(coeffs, mats):
-                if c:
-                    cand = cand + m.scale(field.from_int(c))
-            if is_invertible(cand):
-                return cand
-    return None

@@ -16,7 +16,6 @@ checked as a matrix identity on an explicit finite sample.  The pieces:
     compatible part that carries both a right A-action and an H-coaction;
   * the unit/counit bijection for the induced-module adjunction, rebuilt
     from scratch and checked to be mutually inverse;
-  * coalgebra extraction from comonad data on plain vector spaces;
   * the surjectivity certificate that faithful coflatness forces on a
     quotient projection, and the pair of mutually inverse comparison maps
     between a tensor product and a cotensor product;
@@ -44,7 +43,7 @@ from .linalg import (
     stack_maps,
     swap_map,
 )
-from .hopf import AlgebraData, CoalgebraData, antipode_bijective
+from .hopf import AlgebraData, antipode_bijective
 from .certs import CertReport, VerificationFailed
 from .repcats import (
     ComoduleData,
@@ -217,23 +216,6 @@ def monad_from_adjunction(adj, unit_object=None, tensor_witness=None):
     if not rep.ok:
         raise VerificationFailed(rep)
     return ms
-
-
-def identity_adjunction(objects, morphisms=(), name="identity adjunction"):
-    """Both adjoints the identity; every structure map an identity matrix."""
-    f = objects[0].field
-
-    def same(v):
-        return v
-
-    def same_map(src, dst, m):
-        return m
-
-    def idm(v):
-        return identity_map(f, v.dim)
-
-    return AdjunctionData(name, same, same_map, same, same_map, idm, idm,
-                          tuple(objects), (), tuple(morphisms))
 
 
 # -- free module / forgetful adjunction --------------------------------
@@ -440,50 +422,6 @@ def compare_talgebras_to_modules(ua, talgebras=None, modules=None):
         back = talgebra_to_module(ua, talg)
         rep.add(f"{nm}: round trip through structure maps",
                 (back.action - mod.action).is_zero())
-    return rep
-
-
-def free_forget_module_functor_report(a, pairs=None):
-    """Check that both adjoints of the free/forget adjunction interact
-    with tensoring by a comodule on the left.
-
-    Comodules act on compatible modules by W, M -> W (x) M with the
-    codiagonal coaction and the action on the module leg; the report
-    first certifies that this tensored object satisfies the
-    compatibility condition (the content of the module category
-    structure, which fails if the action leg is put on the wrong side),
-    then that the free functor turns W (x) V into W (x) (V (x) A) with
-    literally equal structure matrices and that the forgetful functor
-    commutes with the tensoring on carriers.  This is the stronger
-    hypothesis set in which both adjoints respect the tensor action;
-    the report says so.
-    """
-    h = a.hopf
-    f = h.field
-    acom, _ = comodule_on_subspace(regular_comodule(h), a.space)
-    rep = CertReport("module functor checks, free/forget")
-    rep.assume("hypothesis set: both adjoints respect tensoring by a comodule")
-    if pairs is None:
-        reg = regular_comodule(h)
-        pairs = ((trivial_comodule(h), reg), (reg, reg))
-    for w, v in pairs:
-        nm = f"({_obj_name(w)}, {_obj_name(v)})"
-        dv, dw, da = v.dim, w.dim, a.dim
-        free_v = _free_object(h, a, acom, v)
-        tname = f"{_obj_name(w)} (x) free module"
-        tcom = tensor_comodules(h, w, free_v.comodule, name=tname)
-        tact = identity_map(f, dw).tensor(free_v.module.action)
-        tmod = ModuleData(f, dw * dv * da, tact, a.algebra, "right", tname)
-        tens = RelHopfModuleData(h, a.algebra, a.inclusion, tcom, tmod, tname)
-        rep.merge(check_relhopf(tens), prefix=f"tensored object at {nm}: ")
-        src_com = tensor_comodules(h, tensor_comodules(h, w, v), acom)
-        d1 = tcom.coaction - src_com.coaction
-        rep.add(f"free functor square colinear at {nm}", d1.is_zero())
-        src_act = identity_map(f, dw * dv).tensor(a.algebra.mult)
-        d2 = tact - src_act
-        rep.add(f"free functor square action-linear at {nm}", d2.is_zero())
-        rep.add(f"forgetful functor square at {nm}", True,
-                "carriers agree identically")
     return rep
 
 
@@ -736,317 +674,6 @@ def adjunction_unit_counit_check(a, m, n, ihom=None, name=""):
     d4 = forward @ backward - identity_map(f, rhs.dim)
     rep.add("translate after evaluation is the identity", d4.is_zero())
     return AdjunctionHomResult(lhs, rhs, forward, backward, rep)
-
-
-def adjunction_naturality_check(a, n, src, dst, fmat, ihom=None):
-    """Naturality of the adjunction bijection along a sampled morphism of
-    relative Hopf modules: precomposing then translating agrees with
-    translating then precomposing."""
-    if ihom is None:
-        ihom = internal_hom(a, n)
-    f = a.hopf.field
-    dn = n.dim
-    rep = CertReport(f"adjunction naturality along "
-                     f"{_obj_name(src)} -> {_obj_name(dst)}")
-    dcol = dst.comodule.coaction @ fmat \
-        - fmat.tensor(identity_map(f, a.hopf.dim)) @ src.comodule.coaction
-    rep.add("morphism is colinear", dcol.is_zero())
-    dact = dst.module.action @ fmat.tensor(identity_map(f, a.dim)) \
-        - fmat @ src.module.action
-    rep.add("morphism intertwines the actions", dact.is_zero())
-    kmap = ihom.carrier.coords_map()
-    c = ihom.carrier.dim
-    t_src = kmap.tensor(identity_map(f, src.dim)) \
-        @ _module_to_hom_operator(f, src.module, dn)
-    t_dst = kmap.tensor(identity_map(f, dst.dim)) \
-        @ _module_to_hom_operator(f, dst.module, dn)
-    pre_n = _precompose_operator(f, dn, fmat)
-    pre_c = _precompose_operator(f, c, fmat)
-    lhs_dst = hom_colinear(dst.comodule, n)
-    d = (t_src @ pre_n - pre_c @ t_dst) @ lhs_dst.basis_map()
-    rep.add("naturality square commutes", d.is_zero())
-    return rep
-
-
-# -- comonads on plain vector spaces -----------------------------------
-
-@dataclass
-class ComonadSample:
-    """A comonad on finite-dimensional vector spaces, sampled on a tuple
-    of dimensions that must contain 1.
-
-    value_dim(n) is the dimension of the comonad's value on k^n;
-    on_maps(n_src, n_dst, mat) its action on a matrix; comult(n) the
-    comonad comultiplication at k^n; counit(n) the counit at k^n.
-    """
-
-    name: str
-    field: object
-    dims: tuple
-    value_dim: object
-    on_maps: object
-    comult: object
-    counit: object
-
-
-def check_comonad_laws(cs, cap=64):
-    """Counit and coassociativity laws at every sampled dimension whose
-    required towers stay under the dimension cap; skipped instances are
-    recorded as assumptions.
-
-    Tower sizes are predicted multiplicatively from the value on the
-    ground field, so deciding feasibility never triggers the computation
-    being avoided; the prediction itself is vindicated by the finite-sum
-    witnesses during extraction."""
-    rep = CertReport(f"comonad laws for {cs.name}")
-    f = cs.field
-    c = cs.value_dim(1)
-    for nd in cs.dims:
-        g1 = cs.value_dim(nd)
-        if g1 * c <= cap:
-            one = identity_map(f, g1)
-            d1 = cs.on_maps(g1, nd, cs.counit(nd)) @ cs.comult(nd) - one
-            rep.add(f"counit law (inner) at dim {nd}", d1.is_zero())
-            d2 = cs.counit(g1) @ cs.comult(nd) - one
-            rep.add(f"counit law (outer) at dim {nd}", d2.is_zero())
-        else:
-            rep.assume(f"counit laws at dim {nd} skipped: "
-                       f"tower dimension {g1 * c} exceeds cap {cap}")
-        if g1 * c * c <= cap:
-            g2 = cs.value_dim(g1)
-            lhs = cs.on_maps(g1, g2, cs.comult(nd)) @ cs.comult(nd)
-            rhs = cs.comult(g1) @ cs.comult(nd)
-            rep.add(f"coassociativity at dim {nd}", (lhs - rhs).is_zero())
-        else:
-            rep.assume(f"coassociativity at dim {nd} skipped: "
-                       f"tower dimension {g1 * c * c} exceeds cap {cap}")
-    return rep
-
-
-@dataclass
-class ComonadCoalgebraResult:
-    coalgebra: CoalgebraData
-    sample: ComonadSample
-    witnesses: dict
-    report: CertReport
-
-    @property
-    def ok(self):
-        return self.report.ok
-
-
-def _sum_witness(cs, nd):
-    """The natural map from the comonad's value on k^n to n copies of its
-    value on k, assembled from the coordinate projections."""
-    f = cs.field
-    blocks = [cs.on_maps(nd, 1, LinMap(f, 1, nd, {(0, i): f.one}))
-              for i in range(nd)]
-    return stack_maps(blocks)
-
-
-def comonad_coalgebra(cs, labels=(), cap=64, certify=True):
-    """Extract the coalgebra carried by the comonad's value on the ground
-    field.
-
-    Finite direct sums must be preserved: on each sampled dimension the
-    projection-assembled witness to value(k^n) ~ n copies of value(k) has
-    to be bijective, and a failure rejects the comonad data.  The
-    comultiplication is the comonad comultiplication at k read through the
-    witness; the counit is the comonad counit at k.  Structure
-    compatibility of the witnesses is checked where the towers stay under
-    the cap.  Cocontinuity beyond finite direct sums is not decidable from
-    samples and is recorded as an assumption.
-    """
-    f = cs.field
-    if 1 not in cs.dims:
-        raise ValueError("sampled dimensions must include 1")
-    rep = CertReport(f"coalgebra extracted from {cs.name}")
-    rep.assume("cocontinuity beyond finite direct sums is assumed; "
-               "finite-sum preservation is checked on the samples only")
-    rep.merge(check_comonad_laws(cs, cap))
-    c = cs.value_dim(1)
-    wit = {}
-    for nd in cs.dims:
-        w = _sum_witness(cs, nd)
-        wit[nd] = w
-        okw = cs.value_dim(nd) == nd * c and rank(w) == nd * c
-        rep.add(f"finite sum witness bijective at dim {nd}", okw)
-        if not okw:
-            raise VerificationFailed(rep)
-    if c not in wit:
-        w = _sum_witness(cs, c)
-        wit[c] = w
-        okw = cs.value_dim(c) == c * c and rank(w) == c * c
-        rep.add(f"finite sum witness bijective at dim {c}", okw)
-        if not okw:
-            raise VerificationFailed(rep)
-    comult = wit[c] @ cs.comult(1)
-    counit = cs.counit(1)
-    coal = CoalgebraData(f, c, comult, counit, tuple(labels) or None)
-    rep.merge(coal.check())
-    idc = identity_map(f, c)
-    for nd in cs.dims:
-        g1 = cs.value_dim(nd)
-        idn = identity_map(f, nd)
-        d1 = cs.counit(nd) - idn.tensor(counit) @ wit[nd]
-        rep.add(f"counit matches through the witness at dim {nd}",
-                d1.is_zero())
-        if g1 * c <= cap:
-            if g1 not in wit:
-                wit[g1] = _sum_witness(cs, g1)
-            w2 = wit[nd].tensor(idc) @ wit[g1]
-            d2 = w2 @ cs.comult(nd) - idn.tensor(comult) @ wit[nd]
-            rep.add(f"comultiplication matches through the witness "
-                    f"at dim {nd}", d2.is_zero())
-        else:
-            rep.assume(f"comultiplication match at dim {nd} skipped: "
-                       f"tower dimension {g1 * c} exceeds cap {cap}")
-    out = ComonadCoalgebraResult(coal, cs, wit, rep)
-    if certify and not rep.ok:
-        raise VerificationFailed(rep)
-    return out
-
-
-def identity_comonad(f, dims=(1, 2, 3)):
-    def value_dim(nd):
-        return nd
-
-    def on_maps(ns, ndst, mat):
-        return mat
-
-    def idm(nd):
-        return identity_map(f, nd)
-
-    return ComonadSample("identity comonad", f, tuple(dims), value_dim,
-                         on_maps, idm, idm)
-
-
-def tensor_comonad(d, dims=(1, 2, 3)):
-    """The comonad tensoring a vector space against a fixed coalgebra."""
-    f = d.field
-
-    def value_dim(nd):
-        return nd * d.dim
-
-    def on_maps(ns, ndst, mat):
-        return mat.tensor(identity_map(f, d.dim))
-
-    def comult(nd):
-        return identity_map(f, nd).tensor(d.comult)
-
-    def counit(nd):
-        return identity_map(f, nd).tensor(d.counit)
-
-    return ComonadSample(f"tensoring against {d.labels or d.dim}-coalgebra",
-                         f, tuple(dims), value_dim, on_maps, comult, counit)
-
-
-class InternalHomComonad:
-    """The comonad on plain vector spaces obtained by following the free
-    induced-module functor with the internal hom back out of it.
-
-    Values are computed lazily and cached per dimension: the value on k^n
-    is the compatible part of Hom(A, k^n (x) H)."""
-
-    def __init__(self, a, dims=(1, 2)):
-        if not a.ok:
-            raise VerificationFailed(a.report)
-        self.subalgebra = a
-        self.hopf = a.hopf
-        self.field = a.hopf.field
-        self.dims = tuple(dims)
-        self._cache = {}
-
-    def value(self, nd):
-        if nd not in self._cache:
-            h = self.hopf
-            f = self.field
-            target = ComoduleData(
-                f, nd * h.dim,
-                identity_map(f, nd).tensor(h.comult),
-                h.coalgebra, "right", f"free comodule on dim {nd}")
-            self._cache[nd] = internal_hom(self.subalgebra, target)
-        return self._cache[nd]
-
-    def value_dim(self, nd):
-        return self.value(nd).dim
-
-    def on_maps(self, n_src, n_dst, mat):
-        f = self.field
-        h = self.hopf
-        src = self.value(n_src)
-        dst = self.value(n_dst)
-        amb = (mat.tensor(identity_map(f, h.dim))).tensor(
-            identity_map(f, self.subalgebra.dim))
-        return dst.carrier.coords_map() @ amb @ src.carrier.basis_map()
-
-    def counit(self, nd):
-        f = self.field
-        h = self.hopf
-        a = self.subalgebra
-        val = self.value(nd)
-        dnh = nd * h.dim
-        ev = {}
-        for x in range(dnh):
-            for j, uc in enumerate(a.algebra.unit_vector):
-                if uc != f.zero:
-                    ev[(x, x * a.dim + j)] = uc
-        evmap = LinMap(f, dnh, dnh * a.dim, ev)
-        return identity_map(f, nd).tensor(h.counit) @ evmap \
-            @ val.carrier.basis_map()
-
-    def comult(self, nd):
-        f = self.field
-        a = self.subalgebra
-        val = self.value(nd)
-        cn = val.dim
-        outer = self.value(cn)
-        da = a.dim
-        mops = val.module.action_operators()
-        blocks = [val.comodule.coaction @ op for op in mops]
-        amb = _interleave_blocks(f, blocks, cn * self.hopf.dim * da, cn)
-        out = outer.carrier.coords_map() @ amb
-        if not (outer.carrier.basis_map() @ out - amb).is_zero():
-            raise ValueError("comultiplication left the compatible part")
-        return out
-
-    def sample(self):
-        return ComonadSample(
-            f"internal hom comonad over {self.subalgebra.name or 'subalgebra'}",
-            self.field, self.dims, self.value_dim, self.on_maps,
-            self.comult, self.counit)
-
-
-def comonad_spot_check(ihc, ccr, relhopfs):
-    """For sampled relative Hopf modules, the canonical coaction over the
-    extracted coalgebra: feed the action into the hom translate, read
-    through the finite-sum witness, and check the comodule axioms."""
-    rep = CertReport("comodule structures over the extracted coalgebra")
-    f = ihc.field
-    coal = ccr.coalgebra
-    for m in relhopfs:
-        nm = _obj_name(m)
-        dm = m.dim
-        val = ihc.value(dm)
-        da = ihc.subalgebra.dim
-        mops = m.module.action_operators()
-        blocks = [m.comodule.coaction @ op for op in mops]
-        ent = {}
-        for j, b in enumerate(blocks):
-            for (r, c), v in b.entries():
-                ent[(r * da + j, c)] = v
-        amb = LinMap(f, dm * ihc.hopf.dim * da, dm, ent)
-        lift = val.carrier.coords_map() @ amb
-        check = val.carrier.basis_map() @ lift - amb
-        rep.add(f"{nm}: translate lands in the compatible part",
-                check.is_zero())
-        w = ccr.witnesses.get(dm)
-        if w is None:
-            w = _sum_witness(ihc.sample(), dm)
-        coact = w @ lift
-        com = ComoduleData(f, dm, coact, coal, "right", nm)
-        rep.merge(check_comodule(com), f"{nm}: ")
-    return rep
 
 
 # -- surjectivity forced by faithful coflatness ------------------------

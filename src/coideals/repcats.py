@@ -30,7 +30,6 @@ from .linalg import (
     LinMap,
     Subspace,
     basis_vector,
-    contains_invertible,
     kernel_of,
     left_inverse,
     map_to_vec,
@@ -840,24 +839,18 @@ def composition_factors(m):
     return composition_factors(sub) + composition_factors(quo)
 
 
-def modules_isomorphic(m1, m2):
-    """Decide isomorphism of two right modules over one algebra by searching
-    the intertwiner space for an invertible element."""
-    if m1.dim != m2.dim:
-        return False
-    if m1.dim == 0:
-        return True
-    space = hom_linear(m1, m2)
-    if space.dim == 0:
-        return False
-    return contains_invertible(space, m1.dim)
-
-
 def distinct_modules(mods):
-    """Prune to pairwise non-isomorphic modules, keeping first occurrences."""
+    """Prune simple modules over one algebra to pairwise non-isomorphic
+    ones, keeping first occurrences.
+
+    Every input must be simple (composition factors are).  By Schur's lemma
+    a nonzero intertwiner between simples is invertible, so two of them are
+    isomorphic exactly when their dimensions agree and the intertwiner space
+    is nonzero."""
     out = []
     for m in mods:
-        if not any(modules_isomorphic(m, seen) for seen in out):
+        if not any(m.dim == seen.dim and hom_linear(m, seen).dim > 0
+                   for seen in out):
             out.append(m)
     return out
 

@@ -227,6 +227,50 @@ def test_library_has_no_assert_statements():
     assert not found, "assert statements in src/coideals: " + ", ".join(found)
 
 
+PUBLIC_API = [
+    "AlgebraData", "BicomoduleData", "CertReport", "CoalgebraData",
+    "CoidealSubalgebraData", "ComoduleData", "GF", "HopfAlgebraData",
+    "LinMap", "ModuleData", "PairingData", "QQ",
+    "QuotientModuleCoalgebraData", "RelHopfModuleData", "Report", "SpecData",
+    "SpecParseError", "Subspace", "VerificationFailed",
+    "adjunction_unit_counit_check", "antipode_bijective", "antipode_order",
+    "basis_vector", "c_semisimple_implication", "catalog", "certs",
+    "check_comodule", "check_hopf_axioms", "check_module", "check_pairing",
+    "check_relhopf", "check_representation", "classify_quantum", "coend",
+    "coend_pre_equivalence", "coend_regular_isomorphism", "cohom",
+    "coideal_annihilator", "coideal_as_relhopf", "coinvariants",
+    "compare_talgebras_to_modules", "content_hash", "corestrict_comodule",
+    "correspondence", "coset_function_subspace", "cotensor",
+    "cotensor_psi_monad", "cyclic_group", "dual_hopf", "fields",
+    "free_forget_monad", "function_algebra", "gamma_isomorphism",
+    "group_algebra", "hom_colinear", "hopf", "identity_map",
+    "identity_pre_equivalence", "internal_hom", "is_faithfully_coflat",
+    "is_faithfully_flat", "is_quasi_finite", "linalg", "load_spec",
+    "monadics", "morita", "mw_equivalence_check", "parse_spec",
+    "quotient_data", "quotient_module_coalgebra", "regular_comodule",
+    "regular_module", "regular_relhopf", "repcats", "report",
+    "roundtrip_correspondence", "save_spec", "serialize_spec",
+    "ses_cross_check", "simple_comodules", "specfile", "subgroup_data",
+    "surjectivity_from_coflatness", "sweedler4", "symmetric_group_3", "taft",
+    "tensor_comodules", "theorem2_pipeline", "trivial_comodule",
+    "unit_object_algebra", "verify_coideal_subalgebra",
+    "verify_pre_equivalence",
+]
+
+
+def test_public_api_is_pinned():
+    # the names `import coideals` exposes are the contract; a fresh process
+    # keeps submodules that other tests import (cli, suite) out of the list
+    code = ("import coideals\n"
+            "print(*sorted(n for n in dir(coideals) if not n.startswith('_')))")
+    src = str(Path(coideals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == PUBLIC_API
+
+
 def test_pairing_axioms_hold_for_evaluation_pairings():
     g = symmetric_group_3()
     p = canonical_pairing(group_algebra(QQ, g), function_algebra(QQ, g))

@@ -20,7 +20,6 @@ from coideals.linalg import (
     DimensionMismatchError,
     LinMap,
     Subspace,
-    contains_invertible,
     find_section,
     identity_map,
     image_of,
@@ -350,11 +349,3 @@ def test_matrix_of_operator_postcompose():
     f = qmap([[1, 2], [3, 4]])
     assert op.apply(map_to_vec(f)) == map_to_vec(a @ f)
 
-
-def test_contains_invertible_positive_and_negative():
-    diag = Subspace.from_vectors(QQ, 4, [map_to_vec(qmap([[1, 0], [0, 0]])),
-                                         map_to_vec(qmap([[0, 0], [0, 1]]))])
-    w = contains_invertible(diag, 2)
-    assert w is not None and invert(w) is not None
-    nilp = Subspace.from_vectors(QQ, 4, [map_to_vec(qmap([[0, 1], [0, 0]]))])
-    assert contains_invertible(nilp, 2) is None

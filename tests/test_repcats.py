@@ -47,7 +47,6 @@ from coideals.repcats import (
     matrix_minpoly,
     module_on_quotient,
     module_on_subspace,
-    modules_isomorphic,
     quotient_algebra,
     radical,
     radical_and_simples,
@@ -239,7 +238,7 @@ def test_radical_and_simples_of_sweedler():
     j, simples = radical_and_simples(sweedler4().algebra)
     assert j.dim == 2
     assert [m.dim for m in simples] == [1, 1]
-    assert not modules_isomorphic(simples[0], simples[1])
+    assert hom_linear(simples[0], simples[1]).dim == 0
     for m in simples:
         assert check_module(m).ok
 
@@ -265,19 +264,27 @@ def test_rotation_module_simple_over_rationals_splits_mod_7():
         assert (got is None) == expect_simple
 
 
-def test_modules_isomorphic_conjugation():
-    a = group_algebra(QQ, cyclic_group(2)).algebra
-    reg = regular_module(a, "right")
+def test_distinct_modules_merges_conjugate_simples():
+    # Schur's lemma: a simple conjugated by an invertible matrix is the same
+    # simple, so only the first copy is kept
+    a = group_algebra(QQ, symmetric_group_3()).algebra
+    facs = composition_factors(regular_module(a, "right"))
+    s = next(m for m in facs if m.dim == 2)
     t = LinMap(QQ, 2, 2, {(0, 0): Fr(1), (0, 1): Fr(1), (1, 1): Fr(1)})
     tinv = LinMap(QQ, 2, 2, {(0, 0): Fr(1), (0, 1): Fr(-1), (1, 1): Fr(1)})
-    conj = ModuleData(QQ, 2, t @ reg.action @ tinv.tensor(LinMap.identity(QQ, 2)), a)
+    conj = ModuleData(QQ, 2, t @ s.action @ tinv.tensor(LinMap.identity(QQ, 6)),
+                      a, "right")
     assert check_module(conj).ok
-    assert modules_isomorphic(reg, conj)
-    # two copies of the trivial module are not the regular module
-    triv2 = ModuleData(QQ, 2, LinMap(QQ, 2, 4, {(0, 0): Fr(1), (0, 1): Fr(1),
-                                                (1, 2): Fr(1), (1, 3): Fr(1)}), a)
-    assert check_module(triv2).ok
-    assert not modules_isomorphic(reg, triv2)
+    assert conj.action != s.action
+    kept = distinct_modules([s, conj])
+    assert len(kept) == 1 and kept[0] is s
+    # the three characters of the cyclic group of order 3 over GF(7) take
+    # the cube roots of unity 1, 2, 4 on the generator: pairwise distinct
+    c3 = group_algebra(GF(7), cyclic_group(3)).algebra
+    lines = composition_factors(regular_module(c3, "right"))
+    assert [m.dim for m in lines] == [1, 1, 1]
+    assert distinct_modules(lines) == lines
+    assert distinct_modules(lines + lines) == lines
 
 
 def test_submodule_and_quotient_roundtrip():
