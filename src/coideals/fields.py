@@ -1,7 +1,8 @@
 """Exact scalar arithmetic: the rationals and prime fields.
 
 A field descriptor owns the arithmetic; scalar values are plain Python
-objects (fractions.Fraction for QQ, canonical ints in range(p) for GF(p)).
+objects.  Over QQ an integral value is an int and any other value a
+fractions.Fraction; over GF(p) values are canonical ints in range(p).
 Every container (LinMap, Subspace, structure data) carries one descriptor,
 and operations refuse to mix descriptors, so all scalars in a computation
 share one field.
@@ -9,7 +10,21 @@ share one field.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# The value grammar of spec files: an integer or num/den, ASCII digits.
+_VALUE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _split_value(token):
+    """(numerator, denominator) of a value token; the denominator of an
+    integer token is None."""
+    m = _VALUE.fullmatch(token)
+    if m is None:
+        raise ValueError(f"not a value: {token!r}")
+    num, den = m.groups()
+    return int(num), None if den is None else int(den)
 
 
 class FieldMismatchError(ValueError):
@@ -53,31 +68,51 @@ class Field:
         return self.name
 
 
+def _canonical(c):
+    """A rational as an int if its denominator is 1 (inlined in add, sub
+    and mul, which run in the elimination loops)."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 class RationalField(Field):
+    """QQ.  A scalar with denominator 1 is stored as an int, any other as a
+    Fraction, so elimination over integer data never builds a Fraction.
+    The two types agree on ==, hash, < and str, and both carry .numerator
+    and .denominator, so callers need not tell them apart."""
+
     char = 0
     name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
+
+    def sub(self, a, b):
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
-        return -a
+        return _canonical(-a)
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return int(a)
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in QQ")
-        return 1 / Fraction(a)
+        return _canonical(1 / Fraction(a))
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def parse(self, token):
-        return Fraction(token)
+        num, den = _split_value(token)
+        return num if den is None else _canonical(Fraction(num, den))
 
     def fmt(self, a):
         return str(a)
@@ -114,11 +149,9 @@ class PrimeField(Field):
         return n % self.p
 
     def parse(self, token):
-        # accept "a" or "a/b" with b invertible
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return self.mul(self.from_int(int(num)), self.inv(self.from_int(int(den))))
-        return self.from_int(int(token))
+        num, den = _split_value(token)
+        a = self.from_int(num)
+        return a if den is None else self.mul(a, self.inv(self.from_int(den)))
 
     def fmt(self, a):
         return str(a % self.p)

@@ -226,9 +226,9 @@ def rref(field, mat):
     Returns (rows, pivots): unit pivots, zeros above and below, rows ordered
     by pivot column, zero rows dropped.  Column scan is left-to-right and the
     first row with a nonzero entry is taken, so the output is deterministic.
-    Scalars are tested for zero by truthiness (exact for Fraction and for
-    canonical GF(p) ints), and a row update touches only the columns where
-    the pivot row is nonzero.
+    Scalars are tested for zero by truthiness (exact for the int and
+    Fraction scalars of QQ and for canonical GF(p) ints), and a row update
+    touches only the columns where the pivot row is nonzero.
     """
     mul, sub = field.mul, field.sub
     rows = [list(r) for r in mat]

@@ -230,8 +230,7 @@ def _free_object(h, a, acom, v):
     return RelHopfModuleData(h, a.algebra, a.inclusion, com, mod, com.name)
 
 
-def free_forget_adjunction(a, objects=None, morphisms=(),
-                           extra_targets=()):
+def free_forget_adjunction(a, objects=None, morphisms=()):
     """Left adjoint V -> V (x) A into relative Hopf modules over the
     verified coideal subalgebra a, right adjoint forgetting the action."""
     from .correspondence import coideal_as_relhopf
@@ -263,11 +262,10 @@ def free_forget_adjunction(a, objects=None, morphisms=(),
     def counit(m):
         return m.module.action
 
-    targets = tuple(extra_targets) or (coideal_as_relhopf(a),)
     return AdjunctionData(f"free/forget over {a.name or 'subalgebra'}",
                           left_on_objects, left_on_maps, right_on_objects,
-                          right_on_maps, unit, counit,
-                          tuple(objects), targets, tuple(morphisms))
+                          right_on_maps, unit, counit, tuple(objects),
+                          (coideal_as_relhopf(a),), tuple(morphisms))
 
 
 def colinear_endomorphism(h, functional):
@@ -859,7 +857,7 @@ def gamma_isomorphism(x, m, q, seed=20260822, samples=100, precheck=True):
 
 # -- cotensor adjunction and the full pipeline -------------------------
 
-def cotensor_psi_adjunction(q, objects=None, morphisms=(), extra_targets=None):
+def cotensor_psi_adjunction(q, objects=None, morphisms=()):
     """Left adjoint corestriction along the quotient projection, right
     adjoint the cotensor back up against the whole algebra: carrier the
     cotensor subspace, coaction induced by comultiplying the algebra leg.
@@ -871,10 +869,10 @@ def cotensor_psi_adjunction(q, objects=None, morphisms=(), extra_targets=None):
     its dimension and coaction entries; every object of the target
     category is a comodule over the quotient.
     """
-    return _cotensor_psi(q, objects, morphisms, extra_targets)[0]
+    return _cotensor_psi(q, objects, morphisms)[0]
 
 
-def _cotensor_psi(q, objects, morphisms, extra_targets):
+def _cotensor_psi(q, objects, morphisms):
     """cotensor_psi_adjunction, the left quotient comodule and the memoized
     lookup of an object's cotensor subspace and comodule."""
     h = q.hopf
@@ -924,13 +922,11 @@ def _cotensor_psi(q, objects, morphisms, extra_targets):
 
     if objects is None:
         objects = (trivial_comodule(h), regular_comodule(h))
-    if extra_targets is None:
-        extra_targets = (ComoduleData(f, b.dim, b.comult, b, "right",
-                                      "quotient regular"),)
+    targets = (ComoduleData(f, b.dim, b.comult, b, "right", "quotient regular"),)
     adj = AdjunctionData(f"corestriction/cotensor over {q.name or 'quotient'}",
                          left_on_objects, left_on_maps, right_on_objects,
                          right_on_maps, unit, counit, tuple(objects),
-                         tuple(extra_targets), tuple(morphisms))
+                         targets, tuple(morphisms))
     return adj, left, cotensored
 
 
@@ -943,7 +939,7 @@ def cotensor_psi_monad(q, objects=None, morphisms=()):
 def _cotensor_psi_monad(q, objects, morphisms):
     """cotensor_psi_monad, and the cotensor carrying its unit object."""
     h = q.hopf
-    adj, left, cotensored = _cotensor_psi(q, objects, morphisms, None)
+    adj, left, cotensored = _cotensor_psi(q, objects, morphisms)
     i_obj = trivial_comodule(h)
     triv_b = corestrict_comodule(i_obj, q.coalgebra, q.projection)
     s1 = cotensored(triv_b)[0]  # from the memo: triv_b is cotensored once

@@ -15,8 +15,10 @@ Line-oriented format; '#' starts a comment, blank lines are skipped:
 Row and column keys name one index of the map's matrix: tensor legs are
 dot-joined labels, the scalar side of a unit or counit is written "_",
 and the spanning vectors of a subspace are numbered from 0.  Values are
-"num/den" or integer strings over the rationals and canonical integers
-over a prime field; zero entries may be written but are dropped.
+integer or "num/den" strings of ASCII digits, signed only in front, over
+either field; the serializer writes "num/den" over the rationals and
+canonical integers over a prime field.  Zero entries may be written but
+are dropped.
 
 Every label referenced by an entry must be declared, every map must
 match the dimensions its kind declares, and parse(serialize(parse(t)))
@@ -25,7 +27,6 @@ entries sorted by matrix position, rationals always written num/den.
 """
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .fields import GF, QQ
 from .linalg import LinMap, Subspace
@@ -316,8 +317,7 @@ def load_spec(path):
 
 def _fmt_value(f, v):
     if f is QQ:
-        fr = Fraction(v)
-        return f"{fr.numerator}/{fr.denominator}"
+        return f"{v.numerator}/{v.denominator}"
     return f.fmt(v)
 
 

@@ -227,6 +227,30 @@ def test_library_has_no_assert_statements():
     assert not found, "assert statements in src/coideals: " + ", ".join(found)
 
 
+def _names(node):
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return tuple(a.name for a in node.names)
+    return ()
+
+
+def test_only_fields_names_fraction():
+    # QQ keeps integral scalars as int and the rest as Fraction; a Fraction
+    # built anywhere else would bypass that canonical form
+    src = Path(coideals.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if "Fraction" in _names(node)]
+    assert not found, "Fraction named outside fields.py: " + ", ".join(found)
+
+
 PUBLIC_API = [
     "AlgebraData", "BicomoduleData", "CertReport", "CoalgebraData",
     "CoidealSubalgebraData", "ComoduleData", "GF", "HopfAlgebraData",

@@ -120,6 +120,21 @@ class TestParseErrors:
         assert exc.value.col == col
         assert frag in str(exc.value)
 
+    @pytest.mark.parametrize("value", ["1e5000", "1.5"])
+    def test_value_outside_the_grammar_exits_2_at_its_position(
+            self, value, tmp_path, capsys):
+        from coideals.cli import main
+        text = serialize_spec(spec_from_hopf(sweedler4()))
+        lines = text.splitlines(keepends=True)
+        line = lines.index("_ g 1/1\n") + 1
+        lines[line - 1] = f"_ g {value}\n"
+        f = tmp_path / "sw4.spec"
+        f.write_text("".join(lines))
+        assert main(["check", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}, column 5" in err
+        assert f"bad value {value!r}" in err
+
     def test_missing_map_block_is_reported(self):
         text = MINIMAL.replace("map counit\n_ e 1\n", "")
         with pytest.raises(SpecParseError) as exc:
