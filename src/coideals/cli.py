@@ -26,22 +26,24 @@ from .catalog import (
 from .certs import CertReport, VerificationFailed
 from .correspondence import (
     classify_quantum,
+    default_test_comodules,
     mw_equivalence_check,
     quotient_data,
     quotient_module_coalgebra,
+    quotient_through_section,
     roundtrip_correspondence,
     verify_coideal_subalgebra,
 )
 from .fields import GF, QQ
-from .hopf import CoalgebraData, check_hopf_axioms
-from .linalg import LinMap, find_section, identity_map, rank
+from .hopf import check_hopf_axioms
+from .linalg import LinMap, find_section, rank
 from .monadics import gamma_isomorphism, theorem2_pipeline
 from .morita import (
     coend_pre_equivalence,
     identity_pre_equivalence,
     verify_pre_equivalence,
 )
-from .repcats import ComoduleData, check_comodule, regular_comodule, simple_comodules
+from .repcats import ComoduleData, check_comodule, regular_comodule, regular_comodule_of
 from .report import content_hash
 from .specfile import (
     SpecParseError,
@@ -102,9 +104,13 @@ CATALOG_NAMES = "k, kC<n>, kS3, k^C<n>, k^S3, sweedler4, taft <n> <p> [<q>]"
 
 
 def _catalog_object(name, params):
+    """Parse a catalog name and its parameters, then build the instance
+    once the dimension it will have has passed the cap check."""
+    what = f"catalog {name}"
     if name == "sweedler4":
         if params:
             raise InputError("sweedler4 takes no parameters")
+        _cap_check(4, what)
         return sweedler4()
     if name == "taft":
         if len(params) not in (2, 3):
@@ -115,6 +121,7 @@ def _catalog_object(name, params):
             fld = GF(p)
             q = fld.from_int(_int_param(params[2], "taft root")) \
                 if len(params) == 3 else None
+            _cap_check(n * n, what)
             return taft(n, fld, q)
         except ValueError as e:
             raise InputError(str(e))
@@ -126,22 +133,19 @@ def _catalog_object(name, params):
             fld = GF(_int_param(params[0], "characteristic"))
         except ValueError as e:
             raise InputError(str(e))
-    group = None
-    builder = group_algebra
-    if name == "k":
-        group = cyclic_group(1)
-    elif name == "kS3":
-        group = symmetric_group_3()
-    elif name == "k^S3":
-        group, builder = symmetric_group_3(), function_algebra
-    elif name.startswith("kC") and name[2:].isdigit() and int(name[2:]) > 0:
-        group = cyclic_group(int(name[2:]))
-    elif (name.startswith("k^C") and name[3:].isdigit()
-          and int(name[3:]) > 0):
-        group, builder = cyclic_group(int(name[3:])), function_algebra
-    if group is None:
+    # a group algebra kG or function algebra k^G has dimension |G|
+    digits = (name[3:] if name.startswith("k^C")
+              else name[2:] if name.startswith("kC") else "")
+    if name in ("k", "kS3", "k^S3"):
+        order = 1 if name == "k" else 6
+    elif digits.isdigit() and int(digits) > 0:
+        order = int(digits)
+    else:
         raise InputError(f"unknown catalog name {name!r}; "
                          f"known: {CATALOG_NAMES}")
+    _cap_check(order, what)
+    group = symmetric_group_3() if name.endswith("S3") else cyclic_group(order)
+    builder = function_algebra if name.startswith("k^") else group_algebra
     return builder(fld, group, name=name)
 
 
@@ -197,7 +201,6 @@ def _cmd_check(args, t0):
 
 def _cmd_catalog(args, t0):
     h = _catalog_object(args.name, args.params)
-    _cap_check(h.dim, f"catalog {args.name}")
     sd = spec_from_hopf(h)
     rep = CertReport(" ".join(["catalog", args.name] + args.params))
     rep.add_input(content_hash(sd), "constructed instance")
@@ -248,11 +251,7 @@ def _cmd_mw(args, t0):
         if args.objects:
             q = quotient_module_coalgebra(a)
             b = q.coalgebra
-            comodules = [ComoduleData(h.field, b.dim, b.comult, b, "right",
-                                      name=q.name or "B")]
-            for i, s in enumerate(simple_comodules(b)):
-                s.name = f"simple comodule {i}"
-                comodules.append(s)
+            comodules = default_test_comodules(q)
             for path in args.objects:
                 vsd = _load(path, kinds=("comodule",))
                 if len(vsd.over) != b.dim:
@@ -290,10 +289,7 @@ def _quotient_from_files(args, rep):
         rep.add("projection-surjective", False,
                 f"rank {rank(pi)} of {pi.rows}")
         return h, None
-    f = h.field
-    b = CoalgebraData(f, pi.rows, pi.tensor(pi) @ h.comult @ sec,
-                      h.counit @ sec, labels=qsd.over)
-    sigma = pi @ h.mult @ identity_map(f, h.dim).tensor(sec)
+    b, sigma = quotient_through_section(h, pi, sec, qsd.over)
     qd = quotient_data(h, b, pi, sigma, section=sec,
                        name=qsd.name or "quotient", certify=False)
     rep.merge(qd.report)
@@ -321,9 +317,7 @@ def _cmd_gamma(args, t0):
                      seed=args.seed)
     h, qd = _quotient_from_files(args, rep)
     if qd is not None:
-        b = qd.coalgebra
-        breg = ComoduleData(h.field, b.dim, b.comult, b, "right",
-                            "quotient regular")
+        breg = regular_comodule_of(qd.coalgebra, "quotient regular")
         try:
             res = gamma_isomorphism(regular_comodule(h), breg, qd,
                                         seed=args.seed)

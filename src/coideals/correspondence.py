@@ -26,7 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certs import CertReport, VerificationFailed
-from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData, hit_action
+from .hopf import (
+    AlgebraData,
+    CoalgebraData,
+    HopfAlgebraData,
+    _default_labels,
+    _witness,
+    hit_action,
+)
 from .linalg import (
     DimensionMismatchError,
     LinMap,
@@ -44,7 +51,6 @@ from .repcats import (
     ComoduleData,
     ModuleData,
     RelHopfModuleData,
-    _lab,
     _quotient_maps,
     check_comodule,
     check_module,
@@ -53,6 +59,7 @@ from .repcats import (
     comodule_on_subspace,
     comodule_to_dual_module,
     cotensor,
+    generated_submodule,
     is_coalgebra_map,
     is_cosemisimple,
     is_module_semisimple,
@@ -61,6 +68,7 @@ from .repcats import (
     radical,
     radical_and_simples,
     regular_comodule,
+    regular_comodule_of,
     regular_module,
     regular_relhopf,
     restrict_algebra,
@@ -122,24 +130,13 @@ def _hconcat(maps):
     return LinMap(f, rows, off, ent)
 
 
-def _block_diag(maps):
-    f = maps[0].field
-    ent = {}
-    roff = coff = 0
-    for m in maps:
-        for (r, c), v in m.entries():
-            ent[(roff + r, coff + c)] = v
-        roff += m.rows
-        coff += m.cols
-    return LinMap(f, roff, coff, ent)
-
-
-def _first_bad_column(m, labels):
-    """Label of the first column of a nonzero map holding a nonzero entry."""
-    cols = [c for (_, c), v in m.entries() if v != m.field.zero]
-    if not cols:
-        return None
-    return f"({labels[min(cols)]})"
+def _first_coproduct_outside(comult, rows, vectors):
+    """Index of the first row whose coproduct lies outside the span of the
+    vectors in the tensor square, or None when every coproduct lies in it."""
+    d = comult.cols
+    mixed = Subspace.from_vectors(comult.field, d * d, vectors)
+    return next((i for i, r in enumerate(rows)
+                 if not mixed.contains(comult.apply(r))), None)
 
 
 # -- the two sides of the correspondence --------------------------------
@@ -228,15 +225,11 @@ def verify_coideal_subalgebra(h, s, name=""):
                 break
     rep.add("is-subalgebra", sub_ok, sub_witness)
 
-    mixed = Subspace.from_vectors(
-        f, h.dim * h.dim,
+    bad = _first_coproduct_outside(
+        h.comult, s.rows,
         [_times_basis(f, r, h.dim, j) for r in s.rows for j in range(h.dim)])
-    co_ok, co_wit = True, None
-    for i, r in enumerate(s.rows):
-        if not mixed.contains(h.comult.apply(r)):
-            co_ok, co_wit = False, f"({piv_labels[i]})"
-            break
-    rep.add("is-coideal", co_ok, co_wit)
+    rep.add("is-coideal", bad is None,
+            None if bad is None else f"({piv_labels[bad]})")
 
     algebra = inclusion = None
     if sub_ok:
@@ -265,9 +258,10 @@ def quotient_data(h, b, pi, sigma, section=None, name="", certify=True):
     ih = identity_map(f, h.dim)
     rep = CertReport(name or f"quotient coalgebra dim {b.dim}")
 
-    surj = rank(pi) == b.dim
+    r = rank(pi)
+    surj = r == b.dim
     rep.add("projection-surjective", surj,
-            None if surj else f"rank {rank(pi)} < {b.dim}")
+            None if surj else f"rank {r} < {b.dim}")
     if section is None and surj:
         section = find_section(pi)
     if section is not None:
@@ -278,7 +272,7 @@ def quotient_data(h, b, pi, sigma, section=None, name="", certify=True):
     ker_labels = [h.labels[p] for p in ker.pivots]
     eps_ker = h.counit @ ker.basis_map() if ker.dim else LinMap.zero(f, 1, 0)
     rep.add("kernel-counit-vanishes", eps_ker.is_zero(),
-            _first_bad_column(eps_ker, ker_labels))
+            _witness(eps_ker, [ker_labels]))
 
     if ker.dim:
         two_sided = []
@@ -287,17 +281,13 @@ def quotient_data(h, b, pi, sigma, section=None, name="", certify=True):
             for j in range(h.dim):
                 two_sided.append(_times_basis(f, r, h.dim, j))
                 two_sided.append(zeros * j + r + zeros * (h.dim - 1 - j))
-        mixed = Subspace.from_vectors(f, h.dim * h.dim, two_sided)
-        co_ok, co_wit = True, None
-        for i, r in enumerate(ker.rows):
-            if not mixed.contains(h.comult.apply(r)):
-                co_ok, co_wit = False, f"({ker_labels[i]})"
-                break
-        rep.add("kernel-is-coideal", co_ok, co_wit)
+        bad = _first_coproduct_outside(h.comult, ker.rows, two_sided)
+        rep.add("kernel-is-coideal", bad is None,
+                None if bad is None else f"({ker_labels[bad]})")
         left_ideal = pi @ h.mult @ ih.tensor(ker.basis_map())
         rep.add("kernel-is-left-ideal", left_ideal.is_zero(),
-                _first_bad_column(left_ideal, [f"h{i},{l}" for i in range(h.dim)
-                                               for l in ker_labels]))
+                _witness(left_ideal, [[f"h{i},{l}" for i in range(h.dim)
+                                       for l in ker_labels]]))
     else:
         rep.add("kernel-is-coideal", True)
         rep.add("kernel-is-left-ideal", True)
@@ -312,6 +302,18 @@ def quotient_data(h, b, pi, sigma, section=None, name="", certify=True):
     if certify and not rep.ok:
         raise VerificationFailed(rep)
     return out
+
+
+def quotient_through_section(h, pi, sect, labels):
+    """The coalgebra B and left H-action sigma that a projection pi: H -> B
+    induces through a section: comultiplication (pi (x) pi) o Delta o sect,
+    counit eps o sect, and sigma = pi o mult o (id (x) sect).  Returns
+    (B, sigma); quotient_data certifies that they are well defined."""
+    f = h.field
+    b = CoalgebraData(f, pi.rows, pi.tensor(pi) @ h.comult @ sect,
+                      h.counit @ sect, labels)
+    sigma = pi @ h.mult @ identity_map(f, h.dim).tensor(sect)
+    return b, sigma
 
 
 def quotient_module_coalgebra(a, name=""):
@@ -329,13 +331,9 @@ def quotient_module_coalgebra(a, name=""):
             products.append(h.algebra.product(e_i, r))
     ideal = Subspace.from_vectors(f, h.dim, products)
     proj, sect = _quotient_maps(ideal)
-    qd = proj.rows
     labels = tuple("[{}]".format(h.labels[c]) for c in range(h.dim)
                    if c not in ideal.pivots)
-    b = CoalgebraData(f, qd, proj.tensor(proj) @ h.comult @ sect,
-                      h.counit @ sect, labels)
-    ih = identity_map(f, h.dim)
-    sigma = proj @ h.mult @ ih.tensor(sect)
+    b, sigma = quotient_through_section(h, proj, sect, labels)
     return quotient_data(h, b, proj, sigma, section=sect,
                          name=name or (f"{h.name or 'H'} mod ideal of "
                                        f"{a.name or 'A'}"))
@@ -351,7 +349,7 @@ def coinvariants(q, name=""):
     f = h.field
     ih = identity_map(f, h.dim)
     pi_one = LinMap.from_column(f, q.projection.apply(h.unit_vector()))
-    diff = q.projection.tensor(ih) @ h.comult - pi_one.tensor(ih)
+    diff = quotient_coaction(q, "left").coaction - pi_one.tensor(ih)
     ker = kernel_of(diff)
     a = verify_coideal_subalgebra(h, ker, name or f"coinvariants of {q.name or 'B'}")
     if not a.ok:
@@ -397,7 +395,7 @@ def module_flatness(mod, carrier_labels=()):
     f = mod.field
     alg = mod.over
     dm, da = mod.dim, alg.dim
-    labels = list(carrier_labels) or list(_lab("v", dm))
+    labels = list(carrier_labels) or list(_default_labels(dm, "v"))
     rep = CertReport(f"flatness of {mod.name or 'module'} ({mod.side} side)")
 
     pool = [(labels[i], basis_vector(f, dm, i)) for i in range(dm)]
@@ -425,7 +423,8 @@ def module_flatness(mod, carrier_labels=()):
 
     mops = mod.action_operators()
     regs = regular_module(alg, mod.side).action_operators()
-    constraints = [(op, _block_diag([reg] * n)) for op, reg in zip(mops, regs)]
+    constraints = [(op, identity_map(f, n).tensor(reg))
+                   for op, reg in zip(mops, regs)]
     section = find_section(p, constraints)
     projective = section is not None
     rep.add("projective", projective,
@@ -474,6 +473,20 @@ def is_faithfully_flat(a, side="left"):
     return module_flatness(mod, carrier_labels=h.labels)
 
 
+def quotient_coaction(q, side, name=""):
+    """H as a comodule over the quotient coalgebra B: coaction
+    (pi (x) id) o Delta on the left side, (id (x) pi) o Delta on the right."""
+    h = q.hopf
+    ih = identity_map(h.field, h.dim)
+    if side == "left":
+        coact = q.projection.tensor(ih) @ h.comult
+    elif side == "right":
+        coact = ih.tensor(q.projection) @ h.comult
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return ComoduleData(h.field, h.dim, coact, q.coalgebra, side, name)
+
+
 def is_faithfully_coflat(q, side="left"):
     """Faithful coflatness of the ambient Hopf algebra as a one-sided
     comodule over a verified quotient coalgebra, decided on the dual: the
@@ -481,16 +494,7 @@ def is_faithfully_coflat(q, side="left"):
     core applies verbatim at finite dimension."""
     _require(q)
     h = q.hopf
-    f = h.field
-    ih = identity_map(f, h.dim)
-    if side == "left":
-        coact = q.projection.tensor(ih) @ h.comult
-    elif side == "right":
-        coact = ih.tensor(q.projection) @ h.comult
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    v = ComoduleData(f, h.dim, coact, q.coalgebra, side,
-                     name=f"{h.name or 'H'} over quotient")
+    v = quotient_coaction(q, side, f"{h.name or 'H'} over quotient")
     mod = comodule_to_dual_module(v)
     return module_flatness(mod, carrier_labels=tuple(f"{l}*" for l in h.labels))
 
@@ -520,8 +524,9 @@ def roundtrip_correspondence(h, subalgebras=(), quotients=()):
         rep.add(f"{nm}: isomorphism-commutes-with-projections", commutes)
         co = is_coalgebra_map(phi, q2.coalgebra, q.coalgebra)
         rep.add(f"{nm}: isomorphism-is-coalgebra-map", co.ok)
-        rep.add(f"{nm}: isomorphism-invertible", rank(phi) == q.dim,
-                None if rank(phi) == q.dim else f"rank {rank(phi)} of {q.dim}")
+        r = rank(phi)
+        rep.add(f"{nm}: isomorphism-invertible", r == q.dim,
+                None if r == q.dim else f"rank {r} of {q.dim}")
     return rep
 
 
@@ -565,20 +570,22 @@ def coideal_as_relhopf(a, name=""):
     return rel
 
 
-def _aplus_coords(a):
-    f = a.hopf.field
-    return [a.space.coords(r) for r in augmentation_ideal(a).rows]
+def _times_aplus(mod, a):
+    """The subspace M.A+ of a right module M over a verified coideal
+    subalgebra A, spanned by the columns of the action of each basis
+    vector of the augmentation ideal A+."""
+    cols = []
+    for r in augmentation_ideal(a).rows:
+        op = mod.act_by(a.space.coords(r))
+        cols.extend(op.column(j) for j in range(mod.dim))
+    return Subspace.from_vectors(mod.field, mod.dim, cols)
 
 
 def phi_quotient(m, a, q):
     """M |-> M / M.A+ with the corestricted coaction into the quotient
     coalgebra.  Returns (comodule, projection, section, well_defined)."""
     f = m.field
-    cols = []
-    for ac in _aplus_coords(a):
-        op = m.module.act_by(ac)
-        cols.extend(op.column(j) for j in range(m.dim))
-    maplus = Subspace.from_vectors(f, m.dim, cols)
+    maplus = _times_aplus(m.module, a)
     proj, sect = _quotient_maps(maplus)
     amb = proj.tensor(q.projection) @ m.comodule.coaction
     well_defined = maplus.dim == 0 or (amb @ maplus.basis_map()).is_zero()
@@ -595,9 +602,7 @@ def psi_cotensor(n, a, q):
     f = h.field
     ih = identity_map(f, h.dim)
     i_n = identity_map(f, n.dim)
-    left_h = ComoduleData(f, h.dim, q.projection.tensor(ih) @ h.comult,
-                          q.coalgebra, "left")
-    s = cotensor(n, left_h)
+    s = cotensor(n, quotient_coaction(q, "left"))
     ambient_com = ComoduleData(f, n.dim * h.dim, i_n.tensor(h.comult),
                                h.coalgebra, "right")
     com, _ = comodule_on_subspace(ambient_com, s)
@@ -624,6 +629,17 @@ class MWResult:
         return self.ok
 
 
+def default_test_comodules(q):
+    """The comodules over a quotient coalgebra that the equivalence is
+    checked on by default: its regular comodule and each simple comodule."""
+    b = q.coalgebra
+    out = [regular_comodule_of(b, q.name or "B")]
+    for i, s in enumerate(simple_comodules(b)):
+        s.name = f"simple comodule {i}"
+        out.append(s)
+    return out
+
+
 def mw_equivalence_check(a, test_modules=None, test_comodules=None):
     """Both composites of the equivalence between relative Hopf modules and
     quotient-coalgebra comodules, on explicit test objects.
@@ -640,18 +656,13 @@ def mw_equivalence_check(a, test_modules=None, test_comodules=None):
     h = a.hopf
     f = h.field
     q = quotient_module_coalgebra(a)
-    b = q.coalgebra
     if test_modules is None:
         test_modules = [
             regular_relhopf(h, a.algebra, a.inclusion, name=h.name or "H"),
             coideal_as_relhopf(a),
         ]
     if test_comodules is None:
-        test_comodules = [ComoduleData(f, b.dim, b.comult, b, "right",
-                                       name=q.name or "B")]
-        for i, s in enumerate(simple_comodules(b)):
-            s.name = f"simple comodule {i}"
-            test_comodules.append(s)
+        test_comodules = default_test_comodules(q)
 
     rep = CertReport(f"module-comodule equivalence over {a.name or 'A'}")
     ih = identity_map(f, h.dim)
@@ -666,9 +677,10 @@ def mw_equivalence_check(a, test_modules=None, test_comodules=None):
         u = s.coords_map() @ amb_u
         lands = (s.basis_map() @ u) == amb_u
         rep.add(f"{nm}: unit-lands-in-cotensor", lands)
-        bij = s.dim == m.dim and rank(u) == m.dim
+        ru = rank(u)
+        bij = s.dim == m.dim and ru == m.dim
         rep.add(f"{nm}: unit-bijective", bij,
-                None if bij else f"rank {rank(u)}, dims {m.dim} vs {s.dim}")
+                None if bij else f"rank {ru}, dims {m.dim} vs {s.dim}")
         if lands and bij:
             rep.add(f"{nm}: unit-colinear",
                     comodule_morphism_ok(u, m.comodule, psi_rel.comodule))
@@ -681,19 +693,16 @@ def mw_equivalence_check(a, test_modules=None, test_comodules=None):
         nm = n.name or "N"
         psi_rel, s = psi_cotensor(n, a, q)
         rep.merge(check_relhopf(psi_rel), f"{nm}: cotensor ")
-        cols = []
-        for ac in _aplus_coords(a):
-            op = psi_rel.module.act_by(ac)
-            cols.extend(op.column(j) for j in range(psi_rel.dim))
-        naplus = Subspace.from_vectors(f, psi_rel.dim, cols)
+        naplus = _times_aplus(psi_rel.module, a)
         proj2, sect2 = _quotient_maps(naplus)
         ev = identity_map(f, n.dim).tensor(h.counit) @ s.basis_map()
         wd = naplus.dim == 0 or (ev @ naplus.basis_map()).is_zero()
         rep.add(f"{nm}: counit-map-well-defined", wd)
         c = ev @ sect2
-        bij = proj2.rows == n.dim and rank(c) == n.dim
+        rc = rank(c)
+        bij = proj2.rows == n.dim and rc == n.dim
         rep.add(f"{nm}: counit-bijective", bij,
-                None if bij else f"rank {rank(c)}, dims {proj2.rows} vs {n.dim}")
+                None if bij else f"rank {rc}, dims {proj2.rows} vs {n.dim}")
         if wd and bij:
             phin, _, _, _ = phi_quotient(psi_rel, a, q)
             rep.add(f"{nm}: counit-colinear", comodule_morphism_ok(c, phin, n))
@@ -712,14 +721,13 @@ def coideal_annihilator(p, z, name=""):
     subalgebra wins, and if neither does both failure reports are raised."""
     u, h = p.u, p.h
     f = u.field
-    zu = Subspace.from_vectors(
-        f, u.dim * u.dim,
+    bad = _first_coproduct_outside(
+        u.comult, z.rows,
         [_times_basis(f, r, u.dim, j) for r in z.rows for j in range(u.dim)])
-    for i, r in enumerate(z.rows):
-        if not zu.contains(u.comult.apply(r)):
-            raise ValueError(
-                f"the subspace is not a right coideal of {u.name or 'U'} "
-                f"(basis element {i})")
+    if bad is not None:
+        raise ValueError(
+            f"the subspace is not a right coideal of {u.name or 'U'} "
+            f"(basis element {bad})")
     failures = CertReport(name or "coideal annihilator")
     for side in ("right", "left"):
         mod = hit_action(p, side)
@@ -816,21 +824,14 @@ def _direct_sum(m1, m2):
                       name=f"{m1.name or 'M'} (+) {m2.name or 'N'}")
 
 
-def _cyclic_closure(m, vec):
-    f = m.field
-    span = Subspace.from_vectors(f, m.dim, [vec])
-    ops = m.action_operators()
-    while True:
-        grown = span
-        for op in ops:
-            grown = grown.sum_with(Subspace.from_vectors(
-                f, m.dim, [op.apply(r) for r in span.rows]))
-        if grown.dim == span.dim:
-            return span
-        span = grown
+# ses_cross_check takes at most this many proper submodules of a module,
+# and only modules M whose sequences have total dimension 2 dim M at most
+# the dimension cap
+_SUBMODULE_CAP = 12
+_SES_TOTAL_DIM_CAP = 6
 
 
-def _proper_submodules(m, cap=12):
+def _proper_submodules(m):
     f = m.field
     vecs = [basis_vector(f, m.dim, i) for i in range(m.dim)]
     for i in range(m.dim):
@@ -844,11 +845,12 @@ def _proper_submodules(m, cap=12):
         f, m.dim,
         [m.act_by(r).column(i) for r in j.rows for i in range(m.dim)])
     candidates = [rad_image, socle_wrt(m, j)]
-    candidates += [_cyclic_closure(m, v) for v in vecs[: m.dim + 2 * m.dim]]
+    ops = m.action_operators()
+    candidates += [generated_submodule(f, ops, v) for v in vecs[: m.dim + 2 * m.dim]]
     for s in candidates:
         if 0 < s.dim < m.dim and s not in found:
             found.append(s)
-        if len(found) >= cap:
+        if len(found) >= _SUBMODULE_CAP:
             break
     return found
 
@@ -862,7 +864,7 @@ def _exact_seq(u, v, xdim, zdim):
     return inj and mid and surj
 
 
-def ses_cross_check(a, side="left", max_total=6):
+def ses_cross_check(a, side="left"):
     """Definitional oracle for the flatness verdict: over an enumerated
     family of short exact sequences of base-algebra modules (and broken
     variants of each), tensoring with the Hopf algebra preserves and
@@ -888,7 +890,7 @@ def ses_cross_check(a, side="left", max_total=6):
     for i in range(len(simples)):
         for j in range(i, len(simples)):
             pool.append(_direct_sum(simples[i], simples[j]))
-    pool = [m for m in pool if 2 * m.dim <= max_total]
+    pool = [m for m in pool if 2 * m.dim <= _SES_TOTAL_DIM_CAP]
 
     memo = {}  # all modules here are right algx-modules: key by action
 
@@ -926,7 +928,8 @@ def ses_cross_check(a, side="left", max_total=6):
                 reflect_ok = False
     agrees = verdict.ok == (preserve_ok and reflect_ok)
     rep = CertReport(f"definitional flatness cross-check ({side} side)")
-    rep.assume(f"{n_exact} exact sequences enumerated, total dim cap {max_total}")
+    rep.assume(f"{n_exact} exact sequences enumerated, "
+               f"total dim cap {_SES_TOTAL_DIM_CAP}")
     rep.add("definitional-check-agrees", agrees,
             None if agrees else (f"verdict {verdict.ok}, preserve {preserve_ok}, "
                                  f"reflect {reflect_ok}"))

@@ -52,9 +52,6 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def from_int(self, n):
         raise NotImplementedError
 

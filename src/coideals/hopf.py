@@ -12,7 +12,7 @@ from the structure constants, so no d^2 x d^4 map is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .certs import CertReport, VerificationFailed
 from .fields import same_field
@@ -31,18 +31,15 @@ def _decode(index, dims):
     return tuple(reversed(out))
 
 
-def _basis_tuple(labels, idx):
-    return "(" + ", ".join(labels[i] for i in idx) + ")"
-
-
-def first_violation(diff, labels, arity):
-    """Describe the first nonzero column of a difference map as basis labels."""
+def _witness(diff, label_lists):
+    """First nonzero column of a difference map, decoded as a basis tuple
+    with one label list per tensor leg of the source."""
     if diff.is_zero():
         return None
-    cols = sorted({c for (_, c), _ in diff.entries()})
-    c = cols[0]
-    dims = [len(labels)] * arity
-    return _basis_tuple(labels, _decode(c, dims))
+    c = min(cc for (_, cc), _ in diff.entries())
+    dims = [len(lbls) for lbls in label_lists]
+    idx = _decode(c, dims)
+    return "(" + ", ".join(lbls[i] for lbls, i in zip(label_lists, idx)) + ")"
 
 
 def _check_shape(name, m, rows, cols):
@@ -123,12 +120,12 @@ class AlgebraData:
         i_d = identity_map(f, d)
         assoc_diff = (self.mult @ self.mult.tensor(i_d)
                       - self.mult @ i_d.tensor(self.mult))
-        rep.add("assoc", assoc_diff.is_zero(), first_violation(assoc_diff, self.labels, 3))
+        rep.add("assoc", assoc_diff.is_zero(), _witness(assoc_diff, [self.labels] * 3))
         lu = self.mult @ self.unit.tensor(i_d) - i_d
         ru = self.mult @ i_d.tensor(self.unit) - i_d
         unit_diff = lu if not lu.is_zero() else ru
         rep.add("unit", lu.is_zero() and ru.is_zero(),
-                first_violation(unit_diff, self.labels, 1))
+                _witness(unit_diff, [self.labels]))
         return rep
 
 
@@ -177,12 +174,12 @@ class CoalgebraData:
         i_d = identity_map(f, d)
         co_diff = (self.comult.tensor(i_d) @ self.comult
                    - i_d.tensor(self.comult) @ self.comult)
-        rep.add("coassoc", co_diff.is_zero(), first_violation(co_diff, self.labels, 1))
+        rep.add("coassoc", co_diff.is_zero(), _witness(co_diff, [self.labels]))
         lu = self.counit.tensor(i_d) @ self.comult - i_d
         ru = i_d.tensor(self.counit) @ self.comult - i_d
         cu_diff = lu if not lu.is_zero() else ru
         rep.add("counit", lu.is_zero() and ru.is_zero(),
-                first_violation(cu_diff, self.labels, 1))
+                _witness(cu_diff, [self.labels]))
         return rep
 
 
@@ -298,20 +295,21 @@ def check_hopf_axioms(h):
     # comult is an algebra map: Delta(xy) = Delta(x)Delta(y), Delta(1) = 1(x)1
     bad_pair = _comult_multiplicative_violation(h)
     rep.add("comult-multiplicative", bad_pair is None,
-            None if bad_pair is None else _basis_tuple(h.labels, bad_pair))
+            None if bad_pair is None
+            else f"({h.labels[bad_pair[0]]}, {h.labels[bad_pair[1]]})")
     du = h.comult @ h.unit - h.unit.tensor(h.unit)
     rep.add("comult-unital", du.is_zero())
     # counit is an algebra map
     em = h.counit @ h.mult - h.counit.tensor(h.counit)
-    rep.add("counit-multiplicative", em.is_zero(), first_violation(em, h.labels, 2))
+    rep.add("counit-multiplicative", em.is_zero(), _witness(em, [h.labels] * 2))
     one = h.counit @ h.unit
     rep.add("counit-unital", one == identity_map(f, 1))
     # antipode laws: m(S(x)id)Delta = u.eps = m(id(x)S)Delta
     ue = h.unit @ h.counit
     left = h.mult @ h.antipode.tensor(i_d) @ h.comult - ue
-    rep.add("antipode-left", left.is_zero(), first_violation(left, h.labels, 1))
+    rep.add("antipode-left", left.is_zero(), _witness(left, [h.labels]))
     right = h.mult @ i_d.tensor(h.antipode) @ h.comult - ue
-    rep.add("antipode-right", right.is_zero(), first_violation(right, h.labels, 1))
+    rep.add("antipode-right", right.is_zero(), _witness(right, [h.labels]))
     return rep
 
 

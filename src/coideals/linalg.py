@@ -19,7 +19,7 @@ A LinMap is stored sparse: a dict keyed by (row, col), with no zeros kept.
 
 from __future__ import annotations
 
-from .fields import Field, same_field
+from .fields import same_field
 
 
 class DimensionMismatchError(ValueError):

@@ -60,6 +60,7 @@ from .repcats import (
     module_on_subspace,
     recover_coalgebra_map,
     regular_comodule,
+    regular_comodule_of,
     restrict_algebra,
     restricted_comultiplication,
     tensor_comodules,
@@ -69,6 +70,7 @@ from .correspondence import (
     coinvariants,
     is_faithfully_coflat,
     is_faithfully_flat,
+    quotient_coaction,
 )
 
 
@@ -686,24 +688,23 @@ def surjectivity_from_coflatness(q, name=""):
     f = h.field
     b = q.coalgebra
     rep = CertReport(name or "surjectivity from coflatness")
-    rep.add("projection has full rank", rank(q.projection) == b.dim,
-            f"rank {rank(q.projection)} against dim {b.dim}")
+    r = rank(q.projection)
+    rep.add("projection has full rank", r == b.dim,
+            f"rank {r} against dim {b.dim}")
     ih = identity_map(f, h.dim)
-    right = ComoduleData(f, h.dim, ih.tensor(q.projection) @ h.comult,
-                         b, "right", "whole algebra, right quotient coaction")
-    left = ComoduleData(f, h.dim, q.projection.tensor(ih) @ h.comult,
-                        b, "left", "whole algebra, left quotient coaction")
+    right = quotient_coaction(q, "right", "whole algebra, right quotient coaction")
+    left = quotient_coaction(q, "left", "whole algebra, left quotient coaction")
     mixed = cotensor(right, left)
     img = Subspace.from_vectors(f, h.dim * h.dim,
                                 [h.comult.column(i) for i in range(h.dim)])
     rep.add("comultiplication lands in the cotensor",
             mixed.contains_subspace(img))
-    breg = ComoduleData(f, b.dim, b.comult, b, "right", "quotient regular")
-    onesided = cotensor(breg, left)
+    onesided = cotensor(regular_comodule_of(b, "quotient regular"), left)
     proj2 = q.projection.tensor(ih)
     mapped = onesided.coords_map() @ proj2 @ mixed.basis_map()
-    rep.add("projected cotensor map is onto", rank(mapped) == onesided.dim,
-            f"rank {rank(mapped)} against dim {onesided.dim}")
+    r = rank(mapped)
+    rep.add("projected cotensor map is onto", r == onesided.dim,
+            f"rank {r} against dim {onesided.dim}")
     counit_leg = b.counit.tensor(ih)
     rep.add("counit leg identifies the one-sided cotensor",
             rank(counit_leg @ onesided.basis_map()) == onesided.dim)
@@ -736,7 +737,6 @@ def psi_module_functor_report(q, pairs=None):
     translated tensor against the corestriction.  Only this one adjoint
     is asked to respect the action; the report records the asymmetry."""
     h = q.hopf
-    f = h.field
     rep = CertReport("module functor check, corestriction")
     rep.assume("hypothesis set: only the corestriction functor is required "
                "to respect tensoring by a comodule")
@@ -752,14 +752,6 @@ def psi_module_functor_report(q, pairs=None):
         rep.add(f"corestriction square at {nm}",
                 (lhs.coaction - rhs.coaction).is_zero())
     return rep
-
-
-def _left_quotient_comodule(q):
-    h = q.hopf
-    f = h.field
-    return ComoduleData(f, h.dim,
-                        q.projection.tensor(identity_map(f, h.dim)) @ h.comult,
-                        q.coalgebra, "left", "whole algebra, left coaction")
 
 
 @dataclass
@@ -810,7 +802,11 @@ def _gamma_data(x, m, s1, q, left, rep):
     return forward, backward, s1, s2
 
 
-def gamma_isomorphism(x, m, q, seed=20260822, samples=100, precheck=True):
+# seeded random vectors on which gamma_isomorphism rechecks the round trip
+_GAMMA_SAMPLES = 100
+
+
+def gamma_isomorphism(x, m, q, seed=20260822):
     """The mutually inverse comparison between tensoring after cotensoring
     and cotensoring after the translated tensor.
 
@@ -824,14 +820,13 @@ def gamma_isomorphism(x, m, q, seed=20260822, samples=100, precheck=True):
     h = q.hopf
     rep = CertReport(f"tensor/cotensor comparison at "
                      f"({_obj_name(x)}, {_obj_name(m)})")
-    if precheck:
-        if not antipode_bijective(h)[0]:
-            raise ValueError("antipode is not bijective")
-        fc = is_faithfully_coflat(q, "left")
-        rep.add("faithfully coflat over the quotient", fc.ok)
-        if not fc.ok:
-            raise VerificationFailed(rep)
-    left = _left_quotient_comodule(q)
+    if not antipode_bijective(h)[0]:
+        raise ValueError("antipode is not bijective")
+    fc = is_faithfully_coflat(q, "left")
+    rep.add("faithfully coflat over the quotient", fc.ok)
+    if not fc.ok:
+        raise VerificationFailed(rep)
+    left = quotient_coaction(q, "left", "whole algebra, left coaction")
     forward, backward, s1, s2 = _gamma_data(x, m, cotensor(m, left), q,
                                             left, rep)
     f = h.field
@@ -840,18 +835,17 @@ def gamma_isomorphism(x, m, q, seed=20260822, samples=100, precheck=True):
     rep.add("backward after forward is the identity", d1.is_zero())
     d2 = forward @ backward - identity_map(f, s2.dim)
     rep.add("forward after backward is the identity", d2.is_zero())
-    if samples:
-        rng = random.Random(seed)
-        bad = None
-        for t in range(samples):
-            vec = tuple(f.from_int(rng.randint(-3, 3)) for _ in range(dsrc))
-            out = backward.apply(forward.apply(vec))
-            if out != vec:
-                bad = (t, vec)
-                break
-        rep.add(f"round trip on {samples} seeded random vectors", bad is None,
-                None if bad is None else f"vector {bad[0]}: {bad[1]}")
-        rep.assume(f"pseudo-random check seeded with {seed}")
+    rng = random.Random(seed)
+    bad = None
+    for t in range(_GAMMA_SAMPLES):
+        vec = tuple(f.from_int(rng.randint(-3, 3)) for _ in range(dsrc))
+        out = backward.apply(forward.apply(vec))
+        if out != vec:
+            bad = (t, vec)
+            break
+    rep.add(f"round trip on {_GAMMA_SAMPLES} seeded random vectors", bad is None,
+            None if bad is None else f"vector {bad[0]}: {bad[1]}")
+    rep.assume(f"pseudo-random check seeded with {seed}")
     return GammaResult(forward, backward, s1, s2, rep)
 
 
@@ -878,7 +872,7 @@ def _cotensor_psi(q, objects, morphisms):
     h = q.hopf
     f = h.field
     b = q.coalgebra
-    left = _left_quotient_comodule(q)
+    left = quotient_coaction(q, "left", "whole algebra, left coaction")
     memo = {}
 
     def cotensored(n):
@@ -922,7 +916,7 @@ def _cotensor_psi(q, objects, morphisms):
 
     if objects is None:
         objects = (trivial_comodule(h), regular_comodule(h))
-    targets = (ComoduleData(f, b.dim, b.comult, b, "right", "quotient regular"),)
+    targets = (regular_comodule_of(b, "quotient regular"),)
     adj = AdjunctionData(f"corestriction/cotensor over {q.name or 'quotient'}",
                          left_on_objects, left_on_maps, right_on_objects,
                          right_on_maps, unit, counit, tuple(objects),
@@ -997,7 +991,7 @@ def theorem2_pipeline(q, objects=None, name=""):
     stages = []
 
     sub = CertReport("coalgebra map recovery")
-    lam = identity_map(f, h.dim).tensor(q.projection) @ h.comult
+    lam = quotient_coaction(q, "right").coaction
     psi, rrep = recover_coalgebra_map(h, q.coalgebra, lam, certify=False)
     sub.merge(rrep)
     sub.add("recovered map equals the projection",

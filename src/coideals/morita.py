@@ -10,7 +10,9 @@ Conventions.  A (C, D)-bicomodule has a left C-coaction and a right
 D-coaction that commute.  Map spaces are flattened entry-major, tensor
 legs row-major, as everywhere else in the package.  The dual of a right
 comodule is a left comodule over the same coalgebra (structure constants
-transposed), and vice versa; both directions appear below.
+transposed), and vice versa; both directions appear below.  Regular
+comodules come from repcats.regular_comodule_of, which this module
+re-exports.
 """
 
 from dataclasses import dataclass
@@ -36,17 +38,12 @@ from .repcats import (
     hom_colinear,
     is_coalgebra_map,
     cotensor,
+    regular_comodule_of,
 )
 
 
 def _obj_name(v, fallback="comodule"):
     return getattr(v, "name", "") or fallback
-
-
-def regular_comodule_of(c, name=""):
-    """A coalgebra coacting on itself by its comultiplication."""
-    return ComoduleData(c.field, c.dim, c.comult, c, "right",
-                        name or "regular comodule")
 
 
 def dual_comodule(v):
@@ -159,7 +156,12 @@ class CohomResult:
         return self.report.ok
 
 
-def cohom(x, y, widths=(1, 2), certify=True, name=""):
+# the widths w of the trivial comodules W = k^w at which cohom certifies
+# its adjunction bijection, and its naturality from the first to the second
+_COHOM_WIDTHS = (1, 2)
+
+
+def cohom(x, y, certify=True, name=""):
     """Left adjoint of W -> W (x) X_right at the D-comodule y, as a right
     comodule over the left coalgebra of the bicomodule x.
 
@@ -187,7 +189,7 @@ def cohom(x, y, widths=(1, 2), certify=True, name=""):
     rep.merge(check_comodule(com), "value ")
 
     ix = identity_map(f, x.dim)
-    for w in widths:
+    for w in _COHOM_WIDTHS:
         iw = identity_map(f, w)
         wx = ComoduleData(f, w * x.dim, iw.tensor(xr.coaction), xr.over,
                           "right", f"width {w} against X")
@@ -198,18 +200,17 @@ def cohom(x, y, widths=(1, 2), certify=True, name=""):
         proj = t.basis_map() @ t.coords_map()
         stray = j - proj @ j
         rep.add(f"bijection image is colinear at width {w}", stray.is_zero())
-        rep.add(f"bijection at width {w}",
-                rank(j) == w * s.dim == t.dim,
-                f"rank {rank(j)}, target dimension {t.dim}")
-    if len(widths) >= 2:
-        w1, w2 = widths[0], widths[1]
-        step = LinMap(f, w2, w1, {(i, j): f.from_int(i + j + 1)
-                                  for i in range(w2) for j in range(w1)})
-        j1 = identity_map(f, w1).tensor(s.basis_map())
-        j2 = identity_map(f, w2).tensor(s.basis_map())
-        lhs = step.tensor(ix).tensor(identity_map(f, y.dim)) @ j1
-        rhs = j2 @ step.tensor(identity_map(f, s.dim))
-        rep.add("bijection natural in the width", (lhs - rhs).is_zero())
+        r = rank(j)
+        rep.add(f"bijection at width {w}", r == w * s.dim == t.dim,
+                f"rank {r}, target dimension {t.dim}")
+    w1, w2 = _COHOM_WIDTHS
+    step = LinMap(f, w2, w1, {(i, j): f.from_int(i + j + 1)
+                              for i in range(w2) for j in range(w1)})
+    j1 = identity_map(f, w1).tensor(s.basis_map())
+    j2 = identity_map(f, w2).tensor(s.basis_map())
+    lhs = step.tensor(ix).tensor(identity_map(f, y.dim)) @ j1
+    rhs = j2 @ step.tensor(identity_map(f, s.dim))
+    rep.add("bijection natural in the width", (lhs - rhs).is_zero())
     if certify and not rep.ok:
         raise VerificationFailed(rep)
     return CohomResult(x, y, s, com, rep)
@@ -333,8 +334,9 @@ def coend_regular_isomorphism(c, certify=True):
             ent[(h, y)] = val
     iota = LinMap(f, ce.dim, c.dim, ent)
     rep.merge(is_coalgebra_map(iota, c, ce.coalgebra), "witness ")
-    rep.add("witness bijective", rank(iota) == c.dim == ce.dim,
-            f"rank {rank(iota)}, dimensions {c.dim} and {ce.dim}")
+    r = rank(iota)
+    rep.add("witness bijective", r == c.dim == ce.dim,
+            f"rank {r}, dimensions {c.dim} and {ce.dim}")
     if certify and not rep.ok:
         raise VerificationFailed(rep)
     return CoendRegularResult(ce, iota, rep)
@@ -438,12 +440,13 @@ def verify_pre_equivalence(e, test_objects=None):
     s2 = e.g.tensor(iq) @ e.q.left_coaction - iq.tensor(e.f) @ e.q.right_coaction
     rep.add("second compatibility square", s2.is_zero())
 
-    f_bij = rank(e.f) == e.gamma.dim == ct_pq.dim
-    g_bij = rank(e.g) == e.d.dim == ct_qp.dim
+    rf, rg = rank(e.f), rank(e.g)
+    f_bij = rf == e.gamma.dim == ct_pq.dim
+    g_bij = rg == e.d.dim == ct_qp.dim
     rep.add("f bijective onto the cotensor", f_bij,
-            f"rank {rank(e.f)}, dimensions {e.gamma.dim} and {ct_pq.dim}")
+            f"rank {rf}, dimensions {e.gamma.dim} and {ct_pq.dim}")
     rep.add("g bijective onto the cotensor", g_bij,
-            f"rank {rank(e.g)}, dimensions {e.d.dim} and {ct_qp.dim}")
+            f"rank {rg}, dimensions {e.d.dim} and {ct_qp.dim}")
     if not rep.ok:
         return rep
 
@@ -459,9 +462,10 @@ def verify_pre_equivalence(e, test_objects=None):
         proj = dv.basis_map() @ dv.coords_map()
         rep.add(f"{word} composite lands in the iterated cotensor at {nm}",
                 (eta - proj @ eta).is_zero())
+        r = rank(eta)
         rep.add(f"{word} composite is an isomorphism at {nm}",
-                rank(eta) == v.dim == dv.dim,
-                f"rank {rank(eta)}, dimensions {v.dim} and {dv.dim}")
+                r == v.dim == dv.dim,
+                f"rank {r}, dimensions {v.dim} and {dv.dim}")
 
     for v in test_objects:
         if v.side != "right":

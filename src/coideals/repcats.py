@@ -16,6 +16,13 @@ Structure theory is exact.  The radical comes from the trace form of the
 left regular representation, valid in characteristic zero or characteristic
 p strictly larger than the dimension of the algebra at hand; violating that
 precondition raises instead of returning a wrong answer.
+
+The standard constructions have one builder each, used by every other
+module: regular_comodule_of (the regular comodule of any coalgebra),
+restrict_module (pull-back along an algebra map), generated_submodule
+(the submodule a vector generates) and _quotient_maps (projection and
+section modulo a subspace).  A failed check names its first violating
+basis tuple through hopf._witness.
 """
 
 from __future__ import annotations
@@ -24,7 +31,14 @@ from dataclasses import dataclass
 
 from .certs import CertReport, VerificationFailed
 from .fields import same_field
-from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData, _decode, dual_algebra
+from .hopf import (
+    AlgebraData,
+    CoalgebraData,
+    HopfAlgebraData,
+    _default_labels,
+    _witness,
+    dual_algebra,
+)
 from .linalg import (
     DimensionMismatchError,
     LinMap,
@@ -43,20 +57,6 @@ from .linalg import (
 
 class AmbiguousDecompositionError(ValueError):
     """Raised when the submodule search cannot certify simplicity."""
-
-
-def _lab(stem, dim):
-    return tuple(f"{stem}{i}" for i in range(dim))
-
-
-def _witness(diff, label_lists):
-    """First nonzero column of a difference map, decoded as a basis tuple."""
-    if diff.is_zero():
-        return None
-    c = min(cc for (_, cc), _ in diff.entries())
-    dims = [len(lbls) for lbls in label_lists]
-    idx = _decode(c, dims)
-    return "(" + ", ".join(lbls[i] for lbls, i in zip(label_lists, idx)) + ")"
 
 
 # -- carriers ----------------------------------------------------------
@@ -178,7 +178,7 @@ def check_module(m):
     im = LinMap.identity(f, dm)
     ia = LinMap.identity(f, da)
     rep = CertReport(m.name or f"{m.side} module")
-    lm, la = _lab("m", dm), alg.labels
+    lm, la = _default_labels(dm, "m"), alg.labels
     assoc = act @ act.tensor(ia) - act @ im.tensor(alg.mult)
     rep.add("action-associative", assoc.is_zero(), _witness(assoc, [lm, la, la]))
     unital = act @ im.tensor(alg.unit) - im
@@ -199,7 +199,7 @@ def check_comodule(v):
     iv = LinMap.identity(f, dv)
     ic = LinMap.identity(f, dc)
     rep = CertReport(v.name or f"{v.side} comodule")
-    lv = _lab("v", dv)
+    lv = _default_labels(dv, "v")
     coassoc = rho.tensor(ic) @ rho - iv.tensor(co.comult) @ rho
     rep.add("coaction-coassociative", coassoc.is_zero(), _witness(coassoc, [lv]))
     counital = iv.tensor(co.counit) @ rho - iv
@@ -223,7 +223,7 @@ def restricted_comultiplication(h, inclusion):
     delta = retr.tensor(ih) @ h.comult @ inclusion
     diff = inclusion.tensor(ih) @ delta - h.comult @ inclusion
     return delta, ("coproduct-stays-in-subspace", diff.is_zero(),
-                   _witness(diff, [_lab("a", inclusion.cols)]))
+                   _witness(diff, [_default_labels(inclusion.cols, "a")]))
 
 
 def check_relhopf(x):
@@ -247,7 +247,7 @@ def check_relhopf(x):
             @ rho.tensor(delta)
         diff = rho @ act - rhs
         rep.add("coaction-module-compatible", diff.is_zero(),
-                _witness(diff, [_lab("m", dm), _lab("a", da)]))
+                _witness(diff, [_default_labels(dm, "m"), _default_labels(da, "a")]))
     return rep
 
 
@@ -260,7 +260,8 @@ def check_bicomodule(x):
     idd = LinMap.identity(f, x.right_over.dim)
     diff = ic.tensor(x.right_coaction) @ x.left_coaction \
         - x.left_coaction.tensor(idd) @ x.right_coaction
-    rep.add("coactions-commute", diff.is_zero(), _witness(diff, [_lab("v", x.dim)]))
+    rep.add("coactions-commute", diff.is_zero(),
+            _witness(diff, [_default_labels(x.dim, "v")]))
     return rep
 
 
@@ -288,10 +289,16 @@ def regular_module(a, side="right"):
     return ModuleData(a.field, a.dim, a.mult, a, side, name=f"regular {side} module")
 
 
+def regular_comodule_of(c, name=""):
+    """A coalgebra coacting on itself by its comultiplication."""
+    return ComoduleData(c.field, c.dim, c.comult, c, "right",
+                        name or "regular comodule")
+
+
 def regular_comodule(h):
-    """A Hopf algebra coacting on itself by its comultiplication."""
-    return ComoduleData(h.field, h.dim, h.comult, h.coalgebra, "right",
-                        name=f"{h.name or 'H'} regular comodule")
+    """The regular comodule of a Hopf algebra's coalgebra, named after the
+    Hopf algebra."""
+    return regular_comodule_of(h.coalgebra, f"{h.name or 'H'} regular comodule")
 
 
 def trivial_comodule_at(c, grouplike, name="trivial comodule"):
@@ -323,21 +330,14 @@ def tensor_comodules(h, v, w, name=""):
     return ComoduleData(f, v.dim * w.dim, out, h.coalgebra, "right", name)
 
 
-def restrict_module(m, subalg, incl):
-    """View a module over a subalgebra given by structure constants plus an
-    inclusion into the acting algebra's coefficient space."""
+def restrict_module(m, alg, phi):
+    """Pull a module back along an algebra map phi from alg into the acting
+    algebra: restriction to a subalgebra along its inclusion, or inflation
+    from a quotient along its projection."""
     f = m.field
     im = LinMap.identity(f, m.dim)
-    act = m.action @ (im.tensor(incl) if m.side == "right" else incl.tensor(im))
-    return ModuleData(f, m.dim, act, subalg, m.side, m.name)
-
-
-def inflate_module(m, bigger, proj):
-    """Pull a module over a quotient algebra back along the projection."""
-    f = m.field
-    im = LinMap.identity(f, m.dim)
-    act = m.action @ (im.tensor(proj) if m.side == "right" else proj.tensor(im))
-    return ModuleData(f, m.dim, act, bigger, m.side, m.name)
+    act = m.action @ (im.tensor(phi) if m.side == "right" else phi.tensor(im))
+    return ModuleData(f, m.dim, act, alg, m.side, m.name)
 
 
 def corestrict_comodule(v, b, psi):
@@ -359,6 +359,15 @@ def is_coalgebra_map(psi, src, dst):
     return rep
 
 
+def _colinearity_defect(v, w):
+    """The map fm |-> w.coaction o fm - (fm (x) id) o v.coaction, with
+    id (x) fm for left comodules; it vanishes exactly on colinear maps."""
+    ic = LinMap.identity(v.field, v.over.dim)
+    if v.side == "right":
+        return lambda fm: w.coaction @ fm - fm.tensor(ic) @ v.coaction
+    return lambda fm: w.coaction @ fm - ic.tensor(fm) @ v.coaction
+
+
 def hom_colinear(v, w):
     """Subspace of maps V -> W commuting with the coactions, flattened
     entry-major into k^(dimW*dimV)."""
@@ -366,15 +375,8 @@ def hom_colinear(v, w):
         raise ValueError("hom between comodules on different sides")
     if v.over.dim != w.over.dim or v.over.comult != w.over.comult:
         raise ValueError("hom between comodules over different coalgebras")
-    f = v.field
-    ic = LinMap.identity(f, v.over.dim)
-    if v.side == "right":
-        def cond(fm):
-            return w.coaction @ fm - fm.tensor(ic) @ v.coaction
-    else:
-        def cond(fm):
-            return w.coaction @ fm - ic.tensor(fm) @ v.coaction
-    op = matrix_of_operator(f, (w.dim, v.dim), (w.coaction.rows, v.dim), cond)
+    op = matrix_of_operator(v.field, (w.dim, v.dim), (w.coaction.rows, v.dim),
+                            _colinearity_defect(v, w))
     return kernel_of(op)
 
 
@@ -395,12 +397,7 @@ def hom_linear(m1, m2):
 
 
 def comodule_morphism_ok(fm, v, w):
-    ic = LinMap.identity(v.field, v.over.dim)
-    if v.side == "right":
-        diff = w.coaction @ fm - fm.tensor(ic) @ v.coaction
-    else:
-        diff = w.coaction @ fm - ic.tensor(fm) @ v.coaction
-    return diff.is_zero()
+    return _colinearity_defect(v, w)(fm).is_zero()
 
 
 def cotensor(v, w):
@@ -519,31 +516,21 @@ def is_cosemisimple(c):
     return CosemisimplicityResult(r.dim == 0, r.dim)
 
 
-def quotient_algebra(a, ideal, label_fmt="[{}]"):
+def quotient_algebra(a, ideal):
     """Quotient by a two-sided ideal, presented on the non-pivot coordinates
     of the ideal's canonical basis.  Returns (algebra, projection, section)."""
     f = a.field
-    d = a.dim
-    nonpiv = [c for c in range(d) if c not in ideal.pivots]
-    qd = len(nonpiv)
-    # reduction modulo the ideal: column p (pivot) becomes e_p - (pivot row)
-    ent = {(j, j): f.one for j in range(d)}
-    for row, p in zip(ideal.rows, ideal.pivots):
-        for i, x in enumerate(row):
-            if x != f.zero:
-                ent[(i, p)] = f.sub(ent.get((i, p), f.zero), x)
-    redm = LinMap(f, d, d, ent)
-    sel = LinMap(f, qd, d, {(k, nonpiv[k]): f.one for k in range(qd)})
-    proj = sel @ redm
-    sect = LinMap(f, d, qd, {(nonpiv[k], k): f.one for k in range(qd)})
+    proj, sect = _quotient_maps(ideal)
     if ideal.dim:
         bm = ideal.basis_map()
-        idm = LinMap.identity(f, d)
+        idm = LinMap.identity(f, a.dim)
         if not (proj @ a.mult @ bm.tensor(idm)).is_zero() \
                 or not (proj @ a.mult @ idm.tensor(bm)).is_zero():
             raise ValueError("quotient by a subspace that is not a two-sided ideal")
-    labels = tuple(label_fmt.format(a.labels[i]) for i in nonpiv)
-    q = AlgebraData(f, qd, proj @ a.mult @ sect.tensor(sect), proj @ a.unit, labels)
+    piv = set(ideal.pivots)
+    labels = tuple(f"[{lbl}]" for i, lbl in enumerate(a.labels) if i not in piv)
+    q = AlgebraData(f, proj.rows, proj @ a.mult @ sect.tensor(sect),
+                    proj @ a.unit, labels)
     return q, proj, sect
 
 
@@ -698,6 +685,15 @@ def algebra_from_matrix_span(field, span, n):
     return alg, basis
 
 
+def _combination(field, n, basis, coeffs):
+    """The n x n matrix sum of c * basis[j] over the coefficients."""
+    m = LinMap.zero(field, n, n)
+    for j, c in enumerate(coeffs):
+        if c != field.zero:
+            m = m + basis[j].scale(c)
+    return m
+
+
 def _span_mats(field, mats, n):
     """Canonical basis matrices of the span of the given matrices."""
     if not mats:
@@ -717,14 +713,8 @@ def commutant_in_span(field, basis, gens, n):
                 if x != field.zero:
                     ent[(gi * per + i, j)] = x
     ker = kernel_of(LinMap(field, len(gens) * per, len(basis), ent))
-    mats = []
-    for row in ker.rows:
-        m = LinMap.zero(field, n, n)
-        for j, c in enumerate(row):
-            if c != field.zero:
-                m = m + basis[j].scale(c)
-        mats.append(m)
-    return _span_mats(field, mats, n)
+    return _span_mats(field, [_combination(field, n, basis, row)
+                              for row in ker.rows], n)
 
 
 def full_commutant(field, gens, n):
@@ -748,6 +738,18 @@ def _split_by_minpoly(field, cand, n):
     return None
 
 
+def generated_submodule(f, ops, vec):
+    """The smallest subspace containing vec and stable under every operator
+    in ops: the submodule vec generates when ops are the action operators."""
+    span = Subspace.from_vectors(f, len(vec), [vec])
+    prev = -1
+    while span.dim != prev:
+        prev = span.dim
+        imgs = [op.apply(r) for op in ops for r in span.rows]
+        span = span.sum_with(Subspace.from_vectors(f, len(vec), imgs))
+    return span
+
+
 def invariant_subspace(m):
     """A proper nonzero subspace invariant under a right module action, or
     None when the module is certified simple.
@@ -762,14 +764,9 @@ def invariant_subspace(m):
     if n <= 1:
         return None
     ops = m.action_operators()
-    # cheap first pass: the cyclic span of each coordinate vector
+    # cheap first pass: the submodule each coordinate vector generates
     for k in range(n):
-        span = Subspace.from_vectors(f, n, [basis_vector(f, n, k)])
-        prev = -1
-        while span.dim != prev:
-            prev = span.dim
-            imgs = [op.apply(r) for op in ops for r in span.rows]
-            span = span.sum_with(Subspace.from_vectors(f, n, imgs))
+        span = generated_submodule(f, ops, basis_vector(f, n, k))
         if 0 < span.dim < n:
             return span
     span, _ = matrix_algebra_closure(f, ops, n)
@@ -777,13 +774,7 @@ def invariant_subspace(m):
     _char_guard(f, e_alg.dim, "the action algebra")
     j = radical(e_alg)
     if j.dim > 0:
-        mats = []
-        for row in j.rows:
-            mm = LinMap.zero(f, n, n)
-            for idx, c in enumerate(row):
-                if c != f.zero:
-                    mm = mm + basis[idx].scale(c)
-            mats.append(mm)
+        mats = [_combination(f, n, basis, row) for row in j.rows]
         cols = [mm.apply(basis_vector(f, n, k)) for mm in mats for k in range(n)]
         sub = Subspace.from_vectors(f, n, cols)
         if not 0 < sub.dim < n:
@@ -861,7 +852,7 @@ def radical_and_simples(a):
     j = radical(a)
     q, proj, _ = quotient_algebra(a, j)
     simples = distinct_modules(composition_factors(regular_module(q, "right")))
-    return j, [inflate_module(s, a, proj) for s in simples]
+    return j, [restrict_module(s, a, proj) for s in simples]
 
 
 def simple_comodules(c):

@@ -54,6 +54,7 @@ from .morita import (
 from .repcats import (
     ComoduleData,
     regular_comodule,
+    regular_comodule_of,
     regular_module,
     regular_relhopf,
     trivial_comodule,
@@ -230,10 +231,8 @@ def criterion_7(seed):
     t0 = perf_counter()
     h = sweedler4()
     q = quotient_module_coalgebra(_grouplike_sub(h))
-    breg = ComoduleData(QQ, q.dim, q.coalgebra.comult, q.coalgebra,
-                        "right", "quotient regular")
-    res = gamma_isomorphism(regular_comodule(h), breg, q,
-                            seed=seed, samples=100)
+    breg = regular_comodule_of(q.coalgebra, "quotient regular")
+    res = gamma_isomorphism(regular_comodule(h), breg, q, seed=seed)
     dt = perf_counter() - t0
     if not res.ok:
         return False, "comparison map checks failed"

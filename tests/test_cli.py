@@ -7,8 +7,14 @@ comparison of reports across repeated runs with a fixed seed.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import coideals
 
 from coideals.catalog import (
     coset_function_subspace,
@@ -17,7 +23,7 @@ from coideals.catalog import (
     sweedler4,
     symmetric_group_3,
 )
-from coideals.cli import main
+from coideals.cli import DIM_CAP_VAR, main
 from coideals.correspondence import (
     quotient_module_coalgebra,
     verify_coideal_subalgebra,
@@ -118,6 +124,23 @@ class TestCatalogAndCheck:
         code, out, _ = run(capsys, "catalog", "taft", "3", "7")
         assert code == 0
         assert "check FAIL" not in out
+
+    @pytest.mark.parametrize("argv", [("taft", "20", "41"), ("kC1000",)],
+                             ids=["taft-dim-400", "kC1000"])
+    def test_oversized_catalog_instance_is_refused_before_it_is_built(
+            self, argv):
+        # building either instance takes longer than the timeout (kC1000
+        # runs the group table's cubic associativity loop), so the cap
+        # must be checked on the dimension read off the parameters
+        src = str(Path(coideals.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != DIM_CAP_VAR}
+        env.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "coideals.cli", "catalog", *argv],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert out.returncode == 2, out.stderr
+        assert "above the cap" in out.stderr
+        assert out.stdout == ""
 
     def test_unknown_name_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "catalog", "nope")

@@ -30,8 +30,14 @@ from coideals import correspondence
 from coideals.certs import VerificationFailed
 from coideals.fields import QQ
 from coideals.hopf import check_pairing
-from coideals.linalg import LinMap, Subspace, basis_vector
-from coideals.repcats import ComoduleData, check_relhopf, regular_module, regular_relhopf
+from coideals.linalg import LinMap, Subspace, basis_vector, identity_map
+from coideals.repcats import (
+    ComoduleData,
+    check_comodule,
+    check_relhopf,
+    regular_module,
+    regular_relhopf,
+)
 from coideals.correspondence import (
     NEITHER,
     QUANTUM_HOMOGENEOUS_SPACE,
@@ -48,6 +54,7 @@ from coideals.correspondence import (
     mw_equivalence_check,
     phi_quotient,
     psi_cotensor,
+    quotient_coaction,
     quotient_module_coalgebra,
     roundtrip_correspondence,
     ses_cross_check,
@@ -285,6 +292,29 @@ def test_coflatness_of_quotients(h4, a_1g):
     assert is_faithfully_coflat(qk, "left").free_rank == 4
     qh = quotient_module_coalgebra(verify_coideal_subalgebra(h4, span4(0)))
     assert is_faithfully_coflat(qh, "left").free_rank == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quotient_module_coalgebra(verify_coideal_subalgebra(
+        sweedler4(), span4(0, 2), name="span{1,g}")),
+    lambda: subgroup_data(QQ, symmetric_group_3(), (0, 3))[2],
+], ids=["sweedler4-grouplike", "kS3-functions-cosets"])
+def test_quotient_coaction_is_the_projected_comultiplication(build):
+    # oracle: the coactions of H over B written out as (pi (x) id) Delta on
+    # the left and (id (x) pi) Delta on the right
+    q = build()
+    h = q.hopf
+    ih = identity_map(QQ, h.dim)
+    want = {"left": q.projection.tensor(ih) @ h.comult,
+            "right": ih.tensor(q.projection) @ h.comult}
+    for side, coaction in want.items():
+        v = quotient_coaction(q, side, "H over B")
+        assert (v.dim, v.side, v.name) == (h.dim, side, "H over B")
+        assert v.over is q.coalgebra
+        assert v.coaction == coaction
+        assert check_comodule(v).ok, str(check_comodule(v))
+    with pytest.raises(ValueError, match="side must be"):
+        quotient_coaction(q, "both")
 
 
 def h4_subalgebra_spans():

@@ -1,0 +1,40 @@
+"""The demo scripts print the same bytes: each runs in a fresh process and
+its stdout is compared with a sha256 digest recorded from the demos'
+output before the helpers they reach were folded together."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coideals
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+DIGESTS = {
+    "coend_equivalence.py":
+        "965a8f283bc6ebde762cf17b1d04c2501860646c9fb909148124e906f0948937",
+    "correspondence_tour.py":
+        "df6bbb17a5fc6633699e016d488aa2fd19d0dceb79314ff8fb634021b9b7ddac",
+    "group_function_subgroups.py":
+        "800f6b0396dba997e4bc6c2125131e11bcf69eb3517d880300d175b2e82cb333",
+    "reconstruction_pipeline.py":
+        "0e45c0f527d76d6a7ea8f3bd312342aeabf18aeec48b69ce33ec33c123f23100",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_demo_stdout_is_pinned(name):
+    src = str(Path(coideals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, str(DEMOS / name)],
+                         capture_output=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr.decode()
+    assert hashlib.sha256(out.stdout).hexdigest() == DIGESTS[name]

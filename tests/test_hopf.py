@@ -7,6 +7,7 @@ the level of whole matrices.
 """
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -37,12 +38,12 @@ from coideals.hopf import (
     CoalgebraData,
     HopfAlgebraData,
     PairingData,
+    _witness,
     antipode_bijective,
     antipode_order,
     check_hopf_axioms,
     check_pairing,
     dual_hopf,
-    first_violation,
     hit_action,
 )
 from coideals.linalg import DimensionMismatchError, LinMap, basis_vector, swap_map
@@ -103,7 +104,7 @@ def materialized_comult_multiplicative(h):
     i_d = LinMap.identity(f, d)
     mult_hh = h.mult.tensor(h.mult) @ i_d.tensor(swap_map(f, d, d).tensor(i_d))
     dm = h.comult @ h.mult - mult_hh @ h.comult.tensor(h.comult)
-    return dm.is_zero(), first_violation(dm, h.labels, 2)
+    return dm.is_zero(), _witness(dm, [h.labels] * 2)
 
 
 def comult_multiplicative(h):
@@ -159,6 +160,27 @@ def test_broken_comult_multiplicative_reports_first_pair():
     ent[(0, 5)] = Fr(1)
     bad = with_mult(h, LinMap(QQ, 4, 16, ent))
     assert comult_multiplicative(bad) == (False, "(x, x)")
+
+
+@pytest.mark.parametrize("label_lists, column", [
+    ([("a", "b", "c")], 1),
+    ([("a", "b", "c")] * 2, 5),
+    ([("a", "b")] * 3, 6),
+    ([("m0", "m1"), ("x", "y", "z")], 4),
+    ([("v0",), ("p", "q"), ("r", "s", "t")], 4),
+    ([("m0", "m1", "m2"), ("x", "y"), ("x", "y")], 9),
+], ids=["arity1", "arity2", "arity3", "mixed2", "mixed3-unit-leg", "mixed3"])
+def test_witness_names_the_lowest_nonzero_column(label_lists, column):
+    # oracle: the product of the label lists in row-major order lists the
+    # basis tuples in the order of the columns of a map out of the tensor
+    # product; the entry first in row-major order sits in the last column,
+    # so the witness must take the lowest column over all rows
+    tuples = list(itertools.product(*label_lists))
+    n = len(tuples)
+    diff = LinMap(QQ, 3, n, {(0, n - 1): QQ.one, (1, column + 1): QQ.one,
+                             (2, column): QQ.from_int(-3)})
+    assert _witness(diff, label_lists) == "(" + ", ".join(tuples[column]) + ")"
+    assert _witness(LinMap.zero(QQ, 3, n), label_lists) is None
 
 
 @pytest.mark.parametrize("build, message", [
