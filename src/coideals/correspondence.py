@@ -65,7 +65,6 @@ from .repcats import (
     is_module_semisimple,
     module_on_quotient,
     module_on_subspace,
-    radical,
     radical_and_simples,
     regular_comodule,
     regular_comodule_of,
@@ -402,14 +401,18 @@ def module_flatness(mod, carrier_labels=()):
     for i in range(1, dm):
         vec = tuple(f.one if j <= i else f.zero for j in range(dm))
         pool.append(("+".join(labels[: i + 1]), vec))
+    # each candidate's block and the span of its columns, built once
+    blocks = []
+    for name, vec in pool:
+        blk = _cover_blocks(mod, vec)
+        blocks.append((name, blk, Subspace.from_vectors(
+            f, dm, [blk.column(j) for j in range(da)])))
     chosen = []
     span = Subspace.zero(f, dm)
     while span.dim < dm:
         best = None
-        for name, vec in pool:
-            blk = _cover_blocks(mod, vec)
-            grown = span.sum_with(Subspace.from_vectors(
-                f, dm, [blk.column(j) for j in range(da)]))
+        for name, blk, cols in blocks:
+            grown = span.sum_with(cols)
             gain = grown.dim - span.dim
             if best is None or gain > best[0]:
                 best = (gain, name, blk, grown)
@@ -831,7 +834,9 @@ _SUBMODULE_CAP = 12
 _SES_TOTAL_DIM_CAP = 6
 
 
-def _proper_submodules(m):
+def _proper_submodules(m, rad):
+    """Up to _SUBMODULE_CAP proper submodules of m; rad is the radical of
+    the algebra m is over."""
     f = m.field
     vecs = [basis_vector(f, m.dim, i) for i in range(m.dim)]
     for i in range(m.dim):
@@ -840,11 +845,10 @@ def _proper_submodules(m):
             vecs.append(tuple(f.add(x, y) for x, y in zip(e_i, e_j)))
             vecs.append(tuple(f.sub(x, y) for x, y in zip(e_i, e_j)))
     found = []
-    j = radical(m.over)
     rad_image = Subspace.from_vectors(
         f, m.dim,
-        [m.act_by(r).column(i) for r in j.rows for i in range(m.dim)])
-    candidates = [rad_image, socle_wrt(m, j)]
+        [m.act_by(r).column(i) for r in rad.rows for i in range(m.dim)])
+    candidates = [rad_image, socle_wrt(m, rad)]
     ops = m.action_operators()
     candidates += [generated_submodule(f, ops, v) for v in vecs[: m.dim + 2 * m.dim]]
     for s in candidates:
@@ -885,7 +889,7 @@ def ses_cross_check(a, side="left"):
                            algx, "left").action_operators()
 
     pool = [regular_module(algx, "right")]
-    _, simples = radical_and_simples(algx)
+    rad, simples = radical_and_simples(algx)
     pool += simples
     for i in range(len(simples)):
         for j in range(i, len(simples)):
@@ -911,7 +915,7 @@ def ses_cross_check(a, side="left"):
     n_exact = 0
     for m in pool:
         md = tensor_data(m)
-        for s in _proper_submodules(m):
+        for s in _proper_submodules(m, rad):
             sub, incl = module_on_subspace(m, s)
             quo, proj = module_on_quotient(m, s)
             sd, qd = tensor_data(sub), tensor_data(quo)

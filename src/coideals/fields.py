@@ -115,11 +115,47 @@ class RationalField(Field):
         return str(a)
 
 
+# Miller-Rabin with the first twelve primes as bases is exact for every
+# n below 318665857834031151167461 > 3e23, the least strong pseudoprime to
+# all twelve (Sorenson and Webster, Math. Comp. 86, 2017), so for every
+# characteristic below CHAR_BOUND.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+CHAR_BOUND = 2 ** 64
+
+
+def _is_prime(n):
+    """Primality of an integer n < CHAR_BOUND, by deterministic Miller-Rabin."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
-    """GF(p), elements stored as canonical ints in range(p)."""
+    """GF(p) for a prime p below CHAR_BOUND, elements stored as canonical
+    ints in range(p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= CHAR_BOUND:
+            raise ValueError(
+                f"characteristic must be below 2^64 = {CHAR_BOUND}")
+        if not _is_prime(p):
             raise ValueError(f"not a prime: {p}")
         self.p = p
         self.char = p

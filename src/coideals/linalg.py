@@ -15,11 +15,22 @@ Conventions used by the whole package:
   bases are identical.
 
 A LinMap is stored sparse: a dict keyed by (row, col), with no zeros kept.
+Every elimination (rref, kernel_of, image_of, rank, solve, invert,
+find_section) runs on one kernel, `_eliminate`, over sparse rows: dicts
+{col: scalar} of the nonzeros.  kernel_of, image_of and rank read their
+rows straight from a LinMap's entries, and solve, invert and find_section
+build their augmented systems sparse; only Subspace rows, which stay
+dense tuples, are ever expanded.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .fields import same_field
+
+# the value of an (index, value) pair: filters the nonzeros of enumerate(row)
+_value = itemgetter(1)
 
 
 class DimensionMismatchError(ValueError):
@@ -43,6 +54,17 @@ class LinMap:
         self._d = d
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, field, rows, cols, d):
+        """A LinMap on d as it is, for results whose entries are nonzero and
+        in range by construction; public construction checks both."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m._d = d
+        return m
 
     @classmethod
     def from_entries(cls, field, rows, cols, triples):
@@ -155,14 +177,21 @@ class LinMap:
         by_row = {}
         for (r, c), v in other._d.items():
             by_row.setdefault(r, []).append((c, v))
+        mul, add = f.mul, f.add
         out = {}
         for (r, k), v in self._d.items():
             for c, w in by_row.get(k, ()):
                 key = (r, c)
                 cur = out.get(key)
-                prod = f.mul(v, w)
-                out[key] = prod if cur is None else f.add(cur, prod)
-        return LinMap(f, self.rows, other.cols, out)
+                if cur is None:
+                    out[key] = mul(v, w)
+                else:
+                    s = add(cur, mul(v, w))
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        return LinMap._trusted(f, self.rows, other.cols, out)
 
     def apply(self, vec):
         if len(vec) != self.cols:
@@ -187,7 +216,9 @@ class LinMap:
         for (i, j), v in self._d.items():
             for (i2, j2), w in other._d.items():
                 out[(i * other.rows + i2, j * other.cols + j2)] = f.mul(v, w)
-        return LinMap(f, self.rows * other.rows, self.cols * other.cols, out)
+        # a product of nonzeros is nonzero
+        return LinMap._trusted(f, self.rows * other.rows,
+                               self.cols * other.cols, out)
 
     # -- comparison ---------------------------------------------------
 
@@ -220,49 +251,105 @@ def basis_vector(field, n, i):
 # -- row reduction ----------------------------------------------------
 
 
+def _eliminate(field, rows):
+    """The one elimination kernel: RREF of the span of sparse rows.
+
+    rows: an iterable of {col: scalar} dicts holding only nonzeros; the
+    kernel may change them.  Returns {pivot col: row dict} with row[pivot]
+    equal to field.one and every other row zero at that column.  Each
+    incoming row is reduced by the pivot rows whose pivot columns it
+    touches; what is left of it, scaled so its leftmost entry is one,
+    becomes a new pivot row, and that column is cleared from the earlier
+    pivot rows, found through an index from each non-pivot column to the
+    pivot rows nonzero there.  The basis is fully reduced after every row,
+    and RREF is unique, so the result does not depend on the order of the
+    rows.  Scalars are tested for zero by truthiness (exact for the int and
+    Fraction scalars of QQ and for canonical GF(p) ints).
+    """
+    mul, sub, one, zero = field.mul, field.sub, field.one, field.zero
+    basis = {}
+    # non-pivot column -> the pivots whose rows are nonzero there
+    holders = {}
+    for row in rows:
+        if basis:
+            for c in basis.keys() & row.keys():
+                a = row[c]
+                for j, x in basis[c].items():
+                    z = sub(row.get(j, zero), mul(a, x))
+                    if z:
+                        row[j] = z
+                    else:
+                        del row[j]
+        if not row:
+            continue
+        p = min(row)
+        pv = row.pop(p)
+        if pv != one:
+            inv = field.inv(pv)
+            for j in row:
+                row[j] = mul(inv, row[j])
+        for j in row:
+            h = holders.get(j)
+            if h is None:
+                holders[j] = {p}
+            else:
+                h.add(p)
+        for qp in holders.pop(p, ()):
+            q = basis[qp]
+            a = q.pop(p)
+            for j, x in row.items():
+                y = q.get(j)
+                if y is None:
+                    q[j] = sub(zero, mul(a, x))
+                    holders[j].add(qp)
+                else:
+                    z = sub(y, mul(a, x))
+                    if z:
+                        q[j] = z
+                    else:
+                        del q[j]
+                        holders[j].discard(qp)
+        row[p] = one
+        basis[p] = row
+    return basis
+
+
+def _row_dicts(f):
+    """The nonzero rows of a LinMap as {row: {col: scalar}}."""
+    rows = {}
+    for (r, c), v in f._d.items():
+        d = rows.get(r)
+        if d is None:
+            rows[r] = {c: v}
+        else:
+            d[c] = v
+    return rows
+
+
+def _dense(field, basis, n):
+    """The rows of an eliminated basis as dense tuples of length n, ordered
+    by pivot column, and the pivots."""
+    zero = field.zero
+    pivots = sorted(basis)
+    out = []
+    for p in pivots:
+        t = [zero] * n
+        for j, x in basis[p].items():
+            t[j] = x
+        out.append(tuple(t))
+    return out, tuple(pivots)
+
+
 def rref(field, mat):
     """Reduced row echelon form of a list of row lists.
 
     Returns (rows, pivots): unit pivots, zeros above and below, rows ordered
-    by pivot column, zero rows dropped.  Column scan is left-to-right and the
-    first row with a nonzero entry is taken, so the output is deterministic.
-    Scalars are tested for zero by truthiness (exact for the int and
-    Fraction scalars of QQ and for canonical GF(p) ints), and a row update
-    touches only the columns where the pivot row is nonzero.
+    by pivot column, zero rows dropped.  The rows go through the sparse
+    kernel `_eliminate`; RREF is unique, so the output is deterministic.
     """
-    mul, sub = field.mul, field.sub
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    pr = 0
-    for c in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][c]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        prow = rows[pr]
-        nz = [j for j in range(c, ncols) if prow[j]]
-        pv = prow[c]
-        if pv != field.one:
-            inv = field.inv(pv)
-            for j in nz:
-                prow[j] = mul(inv, prow[j])
-        for r in range(nrows):
-            row = rows[r]
-            factor = row[c]
-            if factor and r != pr:
-                for j in nz:
-                    row[j] = sub(row[j], mul(factor, prow[j]))
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return [tuple(r) for r in rows[:pr]], tuple(pivots)
+    ncols = len(mat[0]) if mat else 0
+    return _dense(field, _eliminate(
+        field, [dict(filter(_value, enumerate(r))) for r in mat]), ncols)
 
 
 class Subspace:
@@ -405,31 +492,27 @@ class Subspace:
 def kernel_of(f):
     """Kernel of a LinMap as a canonical Subspace of k^cols."""
     field = f.field
-    rows, pivots = rref(field, f.dense_rows()) if f.rows else ((), ())
-    pivset = set(pivots)
-    free = [c for c in range(f.cols) if c not in pivset]
-    vecs = []
-    for fc in free:
-        v = [field.zero] * f.cols
-        v[fc] = field.one
-        for row, p in zip(rows, pivots):
-            if row[fc]:
-                v[p] = field.neg(row[fc])
-        vecs.append(tuple(v))
-    return Subspace.from_vectors(field, f.cols, vecs)
+    basis = _eliminate(field, _row_dicts(f).values())
+    # x_fc = 1 on a free column fc forces x_p = -row_p[fc] on each pivot p
+    one, neg = field.one, field.neg
+    vecs = {fc: {fc: one} for fc in range(f.cols) if fc not in basis}
+    for p, row in basis.items():
+        for j, x in row.items():
+            if j != p:
+                vecs[j][p] = neg(x)
+    rows, pivots = _dense(field, _eliminate(field, vecs.values()), f.cols)
+    return Subspace(field, f.cols, rows, pivots)
 
 
 def image_of(f):
     """Column span of a LinMap as a canonical Subspace of k^rows."""
-    cols = [f.column(c) for c in range(f.cols)]
-    return Subspace.from_vectors(f.field, f.rows, cols)
+    cols = _row_dicts(f.transpose()).values()
+    rows, pivots = _dense(f.field, _eliminate(f.field, cols), f.rows)
+    return Subspace(f.field, f.rows, rows, pivots)
 
 
 def rank(f):
-    if f.rows == 0 or f.cols == 0:
-        return 0
-    _, pivots = rref(f.field, f.dense_rows())
-    return len(pivots)
+    return len(_eliminate(f.field, _row_dicts(f).values()))
 
 
 def solve(f, target):
@@ -437,15 +520,17 @@ def solve(f, target):
     field = f.field
     if len(target) != f.rows:
         raise DimensionMismatchError("target length != rows")
-    aug = [list(r) + [t] for r, t in zip(f.dense_rows(), target)]
-    if not aug:
-        return tuple([field.zero] * f.cols)
-    rows, pivots = rref(field, aug)
-    x = [field.zero] * f.cols
-    for row, p in zip(rows, pivots):
-        if p == f.cols:
-            return None  # pivot in augmented column: inconsistent
-        x[p] = row[-1]
+    n = f.cols
+    rows = _row_dicts(f)
+    for r, t in enumerate(target):
+        if t:
+            rows.setdefault(r, {})[n] = t
+    basis = _eliminate(field, rows.values())
+    if n in basis:
+        return None  # pivot in augmented column: inconsistent
+    x = [field.zero] * n
+    for p, row in basis.items():
+        x[p] = row.get(n, field.zero)
     return tuple(x)
 
 
@@ -455,12 +540,15 @@ def invert(f):
         return None
     n = f.rows
     field = f.field
-    aug = [list(r) + list(basis_vector(field, n, i)) for i, r in enumerate(f.dense_rows())]
-    rows, pivots = rref(field, aug)
-    if list(pivots) != list(range(n)):
+    rows = _row_dicts(f)
+    for i in range(n):
+        rows.setdefault(i, {})[n + i] = field.one
+    basis = _eliminate(field, rows.values())
+    if any(p >= n for p in basis):
         return None
-    inv_rows = [r[n:] for r in rows]
-    return LinMap.from_rows(field, inv_rows)
+    return LinMap._trusted(field, n, n, {
+        (i, j - n): x for i, row in basis.items() for j, x in row.items()
+        if j >= n})
 
 
 def find_section(p, constraints=()):
@@ -474,55 +562,46 @@ def find_section(p, constraints=()):
     """
     field = p.field
     nV, nW = p.cols, p.rows
-    nunk = nV * nW  # s entries, s[r][c] at r*nW + c
-
-    def unk(r, c):
-        return r * nW + c
-
+    nunk = nV * nW  # s entries, s[r][c] at r*nW + c; column nunk is the rhs
+    zero, sub = field.zero, field.sub
     rows = []
-    rhs = []
-    pd = p._d
-    # p o s = id_W
+    # p o s = id_W: sum_k p[i][k] s[k][j] = delta_ij
+    p_rows = _row_dicts(p)
     for i in range(nW):
+        pi = p_rows.get(i, {})
         for j in range(nW):
-            row = [field.zero] * nunk
-            for (ii, k), v in pd.items():
-                if ii == i:
-                    row[unk(k, j)] = field.add(row[unk(k, j)], v)
+            row = {k * nW + j: v for k, v in pi.items()}
+            if i == j:
+                row[nunk] = field.one
             rows.append(row)
-            rhs.append(field.one if i == j else field.zero)
-    # s o u = v o s
+    # s o u = v o s: sum_k s[r][k] u[k][c] - sum_k v[r][k] s[k][c] = 0
     for u, v in constraints:
         if not (u.rows == u.cols == nW and v.rows == v.cols == nV):
             raise DimensionMismatchError(
                 f"constraint ({u.rows}x{u.cols}, {v.rows}x{v.cols}) must be "
                 f"({nW}x{nW}, {nV}x{nV})")
-        ud, vd = u._d, v._d
+        u_cols = _row_dicts(u.transpose())
+        v_rows = _row_dicts(v)
         for r in range(nV):
+            vr = v_rows.get(r, {})
             for c in range(nW):
-                row = [field.zero] * nunk
-                for (k, cc), uv in ud.items():
-                    if cc == c:
-                        row[unk(r, k)] = field.add(row[unk(r, k)], uv)
-                for (rr, k), vv in vd.items():
-                    if rr == r:
-                        row[unk(k, c)] = field.sub(row[unk(k, c)], vv)
-                if any(x != field.zero for x in row):
-                    rows.append(row)
-                    rhs.append(field.zero)
-    aug = [r + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    sol = [field.zero] * nunk
-    for row, piv in zip(red, pivots):
-        if piv == nunk:
-            return None
-        sol[piv] = row[-1]
+                row = {r * nW + k: x for k, x in u_cols.get(c, {}).items()}
+                for k, x in vr.items():
+                    key = k * nW + c
+                    z = sub(row.get(key, zero), x)
+                    if z:
+                        row[key] = z
+                    else:
+                        del row[key]
+                rows.append(row)
+    basis = _eliminate(field, rows)
+    if nunk in basis:
+        return None
     ent = {}
-    for r in range(nV):
-        for c in range(nW):
-            v = sol[unk(r, c)]
-            if v != field.zero:
-                ent[(r, c)] = v
+    for piv, row in basis.items():
+        x = row.get(nunk)
+        if x:
+            ent[divmod(piv, nW)] = x
     s = LinMap(field, nV, nW, ent)
     if p @ s != LinMap.identity(field, nW):
         raise ValueError("computed section s fails p o s = id")

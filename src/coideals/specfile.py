@@ -176,8 +176,8 @@ class _Parser:
             elif tok.isdigit():
                 try:
                     self.field = GF(int(tok))
-                except ValueError:
-                    self.fail(f"not a prime: {tok}", ln, col)
+                except ValueError as e:
+                    self.fail(str(e), ln, col)
             else:
                 self.fail(f"field must be Q or a prime, got {tok!r}", ln, col)
         elif head == "kind":

@@ -142,6 +142,22 @@ class TestCatalogAndCheck:
         assert "above the cap" in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("char,code,frag", [
+        (str(10 ** 400 + 1), 2, "below 2^64"),
+        ("1000000000000000003", 0, "report catalog kC3 1000000000000000003"),
+    ], ids=["401-digits", "prime-near-1e18"])
+    def test_large_characteristics_are_decided_at_once(self, char, code, frag):
+        # trial division overflowed on the first and ran for minutes on
+        # the second
+        src = str(Path(coideals.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "coideals.cli", "catalog", "kC3", char],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert out.returncode == code, out.stderr
+        assert frag in out.stdout + out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_unknown_name_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "catalog", "nope")
         assert code == 2

@@ -26,7 +26,7 @@ from coideals.catalog import (
     sweedler4,
     symmetric_group_3,
 )
-from coideals import correspondence
+from coideals import correspondence, repcats
 from coideals.certs import VerificationFailed
 from coideals.fields import QQ
 from coideals.hopf import check_pairing
@@ -554,3 +554,43 @@ def test_cyclic_group_tower_roundtrips():
         kf, a, q = subgroup_data(QQ, g, idx)
         rep = roundtrip_correspondence(kf, subalgebras=[a], quotients=[q])
         assert rep.ok, str(rep)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ses_cross_check_decomposes_its_algebra_once(monkeypatch, a_1g, side):
+    # one decomposition in the flatness verdict and one for the module
+    # pool, whose radical the submodule enumeration reuses; before, every
+    # module of the pool recomputed the radical
+    calls = []
+    real = repcats.radical
+
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
+
+    for mod in (repcats, correspondence):
+        if getattr(mod, "radical", None) is real:
+            monkeypatch.setattr(mod, "radical", counted)
+    alg = a_1g.algebra if side == "left" else a_1g.algebra.op()
+    repcats.radical_and_simples(alg)
+    per_decomposition = len(calls)
+    calls.clear()
+    assert ses_cross_check(a_1g, side).ok
+    assert len(calls) == 2 * per_decomposition
+
+
+def test_module_flatness_builds_each_cover_block_once(monkeypatch, a_1g):
+    # the greedy cover picks from 2 dim H - 1 candidates over several
+    # rounds; each candidate's block depends on its vector alone
+    calls = []
+    real = correspondence._cover_blocks
+
+    def counted(mod, vec):
+        calls.append(vec)
+        return real(mod, vec)
+
+    monkeypatch.setattr(correspondence, "_cover_blocks", counted)
+    res = is_faithfully_flat(a_1g, "left")
+    assert res.ok and res.generators == ("1", "x")
+    assert len(calls) == 2 * a_1g.hopf.dim - 1
+    assert len(set(calls)) == len(calls)

@@ -6,15 +6,20 @@ elimination routines must give the same values and the same printed
 entries over both fields, and every scalar QQ returns must be in its
 canonical form: an exact int (never a bool) or a Fraction whose
 denominator is not 1.  Both fields parse only the spec value grammar.
+
+GF(p) takes a characteristic below 2^64 and tests it by deterministic
+Miller-Rabin; the oracles are sympy.isprime and published lists of strong
+pseudoprimes and Carmichael numbers.
 """
 
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coideals.fields import GF, QQ, Field
+from coideals.fields import CHAR_BOUND, GF, QQ, Field, PrimeField, _is_prime
 from coideals.linalg import LinMap, kernel_of, rref, solve
 
 
@@ -168,3 +173,40 @@ def test_division_by_zero_is_rejected():
         QQ.parse("1/0")
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
+
+
+# -- characteristics ----------------------------------------------------
+
+
+def test_primality_agrees_with_sympy_below_ten_thousand():
+    assert [n for n in range(10 ** 4) if _is_prime(n)] == \
+        [n for n in range(10 ** 4) if sympy.isprime(n)]
+
+
+@pytest.mark.parametrize("n", [
+    2047, 3277, 4033, 3215031751,  # strong pseudoprimes to base 2
+    3825123056546413051,  # strong pseudoprime to every base up to 23
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161,  # Carmichael numbers
+])
+def test_composites_that_fool_weaker_tests_are_refused(n):
+    assert not sympy.isprime(n)
+    with pytest.raises(ValueError, match=f"not a prime: {n}"):
+        PrimeField(n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 10 ** 9 + 7, 10 ** 18 + 3, CHAR_BOUND - 59])
+def test_large_primes_below_the_bound_are_accepted(p):
+    assert sympy.isprime(p)
+    f = PrimeField(p)
+    assert f.mul(f.inv(p - 1), p - 1) == 1
+
+
+@pytest.mark.parametrize("p", [
+    CHAR_BOUND, CHAR_BOUND + 13,
+    318665857834031151167461,  # strong pseudoprime to every base up to 37
+    10 ** 400 + 1,
+])
+def test_characteristics_from_two_to_the_64_are_refused(p):
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        PrimeField(p)

@@ -140,6 +140,152 @@ def test_rref_matches_sympy_on_sparse_matrices(field, data):
     assert (list(ours), pivots) == sympy_rref(field, rows)
 
 
+# -- the sparse kernel against sympy -----------------------------------
+
+
+def _entries(field):
+    if field == QQ:
+        return st.fractions(-9, 9, max_denominator=4).filter(bool)
+    return st.integers(1, field.p - 1)
+
+
+@st.composite
+def tall_sparse_maps(draw, field, square=False):
+    """A LinMap with at most a quarter of its cells nonzero, usually taller
+    than wide; 0 x n and n x 0 shapes and zero rows and columns occur."""
+    nc = draw(st.integers(0, 6))
+    nr = nc if square else draw(st.integers(0, 14))
+    cells = [(i, j) for i in range(nr) for j in range(nc)]
+    nz = draw(st.lists(st.sampled_from(cells), unique=True,
+                       max_size=len(cells) // 4)) if cells else []
+    vals = _entries(field)
+    return LinMap(field, nr, nc,
+                  {k: field.parse(str(draw(vals))) for k in nz})
+
+
+def to_domain(m):
+    """m as a sympy DomainMatrix over QQ or GF(p)."""
+    field = m.field
+    dom = sympy.QQ if field == QQ else sympy.GF(field.p)
+    return DomainMatrix([[dom(m.entry(r, c)) for c in range(m.cols)]
+                         for r in range(m.rows)], (m.rows, m.cols), dom)
+
+
+def sympy_span(field, rows, n):
+    """Canonical basis and pivots of the span of sympy rows, via sympy."""
+    if not rows or n == 0:
+        return [], ()
+    return sympy_rref(field, rows)
+
+
+def _plain(field, x):
+    return F(int(x.numerator), int(x.denominator)) if field == QQ \
+        else int(x) % field.p
+
+
+FIELDS = [QQ, GF(5), GF(7)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kernel_rank_and_image_match_sympy_on_tall_sparse_maps(field, data):
+    m = data.draw(tall_sparse_maps(field))
+    if m.rows and m.cols:
+        dm = to_domain(m)
+        want_rank = dm.rank()
+        null = [[_plain(field, x) for x in r]
+                for r in dm.nullspace().to_list()]
+    else:
+        want_rank = 0
+        null = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+    assert rank(m) == want_rank
+    ker = kernel_of(m)
+    assert (list(ker.rows), ker.pivots) == sympy_span(field, null, m.cols)
+    img = image_of(m)
+    cols = [list(m.column(c)) for c in range(m.cols)]
+    assert (list(img.rows), img.pivots) == sympy_span(field, cols, m.rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_solve_matches_sympy_on_tall_sparse_maps(field, data):
+    m = data.draw(tall_sparse_maps(field))
+    vals = _entries(field)
+    target = tuple(data.draw(st.one_of(st.just(field.zero), vals.map(
+        lambda x: field.parse(str(x))))) for _ in range(m.rows))
+    x = solve(m, target)
+    if m.rows == 0:
+        assert x == (field.zero,) * m.cols
+        return
+    # the solution with free variables zero is read off the augmented RREF
+    aug = [[m.entry(r, c) for c in range(m.cols)] + [target[r]]
+           for r in range(m.rows)]
+    red, pivots = sympy_span(field, aug, m.cols + 1)
+    if m.cols in pivots:
+        assert x is None
+        return
+    want = [field.zero] * m.cols
+    for row, p in zip(red, pivots):
+        want[p] = row[-1]
+    assert x == tuple(want)
+    assert m.apply(x) == target
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_invert_matches_sympy_on_sparse_square_maps(field, data):
+    # a quarter-filled square map is mostly singular; adding the identity
+    # sometimes makes it invertible
+    m = data.draw(tall_sparse_maps(field, square=True))
+    if data.draw(st.booleans()):
+        m = m + identity_map(field, m.rows)
+    inv = invert(m)
+    if m.rows == 0:
+        assert inv == LinMap.zero(field, 0, 0)
+        return
+    dm = to_domain(m)
+    if dm.rank() < m.rows:
+        assert inv is None
+        return
+    want = [[_plain(field, x) for x in r] for r in dm.inv().to_list()]
+    assert inv == LinMap.from_rows(field, want)
+
+
+def test_eliminations_never_densify_their_input(monkeypatch):
+    # the six functions take their rows from the sparse entries; only the
+    # spec writer still calls dense_rows
+    def refuse(self):
+        raise AssertionError("dense_rows called")
+
+    monkeypatch.setattr(LinMap, "dense_rows", refuse)
+    m = qmap([[1, 2, 0], [0, 0, 0], [2, 4, 1], [0, 0, 3]])
+    assert kernel_of(m).rows == ((F(1), F(-1, 2), F(0)),)
+    assert rank(m) == 2
+    assert image_of(m).dim == 2
+    assert m.apply(solve(m, (F(1), F(0), F(3), F(3)))) == \
+        (F(1), F(0), F(3), F(3))
+    sq = qmap([[2, 1], [7, 4]])
+    assert invert(sq) @ sq == identity_map(QQ, 2)
+    p = qmap([[1, 0, 2], [0, 1, 5]])
+    assert p @ find_section(p, [(identity_map(QQ, 2), identity_map(QQ, 3))]) \
+        == identity_map(QQ, 2)
+
+
+def test_products_store_no_zeros():
+    # @ and tensor build their results without the public checks, so their
+    # own loops must leave no zero behind
+    a = qmap([[1, 1], [2, -2]])
+    b = qmap([[1, 0], [-1, 0]])
+    assert (a @ b)._d == {(1, 0): F(4)}
+    t = qmap([[0, 3], [1, 0]]).tensor(qmap([[2, 0], [0, -1]]))
+    assert t.nnz() == 4 and all(t._d.values())
+    with pytest.raises(DimensionMismatchError):
+        LinMap(QQ, 2, 2, {(2, 0): F(1)})
+
+
 # -- kernels, images, rank --------------------------------------------
 
 

@@ -120,6 +120,18 @@ class TestParseErrors:
         assert exc.value.col == col
         assert frag in str(exc.value)
 
+    @pytest.mark.parametrize("tok,frag", [
+        ("4", "not a prime: 4"),
+        ("3215031751", "not a prime: 3215031751"),
+        ("18446744073709551616", "below 2^64"),
+    ])
+    def test_unusable_characteristic_is_reported_at_the_field_token(
+            self, tok, frag):
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec(MINIMAL.replace("field Q", f"field {tok}"))
+        assert (exc.value.line, exc.value.col) == (1, 7)
+        assert frag in str(exc.value)
+
     @pytest.mark.parametrize("value", ["1e5000", "1.5"])
     def test_value_outside_the_grammar_exits_2_at_its_position(
             self, value, tmp_path, capsys):
