@@ -2,8 +2,13 @@
 
 Every verification op accumulates named boolean checks with optional
 witnesses (a human-readable, deterministic description of the first
-violation).  Constructors that must not hand back unverified data raise
-VerificationFailed carrying the report.
+violation).  Whether a failed certificate is raised or returned is fixed
+per function, never chosen by a flag: a builder such as quotient_data,
+hit_action, coend or regular_relhopf raises VerificationFailed carrying
+the report when its own certificate fails, so it never hands back
+unverified data; a function whose callers read the report, such as the
+check_* functions, recover_coalgebra_map and unit_object_algebra, returns
+it and does not raise on it.
 """
 
 from __future__ import annotations

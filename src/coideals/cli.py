@@ -290,10 +290,14 @@ def _quotient_from_files(args, rep):
                 f"rank {rank(pi)} of {pi.rows}")
         return h, None
     b, sigma = quotient_through_section(h, pi, sec, qsd.over)
-    qd = quotient_data(h, b, pi, sigma, section=sec,
-                       name=qsd.name or "quotient", certify=False)
+    try:
+        qd = quotient_data(h, b, pi, sigma, section=sec,
+                           name=qsd.name or "quotient")
+    except VerificationFailed as e:
+        rep.merge(e.report)
+        return h, None
     rep.merge(qd.report)
-    return h, (qd if qd.ok else None)
+    return h, qd
 
 
 def _cmd_theorem2(args, t0):

@@ -247,12 +247,11 @@ def augmentation_ideal(a):
     return Subspace.from_vectors(f, a.hopf.dim, vecs)
 
 
-def quotient_data(h, b, pi, sigma, section=None, name="", certify=True):
+def quotient_data(h, b, pi, sigma, section=None, name=""):
     """Assemble and verify a quotient left module coalgebra candidate.
 
-    All structural invariants are checked mechanically; certify=True raises
-    on any failure, certify=False returns the data with the failing report
-    (used for candidates whose projection is deliberately unverified)."""
+    All structural invariants are checked mechanically; a failure raises
+    VerificationFailed carrying the report."""
     f = h.field
     ih = identity_map(f, h.dim)
     rep = CertReport(name or f"quotient coalgebra dim {b.dim}")
@@ -297,10 +296,9 @@ def quotient_data(h, b, pi, sigma, section=None, name="", certify=True):
     lin = sigma @ ih.tensor(pi) - pi @ h.mult
     rep.add("projection-module-linear", lin.is_zero())
 
-    out = QuotientModuleCoalgebraData(h, b, pi, sigma, rep, section, ker, name)
-    if certify and not rep.ok:
+    if not rep.ok:
         raise VerificationFailed(rep)
-    return out
+    return QuotientModuleCoalgebraData(h, b, pi, sigma, rep, section, ker, name)
 
 
 def quotient_through_section(h, pi, sect, labels):
@@ -338,7 +336,7 @@ def quotient_module_coalgebra(a, name=""):
                                        f"{a.name or 'A'}"))
 
 
-def coinvariants(q, name=""):
+def coinvariants(q):
     """The coideal subalgebra recovered from a quotient: the kernel of
     h |-> pi(h1) (x) h2 - pi(1) (x) h, certified by
     verify_coideal_subalgebra.  A certificate failure here means the
@@ -350,7 +348,7 @@ def coinvariants(q, name=""):
     pi_one = LinMap.from_column(f, q.projection.apply(h.unit_vector()))
     diff = quotient_coaction(q, "left").coaction - pi_one.tensor(ih)
     ker = kernel_of(diff)
-    a = verify_coideal_subalgebra(h, ker, name or f"coinvariants of {q.name or 'B'}")
+    a = verify_coideal_subalgebra(h, ker, f"coinvariants of {q.name or 'B'}")
     if not a.ok:
         raise VerificationFailed(a.report)
     return a
@@ -557,7 +555,7 @@ def classify_quantum(x):
 
 # -- the category equivalence -------------------------------------------
 
-def coideal_as_relhopf(a, name=""):
+def coideal_as_relhopf(a):
     """A verified coideal subalgebra as an object of the relative Hopf
     module category: the subspace carries the restricted comultiplication
     as coaction and right multiplication as action."""
@@ -566,7 +564,7 @@ def coideal_as_relhopf(a, name=""):
     com, _ = comodule_on_subspace(regular_comodule(h), a.space)
     mod = regular_module(a.algebra, "right")
     rel = RelHopfModuleData(h, a.algebra, a.inclusion, com, mod,
-                            name=name or a.name or "A")
+                            name=a.name or "A")
     rep = check_relhopf(rel)
     if not rep.ok:
         raise VerificationFailed(rep)
@@ -643,11 +641,11 @@ def default_test_comodules(q):
     return out
 
 
-def mw_equivalence_check(a, test_modules=None, test_comodules=None):
+def mw_equivalence_check(a, test_comodules=None):
     """Both composites of the equivalence between relative Hopf modules and
     quotient-coalgebra comodules, on explicit test objects.
 
-    For each relative Hopf module M the canonical map
+    For H and A as relative Hopf modules M, the canonical map
     u: M -> (M/M.A+) cotensor_B H, m |-> (m0 mod M.A+) (x) m1, and for each
     B-comodule N the counit-induced map c: (N cotensor_B H)/(..)A+ -> N are
     built as matrices and certified bijective; dimensions are recorded both
@@ -659,11 +657,10 @@ def mw_equivalence_check(a, test_modules=None, test_comodules=None):
     h = a.hopf
     f = h.field
     q = quotient_module_coalgebra(a)
-    if test_modules is None:
-        test_modules = [
-            regular_relhopf(h, a.algebra, a.inclusion, name=h.name or "H"),
-            coideal_as_relhopf(a),
-        ]
+    test_modules = [
+        regular_relhopf(h, a.algebra, a.inclusion, name=h.name or "H"),
+        coideal_as_relhopf(a),
+    ]
     if test_comodules is None:
         test_comodules = default_test_comodules(q)
 
@@ -715,7 +712,7 @@ def mw_equivalence_check(a, test_modules=None, test_comodules=None):
 
 # -- annihilator subalgebras and the semisimplicity implication ----------
 
-def coideal_annihilator(p, z, name=""):
+def coideal_annihilator(p, z):
     """The subspace of the pairing's second factor on which every element of
     a right coideal acts counitally through the hit action:
     A = {h : h.z = eps(z) h for all z in a basis of Z}.
@@ -731,7 +728,7 @@ def coideal_annihilator(p, z, name=""):
         raise ValueError(
             f"the subspace is not a right coideal of {u.name or 'U'} "
             f"(basis element {bad})")
-    failures = CertReport(name or "coideal annihilator")
+    failures = CertReport("coideal annihilator")
     for side in ("right", "left"):
         mod = hit_action(p, side)
         conds = []
@@ -741,7 +738,7 @@ def coideal_annihilator(p, z, name=""):
                             {(i, i): eps for i in range(h.dim)} if eps != f.zero else {})
             conds.append(mod.act_by(r) - scaled)
         ker = kernel_of(stack_maps(conds)) if conds else Subspace.full(f, h.dim)
-        cand = verify_coideal_subalgebra(h, ker, name or f"annihilator ({side} hit)")
+        cand = verify_coideal_subalgebra(h, ker, f"annihilator ({side} hit)")
         if cand.ok:
             cand.report.assume(f"computed with the {side} hit action")
             return cand
@@ -773,7 +770,7 @@ class CSemisimpleResult:
         return self.ok
 
 
-def c_semisimple_implication(u_hopf, k_space, modules, name=""):
+def c_semisimple_implication(u_hopf, k_space, modules):
     """If every module in the list restricts semisimply to the subalgebra,
     then the induced quotient coalgebra of the dual must be cosemisimple
     and the dual must be faithfully flat over the annihilator subalgebra on
@@ -795,7 +792,7 @@ def c_semisimple_implication(u_hopf, k_space, modules, name=""):
     fll = is_faithfully_flat(ann, "left")
     flr = is_faithfully_flat(ann, "right")
     implication_ok = (not hyp_ok) or (cos.ok and fll.ok and flr.ok)
-    rep = CertReport(name or "restriction-semisimplicity implication")
+    rep = CertReport("restriction-semisimplicity implication")
     rep.assume(f"hypothesis (all restrictions semisimple): {hyp_ok}")
     witness = None
     if not implication_ok:

@@ -319,11 +319,14 @@ def antipode_bijective(h):
     return r == h.dim, r
 
 
-def antipode_order(h, cap=64):
-    """Least n >= 1 with S^n = id, or None up to cap."""
+_ANTIPODE_ORDER_CAP = 64
+
+
+def antipode_order(h):
+    """Least n >= 1 with S^n = id, or None up to _ANTIPODE_ORDER_CAP."""
     f, d = h.field, h.dim
     cur = identity_map(f, d)
-    for n in range(1, cap + 1):
+    for n in range(1, _ANTIPODE_ORDER_CAP + 1):
         cur = h.antipode @ cur
         if cur == identity_map(f, d):
             return n
@@ -392,16 +395,16 @@ def check_pairing(p):
     return rep
 
 
-def hit_action(p, side, certify=True):
+def hit_action(p, side):
     """Module structure on H over U induced by the pairing.
 
     side "right": x <- z = <z, x1> x2   (right U-module on H)
     side "left":  z -> x = x1 <z, x2>   (left U-module on H)
 
-    Returns a ModuleData; with certify=True the module axioms are checked
-    and VerificationFailed raised on a violation.
+    Returns a ModuleData whose module axioms are checked; a violation
+    raises VerificationFailed.
     """
-    from .repcats import ModuleData, check_representation
+    from .repcats import ModuleData, check_module
 
     f = p.u.field
     du, dh = p.u.dim, p.h.dim
@@ -421,8 +424,7 @@ def hit_action(p, side, certify=True):
         mod = ModuleData(f, dh, act, p.u.algebra, side="left")
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if certify:
-        rep = check_representation(mod)
-        if not rep.ok:
-            raise VerificationFailed(rep)
+    rep = check_module(mod)
+    if not rep.ok:
+        raise VerificationFailed(rep)
     return mod

@@ -128,14 +128,6 @@ class LinMap:
             m[r][c] = v
         return m
 
-    def row(self, r):
-        z = self.field.zero
-        out = [z] * self.cols
-        for (rr, c), v in self._d.items():
-            if rr == r:
-                out[c] = v
-        return tuple(out)
-
     def column(self, c):
         return tuple(self.entry(r, c) for r in range(self.rows))
 

@@ -305,7 +305,7 @@ class UnitObjectAlgebra:
         return self.report.ok
 
 
-def unit_object_algebra(ms, labels=(), certify=True):
+def unit_object_algebra(ms, labels=()):
     """Extract the algebra carried by T(I) and recheck the tensor
     decomposition of the monad against it.
 
@@ -314,7 +314,7 @@ def unit_object_algebra(ms, labels=(), certify=True):
     monad unit at I.  On every sampled object the witness must be
     bijective, the multiplication must factor as identity (x) mult, and
     the unit as identity (x) unit.  A failed factorization names the
-    sampled object that broke it.
+    sampled object that broke it.  The report is returned, never raised.
     """
     if ms.unit_object is None or ms.tensor_witness is None:
         raise ValueError("monad sample carries no unit object witnesses")
@@ -346,10 +346,7 @@ def unit_object_algebra(ms, labels=(), certify=True):
         rep.add(f"multiplication factors through T(I) at {nm}", d1.is_zero())
         d2 = ms.eta(v) - w_v @ iv.tensor(unit)
         rep.add(f"unit factors through T(I) at {nm}", d2.is_zero())
-    out = UnitObjectAlgebra(alg, ms, rep)
-    if certify and not rep.ok:
-        raise VerificationFailed(rep)
-    return out
+    return UnitObjectAlgebra(alg, ms, rep)
 
 
 @dataclass
@@ -469,7 +466,7 @@ def _interleave_blocks(f, blocks, out_rows, cols):
     return LinMap(f, out_rows, cols, ent)
 
 
-def internal_hom(a, n, name="", certify=True):
+def internal_hom(a, n):
     """Internal hom from a verified coideal subalgebra into a right
     comodule, as a subspace of the plain map space.
 
@@ -494,7 +491,7 @@ def internal_hom(a, n, name="", certify=True):
         raise ValueError("internal hom takes a right comodule target")
     da, dn, dh = a.dim, n.dim, h.dim
     dmap = dn * da
-    rep = CertReport(name or f"internal hom into {_obj_name(n)}")
+    rep = CertReport(f"internal hom into {_obj_name(n)}")
     delta, _ = restricted_comultiplication(h, a.inclusion)
     twist = identity_map(f, dn).tensor(
         h.mult @ identity_map(f, dh).tensor(h.antipode))
@@ -538,7 +535,7 @@ def internal_hom(a, n, name="", certify=True):
     carrier = hom_space.intersect(kernel_of(stack_maps(conds)))
 
     amb_com = ComoduleData(f, dmap, rho, h.coalgebra, "right",
-                           name or "internal hom")
+                           "internal hom")
     act_ent = {}
     for j, p in enumerate(pre):
         for (r, c), val in p.entries():
@@ -564,7 +561,7 @@ def internal_hom(a, n, name="", certify=True):
     out.relhopf = RelHopfModuleData(h, a.algebra, a.inclusion, out.comodule,
                                     out.module, amb_com.name)
     rep.merge(check_relhopf(out.relhopf), "compatibility ")
-    if certify and not rep.ok:
+    if not rep.ok:
         raise VerificationFailed(rep)
     return out
 
@@ -600,7 +597,7 @@ class AdjunctionHomResult:
         return self.report.ok
 
 
-def adjunction_unit_counit_check(a, m, n, ihom=None, name=""):
+def adjunction_unit_counit_check(a, m, n):
     """The induced-module adjunction bijection, rebuilt and certified.
 
     Forward direction: a colinear map phi from the relative Hopf module M
@@ -611,12 +608,10 @@ def adjunction_unit_counit_check(a, m, n, ihom=None, name=""):
     Backward direction: evaluate at the subalgebra unit.  Both composites
     are checked to be identities on the computed hom subspaces.
     """
-    if ihom is None:
-        ihom = internal_hom(a, n)
+    ihom = internal_hom(a, n)
     f = a.hopf.field
     dm, dn = m.dim, n.dim
-    rep = CertReport(name or
-                     f"hom adjunction at ({_obj_name(m)}, {_obj_name(n)})")
+    rep = CertReport(f"hom adjunction at ({_obj_name(m)}, {_obj_name(n)})")
     lhs = hom_colinear(m.comodule, n)
     t0 = _module_to_hom_operator(f, m.module, dn)
     kmap = ihom.carrier.coords_map()
@@ -678,7 +673,7 @@ def adjunction_unit_counit_check(a, m, n, ihom=None, name=""):
 
 # -- surjectivity forced by faithful coflatness ------------------------
 
-def surjectivity_from_coflatness(q, name=""):
+def surjectivity_from_coflatness(q):
     """Certificates that a quotient projection with the right coflatness
     behavior is onto: the projection has full rank, comultiplication lands
     in the mixed cotensor, the projected map onto the one-sided cotensor
@@ -687,7 +682,7 @@ def surjectivity_from_coflatness(q, name=""):
     h = q.hopf
     f = h.field
     b = q.coalgebra
-    rep = CertReport(name or "surjectivity from coflatness")
+    rep = CertReport("surjectivity from coflatness")
     r = rank(q.projection)
     rep.add("projection has full rank", r == b.dim,
             f"rank {r} against dim {b.dim}")
@@ -715,7 +710,7 @@ def surjectivity_from_coflatness(q, name=""):
 
 # -- the tensor/cotensor comparison maps -------------------------------
 
-def translated_tensor(x, m, q, name=""):
+def translated_tensor(x, m, q):
     """Tensor a right comodule over the whole algebra against a comodule
     over the quotient, with coaction pushed through the translation
     action: both coact, the legs swap, and the action contracts the pair
@@ -728,10 +723,10 @@ def translated_tensor(x, m, q, name=""):
         swap_map(f, h.dim, dm).tensor(identity_map(f, q.coalgebra.dim)))
     c3 = identity_map(f, dx * dm).tensor(q.action)
     return ComoduleData(f, dx * dm, c3 @ c2 @ c1, q.coalgebra, "right",
-                        name or f"{_obj_name(x)} translated-tensor {_obj_name(m)}")
+                        f"{_obj_name(x)} translated-tensor {_obj_name(m)}")
 
 
-def psi_module_functor_report(q, pairs=None):
+def psi_module_functor_report(q):
     """Check that corestriction along the quotient projection respects
     tensoring by a comodule: corestricting a tensor product equals the
     translated tensor against the corestriction.  Only this one adjoint
@@ -740,10 +735,8 @@ def psi_module_functor_report(q, pairs=None):
     rep = CertReport("module functor check, corestriction")
     rep.assume("hypothesis set: only the corestriction functor is required "
                "to respect tensoring by a comodule")
-    if pairs is None:
-        reg = regular_comodule(h)
-        pairs = ((reg, trivial_comodule(h)), (reg, reg))
-    for x, v in pairs:
+    reg = regular_comodule(h)
+    for x, v in ((reg, trivial_comodule(h)), (reg, reg)):
         nm = f"({_obj_name(x)}, {_obj_name(v)})"
         lhs = corestrict_comodule(tensor_comodules(h, x, v), q.coalgebra,
                                   q.projection)
@@ -851,7 +844,7 @@ def gamma_isomorphism(x, m, q, seed=20260822):
 
 # -- cotensor adjunction and the full pipeline -------------------------
 
-def cotensor_psi_adjunction(q, objects=None, morphisms=()):
+def cotensor_psi_adjunction(q):
     """Left adjoint corestriction along the quotient projection, right
     adjoint the cotensor back up against the whole algebra: carrier the
     cotensor subspace, coaction induced by comultiplying the algebra leg.
@@ -863,10 +856,10 @@ def cotensor_psi_adjunction(q, objects=None, morphisms=()):
     its dimension and coaction entries; every object of the target
     category is a comodule over the quotient.
     """
-    return _cotensor_psi(q, objects, morphisms)[0]
+    return _cotensor_psi(q, None)[0]
 
 
-def _cotensor_psi(q, objects, morphisms):
+def _cotensor_psi(q, objects):
     """cotensor_psi_adjunction, the left quotient comodule and the memoized
     lookup of an object's cotensor subspace and comodule."""
     h = q.hopf
@@ -920,20 +913,20 @@ def _cotensor_psi(q, objects, morphisms):
     adj = AdjunctionData(f"corestriction/cotensor over {q.name or 'quotient'}",
                          left_on_objects, left_on_maps, right_on_objects,
                          right_on_maps, unit, counit, tuple(objects),
-                         targets, tuple(morphisms))
+                         targets)
     return adj, left, cotensored
 
 
-def cotensor_psi_monad(q, objects=None, morphisms=()):
+def cotensor_psi_monad(q):
     """The induced monad with tensor witnesses given by the forward
     comparison map against the trivial comodule over the quotient."""
-    return _cotensor_psi_monad(q, objects, morphisms)[0]
+    return _cotensor_psi_monad(q, None)[0]
 
 
-def _cotensor_psi_monad(q, objects, morphisms):
+def _cotensor_psi_monad(q, objects):
     """cotensor_psi_monad, and the cotensor carrying its unit object."""
     h = q.hopf
-    adj, left, cotensored = _cotensor_psi(q, objects, morphisms)
+    adj, left, cotensored = _cotensor_psi(q, objects)
     i_obj = trivial_comodule(h)
     triv_b = corestrict_comodule(i_obj, q.coalgebra, q.projection)
     s1 = cotensored(triv_b)[0]  # from the memo: triv_b is cotensored once
@@ -972,7 +965,7 @@ def _pipeline_stage(rep, stages, stage, sub):
         raise VerificationFailed(rep)
 
 
-def theorem2_pipeline(q, objects=None, name=""):
+def theorem2_pipeline(q, objects=None):
     """From a quotient module coalgebra candidate to a certified coideal
     subalgebra with a faithful flatness verdict.
 
@@ -986,13 +979,13 @@ def theorem2_pipeline(q, objects=None, name=""):
     subalgebra."""
     h = q.hopf
     f = h.field
-    rep = CertReport(name or f"quotient-to-subalgebra pipeline "
+    rep = CertReport(f"quotient-to-subalgebra pipeline "
                      f"for {q.name or 'quotient'}")
     stages = []
 
     sub = CertReport("coalgebra map recovery")
     lam = quotient_coaction(q, "right").coaction
-    psi, rrep = recover_coalgebra_map(h, q.coalgebra, lam, certify=False)
+    psi, rrep = recover_coalgebra_map(h, q.coalgebra, lam)
     sub.merge(rrep)
     sub.add("recovered map equals the projection",
             (psi - q.projection).is_zero())
@@ -1017,10 +1010,10 @@ def theorem2_pipeline(q, objects=None, name=""):
                     psi_module_functor_report(q))
 
     sub = CertReport("monad extraction")
-    ms, s1 = _cotensor_psi_monad(q, objects, ())
+    ms, s1 = _cotensor_psi_monad(q, objects)
     sub.merge(ms.report)
     labels = tuple(h.labels[p] for p in a.space.pivots) if h.labels else ()
-    ua = unit_object_algebra(ms, labels=labels, certify=False)
+    ua = unit_object_algebra(ms, labels=labels)
     sub.merge(ua.report)
     sub.add("unit object carrier matches the coinvariants",
             s1 == a.space)

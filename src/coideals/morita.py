@@ -161,7 +161,7 @@ class CohomResult:
 _COHOM_WIDTHS = (1, 2)
 
 
-def cohom(x, y, certify=True, name=""):
+def cohom(x, y):
     """Left adjoint of W -> W (x) X_right at the D-comodule y, as a right
     comodule over the left coalgebra of the bicomodule x.
 
@@ -175,7 +175,7 @@ def cohom(x, y, certify=True, name=""):
     f = x.field
     gamma = x.left_over
     xr = x.right_comodule()
-    nm = name or f"cohom of {_obj_name(x, 'bicomodule')} at {_obj_name(y)}"
+    nm = f"cohom of {_obj_name(x, 'bicomodule')} at {_obj_name(y)}"
     rep = CertReport(nm)
     rep.assume("finite-dimensional model: the dual of the colinear map "
                "space; the colimit description is out of scope")
@@ -211,7 +211,7 @@ def cohom(x, y, certify=True, name=""):
     lhs = step.tensor(ix).tensor(identity_map(f, y.dim)) @ j1
     rhs = j2 @ step.tensor(identity_map(f, s.dim))
     rep.add("bijection natural in the width", (lhs - rhs).is_zero())
-    if certify and not rep.ok:
+    if not rep.ok:
         raise VerificationFailed(rep)
     return CohomResult(x, y, s, com, rep)
 
@@ -262,7 +262,7 @@ class CoendResult:
         return self.report.ok
 
 
-def coend(m, labels=(), name="", certify=True):
+def coend(m):
     """The coalgebra dual to the opposite of the colinear endomorphism
     algebra of m, with the canonical left coaction making m a bicomodule.
 
@@ -276,8 +276,7 @@ def coend(m, labels=(), name="", certify=True):
         raise ValueError("coend expects a right comodule")
     f = m.field
     dm = m.dim
-    nm = name or f"coend of {_obj_name(m)}"
-    rep = CertReport(nm)
+    rep = CertReport(f"coend of {_obj_name(m)}")
     s = hom_colinear(m, m)
     basis = [vec_to_map(f, dm, dm, row) for row in s.rows]
     coords = s.coords_map()
@@ -291,7 +290,7 @@ def coend(m, labels=(), name="", certify=True):
                     comult_ent[(i * s.dim + j, h)] = val
     comult = LinMap(f, s.dim * s.dim, s.dim, comult_ent)
     counit = LinMap.from_row(f, coords.apply(map_to_vec(identity_map(f, dm))))
-    coal = CoalgebraData(f, s.dim, comult, counit, tuple(labels))
+    coal = CoalgebraData(f, s.dim, comult, counit)
     rep.merge(coal.check(), "coalgebra ")
 
     lam_ent = {}
@@ -302,7 +301,7 @@ def coend(m, labels=(), name="", certify=True):
     bicom = BicomoduleData(f, dm, coal, m.over, lam, m.coaction,
                            _obj_name(m))
     rep.merge(check_bicomodule(bicom), "carrier ")
-    if certify and not rep.ok:
+    if not rep.ok:
         raise VerificationFailed(rep)
     return CoendResult(coal, s, bicom, rep)
 
@@ -318,12 +317,12 @@ class CoendRegularResult:
         return self.report.ok
 
 
-def coend_regular_isomorphism(c, certify=True):
+def coend_regular_isomorphism(c):
     """Explicit coalgebra isomorphism from c onto the coend of its
     regular comodule: colinear endomorphisms of the regular comodule are
     convolutions by functionals, so the coend is the double dual."""
     f = c.field
-    ce = coend(regular_comodule_of(c), certify=certify)
+    ce = coend(regular_comodule_of(c))
     rep = CertReport("coend of the regular comodule against the coalgebra")
     rep.merge(ce.report)
     ent = {}
@@ -337,7 +336,7 @@ def coend_regular_isomorphism(c, certify=True):
     r = rank(iota)
     rep.add("witness bijective", r == c.dim == ce.dim,
             f"rank {r}, dimensions {c.dim} and {ce.dim}")
-    if certify and not rep.ok:
+    if not rep.ok:
         raise VerificationFailed(rep)
     return CoendRegularResult(ce, iota, rep)
 
@@ -359,13 +358,13 @@ class PreEquivalenceData:
     name: str = ""
 
 
-def identity_pre_equivalence(c, name=""):
+def identity_pre_equivalence(c):
     """The coalgebra against itself: both bicomodules regular, both
     comparison maps the comultiplication."""
     reg = BicomoduleData(c.field, c.dim, c, c, c.comult, c.comult,
                          "regular bicomodule")
     return PreEquivalenceData(c, c, reg, reg, c.comult, c.comult,
-                              name or "identity data")
+                              "identity data")
 
 
 def _double_cotensor(v, mid, far):
@@ -483,7 +482,7 @@ def verify_pre_equivalence(e, test_objects=None):
     return rep
 
 
-def coend_pre_equivalence(m, name=""):
+def coend_pre_equivalence(m):
     """Candidate pre-equivalence data between the coend of m and its base
     coalgebra.
 
@@ -508,7 +507,7 @@ def coend_pre_equivalence(m, name=""):
 
     dreg = regular_comodule_of(d, "regular comodule")
     sd = hom_colinear(dreg, m)
-    rep = CertReport(name or f"coend data of {_obj_name(m)}")
+    rep = CertReport(f"coend data of {_obj_name(m)}")
     coact_sd = _transported_left_coaction(c, p.left_coaction, dreg, sd, rep,
                                           "translate space")
     left_sd = ComoduleData(f, sd.dim, coact_sd, c, "left", "translate space")
@@ -560,5 +559,4 @@ def coend_pre_equivalence(m, name=""):
         rep.add("coaction legs span the coend", False)
         raise VerificationFailed(rep)
     fmap = rmat @ sec
-    return PreEquivalenceData(c, d, p, q, fmap, g,
-                              name or f"coend data of {_obj_name(m)}")
+    return PreEquivalenceData(c, d, p, q, fmap, g, rep.subject)

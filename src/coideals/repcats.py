@@ -265,21 +265,17 @@ def check_bicomodule(x):
     return rep
 
 
-def check_representation(x, certify=False):
+def check_representation(x):
     """Axiom report for any carrier defined in this module."""
     if isinstance(x, ModuleData):
-        rep = check_module(x)
-    elif isinstance(x, ComoduleData):
-        rep = check_comodule(x)
-    elif isinstance(x, RelHopfModuleData):
-        rep = check_relhopf(x)
-    elif isinstance(x, BicomoduleData):
-        rep = check_bicomodule(x)
-    else:
-        raise TypeError(f"no axiom suite for {type(x).__name__}")
-    if certify and not rep.ok:
-        raise VerificationFailed(rep)
-    return rep
+        return check_module(x)
+    if isinstance(x, ComoduleData):
+        return check_comodule(x)
+    if isinstance(x, RelHopfModuleData):
+        return check_relhopf(x)
+    if isinstance(x, BicomoduleData):
+        return check_bicomodule(x)
+    raise TypeError(f"no axiom suite for {type(x).__name__}")
 
 
 # -- standard (co)modules ----------------------------------------------
@@ -460,17 +456,19 @@ def restrict_algebra(a, s, labels=()):
     return sub, s.basis_map()
 
 
-def regular_relhopf(h, subalg, incl, certify=True, name=""):
+def regular_relhopf(h, subalg, incl, name=""):
     """The Hopf algebra itself as a relative Hopf module: regular coaction,
-    action by right multiplication through the subalgebra inclusion."""
+    action by right multiplication through the subalgebra inclusion.  A
+    failed relative Hopf module check raises VerificationFailed."""
     f = h.field
     ih = LinMap.identity(f, h.dim)
     comod = regular_comodule(h)
     mod = ModuleData(f, h.dim, h.mult @ ih.tensor(incl), subalg, "right")
     x = RelHopfModuleData(h, subalg, incl, comod, mod,
                           name or f"{h.name or 'H'} as relative Hopf module")
-    if certify:
-        check_representation(x, certify=True)
+    rep = check_relhopf(x)
+    if not rep.ok:
+        raise VerificationFailed(rep)
     return x
 
 
@@ -916,10 +914,10 @@ def comodule_to_dual_module(v):
     return ModuleData(v.field, v.dim, v.coaction.transpose(), a, v.side, v.name)
 
 
-def recover_coalgebra_map(h, b, lam, certify=True):
+def recover_coalgebra_map(h, b, lam):
     """Read a coalgebra map H -> B off a right coaction of b on the Hopf
-    algebra's carrier via the counit, then certify that the result is a
-    coalgebra map regenerating the given coaction."""
+    algebra's carrier via the counit, with the report certifying that the
+    result is a coalgebra map regenerating the given coaction."""
     f = h.field
     ib = LinMap.identity(f, b.dim)
     psi = h.counit.tensor(ib) @ lam
@@ -928,6 +926,4 @@ def recover_coalgebra_map(h, b, lam, certify=True):
     ih = LinMap.identity(f, h.dim)
     regen = ih.tensor(psi) @ h.comult - lam
     rep.add("coaction-regenerated", regen.is_zero(), _witness(regen, [h.labels]))
-    if certify and not rep.ok:
-        raise VerificationFailed(rep)
     return psi, rep

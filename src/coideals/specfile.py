@@ -28,7 +28,7 @@ entries sorted by matrix position, rationals always written num/den.
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import GF, QQ
+from .fields import CHAR_BOUND, GF, QQ
 from .linalg import LinMap, Subspace
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData
 from .repcats import ComoduleData
@@ -173,9 +173,12 @@ class _Parser:
             col, tok = rest[0]
             if tok == "Q":
                 self.field = QQ
-            elif tok.isdigit():
+            elif tok.isascii() and tok.isdigit():
+                # 2^64 has 20 digits, so a longer token is refused as
+                # CHAR_BOUND without being handed to int()
+                p = int(tok) if len(tok.lstrip("0")) <= 20 else CHAR_BOUND
                 try:
-                    self.field = GF(int(tok))
+                    self.field = GF(p)
                 except ValueError as e:
                     self.fail(str(e), ln, col)
             else:
@@ -450,9 +453,8 @@ def to_subspace(sd):
 
 # -- parsed specs from package objects ----------------------------------
 
-def spec_from_hopf(h, name=None):
-    sd = SpecData(h.field, "hopf", h.name if name is None else name,
-                  tuple(h.labels))
+def spec_from_hopf(h):
+    sd = SpecData(h.field, "hopf", h.name, tuple(h.labels))
     sd.maps = {"mult": h.mult, "unit": h.unit, "comult": h.comult,
                "counit": h.counit, "antipode": h.antipode}
     return sd
@@ -486,9 +488,8 @@ def spec_from_subspace(s, labels, name=""):
     return sd
 
 
-def spec_from_quotient(q, name=None):
-    sd = SpecData(q.hopf.field, "quotient",
-                  q.name if name is None else name,
+def spec_from_quotient(q):
+    sd = SpecData(q.hopf.field, "quotient", q.name,
                   tuple(q.hopf.labels), tuple(q.coalgebra.labels))
     sd.maps = {"projection": q.projection}
     return sd

@@ -72,6 +72,11 @@ def specs(tmp_path_factory):
         (d / "h4.spec").read_text().replace("g.x x 1/1", "g.x x 2/1"))
     save_spec(spec_from_comodule(_two_weights(), name="two weights"),
               d / "two.spec")
+    # surjective, but its kernel span{g, gx} is not a left ideal (g.g = 1)
+    # and the counit does not vanish on it
+    (d / "onto1x.spec").write_text(
+        "field Q\nkind quotient\nname onto 1 and x\nbasis 1 x g gx\n"
+        "over [1] [x]\nmap projection\n[1] 1 1/1\n[x] x 1/1\n")
     return d
 
 
@@ -357,6 +362,10 @@ GOLDEN = (
     (("gamma", "ks3fun.spec", "--quotient", "quot3.spec",
       "--seed", "20260822"), 0,
      "ca92864282c16ad0552ac6e871184da6b9d45e34102c39049f44e9c48f1f6df3"),
+    (("theorem2", "h4.spec", "--quotient", "onto1x.spec"), 1,
+     "f7cc1fc2ba83ef128bd42cf30bc2a3336157460e4f7483d279bb6b559bb3dd21"),
+    (("gamma", "h4.spec", "--quotient", "onto1x.spec"), 1,
+     "aa7dd8f72bbbad373a59d711532402a1e212607ab985c31daaa7db4d1a30ab83"),
 )
 
 

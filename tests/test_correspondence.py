@@ -30,7 +30,13 @@ from coideals import correspondence, repcats
 from coideals.certs import VerificationFailed
 from coideals.fields import QQ
 from coideals.hopf import check_pairing
-from coideals.linalg import LinMap, Subspace, basis_vector, identity_map
+from coideals.linalg import (
+    LinMap,
+    Subspace,
+    basis_vector,
+    find_section,
+    identity_map,
+)
 from coideals.repcats import (
     ComoduleData,
     check_comodule,
@@ -55,7 +61,9 @@ from coideals.correspondence import (
     phi_quotient,
     psi_cotensor,
     quotient_coaction,
+    quotient_data,
     quotient_module_coalgebra,
+    quotient_through_section,
     roundtrip_correspondence,
     ses_cross_check,
     verify_coideal_subalgebra,
@@ -191,6 +199,19 @@ def test_subgroup_table_relabels():
     sub = subgroup_table(g, (0, 1, 2))
     assert sub.labels == ("e", "r", "r2")
     assert sub.mul(1, 2) == 0
+
+
+def test_quotient_data_raises_when_the_kernel_is_no_left_ideal(h4):
+    # the projection onto the coordinates of 1 and x is onto, but its
+    # kernel span{g, gx} holds g with g.g = 1 and eps(g) = 1
+    pi = LinMap(QQ, 2, 4, {(0, 0): QQ.one, (1, 1): QQ.one})
+    sect = find_section(pi)
+    b, sigma = quotient_through_section(h4, pi, sect, ("1", "x"))
+    with pytest.raises(VerificationFailed) as ei:
+        quotient_data(h4, b, pi, sigma, section=sect)
+    failed = [c.name for c in ei.value.report.failures()]
+    assert failed[:2] == ["kernel-counit-vanishes", "kernel-is-left-ideal"]
+    assert "projection-module-linear" in failed
 
 
 # -- coinvariants and the roundtrip -------------------------------------

@@ -249,6 +249,66 @@ def test_library_has_no_assert_statements():
     assert not found, "assert statements in src/coideals: " + ", ".join(found)
 
 
+def _defaulted_parameters(tree):
+    """(function, parameter, index) for every parameter with a default.
+    index is the parameter's place among a call's positional arguments, so
+    a method's self is not counted, and None when it is keyword-only; an
+    __init__ is called by its class name."""
+    out = []
+
+    def visit(node, cls):
+        for ch in ast.iter_child_nodes(node):
+            if isinstance(ch, ast.ClassDef):
+                visit(ch, ch.name)
+            elif isinstance(ch, ast.FunctionDef):
+                a = ch.args
+                pos = a.posonlyargs + a.args
+                skip = 1 if cls and pos and pos[0].arg in ("self", "cls") else 0
+                name = cls if ch.name == "__init__" else ch.name
+                first = len(pos) - len(a.defaults)
+                out.extend((name, p.arg, i - skip)
+                           for i, p in enumerate(pos) if i >= first)
+                out.extend((name, p.arg, None)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None)
+                visit(ch, None)
+            else:
+                visit(ch, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _sets(call, param, index):
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_set_by_some_caller():
+    # an option that no caller in the library, the tests, the demos or the
+    # benchmark ever sets is a second code path that nothing reaches
+    src = Path(coideals.__file__).resolve().parent
+    params = []
+    for path in sorted(src.glob("*.py")):
+        params += [(path.name, *p) for p in
+                   _defaulted_parameters(ast.parse(path.read_text()))]
+    root = Path(__file__).resolve().parents[1]
+    calls = {}
+    for d in ("src", "tests", "demos", "bench"):
+        for path in sorted((root / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id",
+                                   getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    unset = [f"{file}:{fn}({param}=)" for file, fn, param, index in params
+             if not any(_sets(c, param, index) for c in calls.get(fn, ()))]
+    assert not unset, "defaulted parameters no caller sets: " + ", ".join(unset)
+
+
 def _names(node):
     if isinstance(node, ast.Name):
         return (node.id,)
@@ -372,8 +432,8 @@ def test_hit_action_is_translation_on_s3():
 def test_hit_action_certifies_module_axioms():
     g = symmetric_group_3()
     p = canonical_pairing(group_algebra(QQ, g), function_algebra(QQ, g))
-    hit_action(p, "right", certify=True)
-    hit_action(p, "left", certify=True)
+    hit_action(p, "right")
+    hit_action(p, "left")
     with pytest.raises(ValueError):
         hit_action(p, "middle")
 

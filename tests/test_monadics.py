@@ -164,6 +164,20 @@ def test_unit_object_algebra_recovers_the_subalgebra(a_1g, monad_1g):
     assert ua.algebra.labels == ("1", "g")
 
 
+def test_unit_object_algebra_returns_a_failing_report(monad_1g):
+    # a zero witness V (x) T(I) -> T(V) breaks the extracted algebra and
+    # every sampled factorization; the report says so, nothing is raised
+    d = monad_1g.t_on_objects(monad_1g.unit_object).dim
+
+    def zero(v):
+        return LinMap.zero(QQ, monad_1g.t_on_objects(v).dim, v.dim * d)
+
+    ua = unit_object_algebra(replace(monad_1g, tensor_witness=zero))
+    assert [c.name for c in ua.report.failures()] == [
+        "unit", "witness bijective at unit comodule",
+        "witness bijective at sweedler4 regular comodule"]
+
+
 def test_talgebras_match_modules_both_ways(h4, a_1g, monad_1g):
     ua = unit_object_algebra(monad_1g, labels=("1", "g"))
     reg_rel = regular_relhopf(h4, a_1g.algebra, a_1g.inclusion,
@@ -371,6 +385,6 @@ def test_pipeline_monad_unit_object_is_the_coinvariants(q_1g, a_1g):
     ms = cotensor_psi_monad(q_1g)
     assert ms.report.ok
     assert ms.unit_object is not None
-    ua = unit_object_algebra(ms, labels=("1", "g"), certify=False)
+    ua = unit_object_algebra(ms, labels=("1", "g"))
     assert ua.report.ok
     assert (ua.algebra.mult - a_1g.algebra.mult).is_zero()

@@ -547,9 +547,8 @@ def test_recover_coalgebra_map_rejects_flipped_coaction():
     # the counit of the flipped comultiplication still reads off the
     # identity, but the regeneration check sees the twist
     h = sweedler4()
-    with pytest.raises(VerificationFailed) as ei:
-        recover_coalgebra_map(h, h.coalgebra, h.coalgebra.cop().comult)
-    assert any(c.name == "coaction-regenerated" for c in ei.value.report.failures())
+    _, rep = recover_coalgebra_map(h, h.coalgebra, h.coalgebra.cop().comult)
+    assert [c.name for c in rep.failures()] == ["coaction-regenerated"]
 
 
 def test_corestriction_keeps_axioms():

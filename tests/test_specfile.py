@@ -132,6 +132,24 @@ class TestParseErrors:
         assert (exc.value.line, exc.value.col) == (1, 7)
         assert frag in str(exc.value)
 
+    @pytest.mark.parametrize("tok,frag", [
+        ("\u0663", "field must be Q or a prime, got '\u0663'"),
+        ("\uff17", "field must be Q or a prime"),
+        ("9" * 5000, "characteristic must be below 2^64"),
+        ("1" + "0" * 20, "characteristic must be below 2^64"),
+    ], ids=["arabic-indic-three", "fullwidth-seven", "5000-digits",
+            "21-digits"])
+    def test_field_token_takes_ascii_digits_below_the_bound(self, tok, frag):
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec(MINIMAL.replace("field Q", f"field {tok}"))
+        assert (exc.value.line, exc.value.col) == (1, 7)
+        assert frag in str(exc.value)
+        assert "int_max_str_digits" not in str(exc.value)
+
+    def test_field_token_with_leading_zeros_is_its_value(self):
+        sd = parse_spec(MINIMAL.replace("field Q", "field " + "0" * 30 + "7"))
+        assert sd.field == GF(7)
+
     @pytest.mark.parametrize("value", ["1e5000", "1.5"])
     def test_value_outside_the_grammar_exits_2_at_its_position(
             self, value, tmp_path, capsys):
