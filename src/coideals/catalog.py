@@ -285,21 +285,19 @@ def taft(n, field=QQ, q=None):
     unit_vec = tuple(field.one if i == 0 else field.zero for i in range(d))
     alg = AlgebraData.from_products(field, d, prod_fn, unit_vec, labels)
 
+    # prod[i*d + j]: [(k, coeff)] for e_i e_j
+    prod = alg.mult.sparse_columns()
+
     # comultiplication by powering Delta(g) and Delta(x) inside H (x) H
     def tensor_product(u, v):
         out = {}
         for (i1, j1), c1 in u.items():
             for (i2, j2), c2 in v.items():
-                pi = alg.basis_product(i1, i2)
-                pj = alg.basis_product(j1, j2)
-                for ai, ci in enumerate(pi):
-                    if ci == field.zero:
-                        continue
-                    for bj, cj in enumerate(pj):
-                        if cj == field.zero:
-                            continue
+                c12 = field.mul(c1, c2)
+                for ai, ci in prod[i1 * d + i2]:
+                    for bj, cj in prod[j1 * d + j2]:
                         key = (ai, bj)
-                        add = field.mul(field.mul(c1, c2), field.mul(ci, cj))
+                        add = field.mul(c12, field.mul(ci, cj))
                         out[key] = field.add(out.get(key, field.zero), add)
         return {k: v for k, v in out.items() if v != field.zero}
 
@@ -322,20 +320,28 @@ def taft(n, field=QQ, q=None):
         lambda i: field.one if i % n == 0 else field.zero, labels)
 
     # antipode: S(g) = g^(n-1), S(x) = -g^(n-1) x, extended antimultiplicatively
-    sg = tuple(field.one if i == (n - 1) * n else field.zero for i in range(d))
-    sx = tuple(field.neg(field.one) if i == (n - 1) * n + 1 else field.zero for i in range(d))
+    sg, sx = (n - 1) * n, (n - 1) * n + 1
+
+    def times(vec, s, coeff):
+        """The sparse vector {k: coeff} vec times coeff e_s."""
+        out = {}
+        for k, c in vec.items():
+            for r, w in prod[k * d + s]:
+                out[r] = field.add(out.get(r, field.zero),
+                                   field.mul(field.mul(c, coeff), w))
+        return out
+
     ent = {}
     for i in range(d):
         a, b = divmod(i, n)
         # S is antimultiplicative: S(g^a x^b) = S(x)^b * S(g)^a
-        vec = unit_vec
+        vec = {0: field.one}
         for _ in range(b):
-            vec = alg.product(vec, sx)
+            vec = times(vec, sx, field.neg(field.one))
         for _ in range(a):
-            vec = alg.product(vec, sg)
-        for r, c in enumerate(vec):
-            if c != field.zero:
-                ent[(r, i)] = c
+            vec = times(vec, sg, field.one)
+        for r, c in sorted(vec.items()):
+            ent[(r, i)] = c
     antipode = LinMap(field, d, d, ent)
     name = f"taft({n}) over {field.name}" if (n, field.char) != (2, 0) else "sweedler4"
     return HopfAlgebraData(alg, co, antipode, name)

@@ -34,7 +34,7 @@ from .correspondence import (
     roundtrip_correspondence,
     verify_coideal_subalgebra,
 )
-from .fields import GF, QQ
+from .fields import GF, QQ, int_token
 from .hopf import check_hopf_axioms
 from .linalg import LinMap, find_section, rank
 from .monadics import gamma_isomorphism, theorem2_pipeline
@@ -65,11 +65,7 @@ class InputError(Exception):
 
 
 def _dim_cap():
-    raw = os.environ.get(DIM_CAP_VAR, "64")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{DIM_CAP_VAR} must be an integer, got {raw!r}")
+    return _int_param(os.environ.get(DIM_CAP_VAR, "64"), DIM_CAP_VAR)
 
 
 def _cap_check(dim, what):
@@ -94,10 +90,10 @@ def _load(path, kinds=None):
 
 
 def _int_param(tok, what):
-    try:
-        return int(tok)
-    except ValueError:
+    n = int_token(tok, what)
+    if n is None:
         raise InputError(f"{what} must be an integer, got {tok!r}")
+    return n
 
 
 CATALOG_NAMES = "k, kC<n>, kS3, k^C<n>, k^S3, sweedler4, taft <n> <p> [<q>]"
@@ -136,11 +132,10 @@ def _catalog_object(name, params):
     # a group algebra kG or function algebra k^G has dimension |G|
     digits = (name[3:] if name.startswith("k^C")
               else name[2:] if name.startswith("kC") else "")
+    order = int_token(digits, "group order")
     if name in ("k", "kS3", "k^S3"):
         order = 1 if name == "k" else 6
-    elif digits.isdigit() and int(digits) > 0:
-        order = int(digits)
-    else:
+    elif not order:
         raise InputError(f"unknown catalog name {name!r}; "
                          f"known: {CATALOG_NAMES}")
     _cap_check(order, what)
@@ -233,12 +228,11 @@ def _cmd_correspond(args, t0):
         q = quotient_module_coalgebra(a)
         rep.merge(q.report, "quotient ")
         rep.add("quotient-dimension", True, f"dimension {q.dim}")
-        if q.ok:
-            rt = roundtrip_correspondence(h, subalgebras=[a], quotients=[q])
-            rep.merge(rt)
-            rep.add("roundtrip", rt.ok, "exact" if rt.ok else "inexact")
-            label, _ = classify_quantum(a)
-            rep.add("classification", True, label)
+        rt = roundtrip_correspondence(h, subalgebras=[a], quotients=[q])
+        rep.merge(rt)
+        rep.add("roundtrip", rt.ok, "exact" if rt.ok else "inexact")
+        label, _ = classify_quantum(a)
+        rep.add("classification", True, label)
     return _emit_and_print(rep, args.emit, t0)
 
 

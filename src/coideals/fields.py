@@ -123,6 +123,24 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 CHAR_BOUND = 2 ** 64
 
 
+def int_token(token, what):
+    """The int that a token of ASCII digits spells, or None for any other
+    token; the caller words that refusal, since what else the token may be
+    depends on where it stands.
+
+    This is the one rule for the integer tokens of spec files and of the
+    command line.  Each of them is below CHAR_BOUND; a token at or above it
+    raises ValueError naming the token and `what` it is.  2^64 has 20
+    digits, so a longer token is refused by its length before int() sees
+    it, and never meets Python's own limit on digits.
+    """
+    if not (token.isascii() and token.isdigit()):
+        return None
+    if len(token.lstrip("0")) > 20 or int(token) >= CHAR_BOUND:
+        raise ValueError(f"{what} must be below 2^64, got {token!r}")
+    return int(token)
+
+
 def _is_prime(n):
     """Primality of an integer n < CHAR_BOUND, by deterministic Miller-Rabin."""
     if n < 2:

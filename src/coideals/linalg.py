@@ -131,6 +131,14 @@ class LinMap:
     def column(self, c):
         return tuple(self.entry(r, c) for r in range(self.rows))
 
+    def sparse_columns(self):
+        """Every column as a list of (row, value) over its nonzeros, rows
+        ascending; the list at index c is column c."""
+        out = [[] for _ in range(self.cols)]
+        for (r, c), v in self.entries():
+            out[c].append((r, v))
+        return out
+
     # -- arithmetic ---------------------------------------------------
 
     def _binop(self, other, op):

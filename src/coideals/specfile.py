@@ -14,7 +14,8 @@ Line-oriented format; '#' starts a comment, blank lines are skipped:
 
 Row and column keys name one index of the map's matrix: tensor legs are
 dot-joined labels, the scalar side of a unit or counit is written "_",
-and the spanning vectors of a subspace are numbered from 0.  Values are
+and the spanning vectors of a subspace are numbered from 0 in ASCII
+digits, below 2^64 like the characteristic.  Values are
 integer or "num/den" strings of ASCII digits, signed only in front, over
 either field; the serializer writes "num/den" over the rationals and
 canonical integers over a prime field.  Zero entries may be written but
@@ -28,7 +29,7 @@ entries sorted by matrix position, rationals always written num/den.
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import CHAR_BOUND, GF, QQ
+from .fields import GF, QQ, int_token
 from .linalg import LinMap, Subspace
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData
 from .repcats import ComoduleData
@@ -173,16 +174,15 @@ class _Parser:
             col, tok = rest[0]
             if tok == "Q":
                 self.field = QQ
-            elif tok.isascii() and tok.isdigit():
-                # 2^64 has 20 digits, so a longer token is refused as
-                # CHAR_BOUND without being handed to int()
-                p = int(tok) if len(tok.lstrip("0")) <= 20 else CHAR_BOUND
+            else:
                 try:
-                    self.field = GF(p)
+                    p = int_token(tok, "characteristic")
+                    self.field = None if p is None else GF(p)
                 except ValueError as e:
                     self.fail(str(e), ln, col)
-            else:
-                self.fail(f"field must be Q or a prime, got {tok!r}", ln, col)
+                if self.field is None:
+                    self.fail(f"field must be Q or a prime, got {tok!r}",
+                              ln, col)
         elif head == "kind":
             if self.kind is not None:
                 self.fail("kind declared twice", ln, col0)
@@ -219,9 +219,13 @@ class _Parser:
                           ln, col)
             return 0
         if axes == ("N",):
-            if not key.isdigit():
+            try:
+                n = int_token(key, "vector number")
+            except ValueError as e:
+                self.fail(str(e), ln, col)
+            if n is None:
                 self.fail(f"vector number expected, got {key!r}", ln, col)
-            return int(key)
+            return n
         parts = key.split(".")
         if len(parts) != len(axes):
             self.fail(f"key {key!r} has {len(parts)} legs, map declares "

@@ -70,6 +70,9 @@ def specs(tmp_path_factory):
     # sweedler4 with one coproduct coefficient doubled: not coassociative
     (d / "bad.spec").write_text(
         (d / "h4.spec").read_text().replace("g.x x 1/1", "g.x x 2/1"))
+    # sweedler4 with x g = g x instead of -g x: not associative
+    (d / "badmult.spec").write_text(
+        (d / "h4.spec").read_text().replace("gx x.g -1/1", "gx x.g 1/1"))
     save_spec(spec_from_comodule(_two_weights(), name="two weights"),
               d / "two.spec")
     # surjective, but its kernel span{g, gx} is not a left ideal (g.g = 1)
@@ -162,6 +165,32 @@ class TestCatalogAndCheck:
         assert out.returncode == code, out.stderr
         assert frag in out.stdout + out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("argv,frag", [
+        (("taft", "1_0", "7"), "taft order must be an integer, got '1_0'"),
+        (("taft", "\u0662", "\u0663"),
+         "taft order must be an integer, got '\u0662'"),
+        (("taft", "2", "3", "-1"), "taft root must be an integer, got '-1'"),
+        (("kC3", "\uff17"), "characteristic must be an integer, got '\uff17'"),
+        (("kC\u0663",), "unknown catalog name 'kC\u0663'"),
+        (("k^C\u0663",), "unknown catalog name 'k^C\u0663'"),
+        (("kC" + "9" * 5000,), "group order must be below 2^64, got '999"),
+        (("taft", "9" * 5000, "7"), "taft order must be below 2^64, got '999"),
+    ], ids=["underscore", "arabic-indic", "signed-root", "fullwidth-char",
+            "kC-arabic-indic", "k^C-arabic-indic", "kC-5000-digits",
+            "taft-5000-digits"])
+    def test_integer_tokens_are_ascii_digits_below_the_bound(
+            self, capsys, argv, frag):
+        code, out, err = run(capsys, "catalog", *argv)
+        assert (code, out) == (2, "")
+        assert frag in err
+        assert "Exceeds the limit" not in err
+
+    def test_dim_cap_takes_ascii_digits(self, capsys, monkeypatch):
+        monkeypatch.setenv(DIM_CAP_VAR, "\u0666\u0664")
+        code, _, err = run(capsys, "catalog", "kC3")
+        assert code == 2
+        assert f"{DIM_CAP_VAR} must be an integer, got '\u0666\u0664'" in err
 
     def test_unknown_name_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "catalog", "nope")
@@ -366,6 +395,18 @@ GOLDEN = (
      "f7cc1fc2ba83ef128bd42cf30bc2a3336157460e4f7483d279bb6b559bb3dd21"),
     (("gamma", "h4.spec", "--quotient", "onto1x.spec"), 1,
      "aa7dd8f72bbbad373a59d711532402a1e212607ab985c31daaa7db4d1a30ab83"),
+    (("check", "badmult.spec"), 1,
+     "fc91a1063d0bf5dadf15d3bbb4bea3dcc474f9810801b000bbbbdc2d38cc6eae"),
+    (("catalog", "taft", "2", "3"), 0,
+     "0a9c88f294bffb3cf2843f605f49d23d1200c9908b553a8f10964bfc77ee8b3e"),
+    (("catalog", "taft", "3", "7"), 0,
+     "d4c490af391c9894a0961ed426b2abb46f1a612fe1b065aa96107bb3361270e1"),
+    (("catalog", "taft", "4", "5"), 0,
+     "e28e248fa4cf907c09242e85bd4ef0b26efd9dfb0f3a9296c7d2d962da3a90f9"),
+    (("catalog", "taft", "5", "11"), 0,
+     "e47f8d6a3ed11e106840c7e5f60a1c98db1536ec7c7ad6206686a39ccb668d08"),
+    (("catalog", "taft", "6", "7"), 0,
+     "a5664585ce0deac0ec4943fb2641eaa98c3511b11da1bae4e554b0f3464edc12"),
 )
 
 

@@ -122,17 +122,15 @@ def add_to_one_entry(m, rng):
     return LinMap(f, m.rows, m.cols, ent)
 
 
-def with_mult(h, mult):
-    a = h.algebra
-    return HopfAlgebraData(AlgebraData(a.field, a.dim, mult, a.unit, a.labels),
-                           h.coalgebra, h.antipode, "bad")
-
-
-def with_comult(h, comult):
-    c = h.coalgebra
-    return HopfAlgebraData(h.algebra,
-                           CoalgebraData(c.field, c.dim, comult, c.counit, c.labels),
-                           h.antipode, "bad")
+def with_map(h, which, m):
+    """h with the structure map named which replaced by m."""
+    a, c = h.algebra, h.coalgebra
+    maps = {"mult": a.mult, "unit": a.unit, "comult": c.comult,
+            "counit": c.counit, "antipode": h.antipode, which: m}
+    return HopfAlgebraData(
+        AlgebraData(a.field, a.dim, maps["mult"], maps["unit"], a.labels),
+        CoalgebraData(c.field, c.dim, maps["comult"], maps["counit"], c.labels),
+        maps["antipode"], "bad")
 
 
 @pytest.mark.parametrize("which", ["mult", "comult"])
@@ -143,11 +141,77 @@ def test_comult_multiplicative_matches_materialized_formula(h, which):
     assert comult_multiplicative(h) == materialized_comult_multiplicative(h) == (True, None)
     for seed in range(30):
         rng = Random(seed)
-        if which == "mult":
-            bad = with_mult(h, add_to_one_entry(h.mult, rng))
-        else:
-            bad = with_comult(h, add_to_one_entry(h.comult, rng))
+        m = h.mult if which == "mult" else h.comult
+        bad = with_map(h, which, add_to_one_entry(m, rng))
         assert comult_multiplicative(bad) == materialized_comult_multiplicative(bad), seed
+
+
+def materialized_checks(h):
+    """Reference oracle: (name, ok, witness) of every axiom check, each
+    evaluated as a difference of composed matrices, mult (x) id and the
+    like built as Kronecker products."""
+    f, d, lbl = h.field, h.dim, h.labels
+    i_d = LinMap.identity(f, d)
+    mult, unit, comult, counit, anti = (h.mult, h.unit, h.comult, h.counit,
+                                        h.antipode)
+
+    def one_map(name, diff, label_lists):
+        return name, diff.is_zero(), _witness(diff, label_lists)
+
+    def two_sided(name, lu, ru):
+        first = lu if not lu.is_zero() else ru
+        return name, lu.is_zero() and ru.is_zero(), _witness(first, [lbl])
+
+    ue = unit @ counit
+    return [
+        one_map("assoc", mult @ mult.tensor(i_d) - mult @ i_d.tensor(mult),
+                [lbl] * 3),
+        two_sided("unit", mult @ unit.tensor(i_d) - i_d,
+                  mult @ i_d.tensor(unit) - i_d),
+        one_map("coassoc", comult.tensor(i_d) @ comult
+                - i_d.tensor(comult) @ comult, [lbl]),
+        two_sided("counit", counit.tensor(i_d) @ comult - i_d,
+                  i_d.tensor(counit) @ comult - i_d),
+        ("comult-multiplicative",) + materialized_comult_multiplicative(h),
+        ("comult-unital", (comult @ unit - unit.tensor(unit)).is_zero(), None),
+        one_map("counit-multiplicative",
+                counit @ mult - counit.tensor(counit), [lbl] * 2),
+        ("counit-unital", counit @ unit == LinMap.identity(f, 1), None),
+        one_map("antipode-left", mult @ anti.tensor(i_d) @ comult - ue, [lbl]),
+        one_map("antipode-right", mult @ i_d.tensor(anti) @ comult - ue, [lbl]),
+    ]
+
+
+def sparse_checks(h):
+    return [(c.name, c.ok, c.witness) for c in check_hopf_axioms(h).checks]
+
+
+@pytest.mark.parametrize("which", ["mult", "unit", "comult", "counit", "antipode"])
+@pytest.mark.parametrize("h", [sweedler4(), taft(3, GF(7)),
+                               group_algebra(QQ, symmetric_group_3(), "kS3"),
+                               function_algebra(QQ, symmetric_group_3(), "k^S3")],
+                         ids=lambda h: h.name)
+def test_every_check_matches_materialized_formula(h, which):
+    assert sparse_checks(h) == materialized_checks(h)
+    assert all(ok for _, ok, _ in sparse_checks(h))
+    maps = {"mult": h.mult, "unit": h.unit, "comult": h.comult,
+            "counit": h.counit, "antipode": h.antipode}
+    for seed in range(30):
+        bad = with_map(h, which, add_to_one_entry(maps[which], Random(seed)))
+        assert sparse_checks(bad) == materialized_checks(bad), seed
+
+
+def test_axiom_checks_build_no_kronecker_product(monkeypatch):
+    # check_hopf_axioms runs AlgebraData.check and CoalgebraData.check too
+    calls = []
+    for name in ("tensor", "__matmul__"):
+        method = getattr(LinMap, name)
+        monkeypatch.setattr(
+            LinMap, name,
+            lambda self, other, method=method, name=name:
+            calls.append(name) or method(self, other))
+    assert check_hopf_axioms(taft(6, GF(7))).ok
+    assert calls == []
 
 
 def test_broken_comult_multiplicative_reports_first_pair():
@@ -158,7 +222,7 @@ def test_broken_comult_multiplicative_reports_first_pair():
     # Every earlier pair (1, -) and (x, 1) only multiplies by the unit.
     ent = dict(h.mult.entries())
     ent[(0, 5)] = Fr(1)
-    bad = with_mult(h, LinMap(QQ, 4, 16, ent))
+    bad = with_map(h, "mult", LinMap(QQ, 4, 16, ent))
     assert comult_multiplicative(bad) == (False, "(x, x)")
 
 

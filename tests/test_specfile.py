@@ -146,6 +146,26 @@ class TestParseErrors:
         assert frag in str(exc.value)
         assert "int_max_str_digits" not in str(exc.value)
 
+    @pytest.mark.parametrize("key,frag", [
+        ("\u0663", "vector number expected, got '\u0663'"),
+        ("1_0", "vector number expected, got '1_0'"),
+        ("9" * 5000, "vector number must be below 2^64, got '999"),
+        ("1" + "0" * 24, "vector number must be below 2^64, got '1000"),
+    ], ids=["arabic-indic-three", "underscore", "5000-digits", "25-digits"])
+    def test_vector_number_takes_ascii_digits_below_the_bound(self, key, frag):
+        text = ("field Q\nkind subspace\nbasis a b\nmap vectors\n"
+                f"0 a 1/1\n{key} b 1/1\n")
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec(text)
+        assert (exc.value.line, exc.value.col) == (6, 1)
+        assert frag in str(exc.value)
+        assert "int_max_str_digits" not in str(exc.value)
+
+    def test_vector_numbers_with_leading_zeros_are_their_values(self):
+        sd = parse_spec("field Q\nkind subspace\nbasis a b\nmap vectors\n"
+                        "0 a 1/1\n001 b 1/1\n")
+        assert sd.maps["vectors"].rows == 2
+
     def test_field_token_with_leading_zeros_is_its_value(self):
         sd = parse_spec(MINIMAL.replace("field Q", "field " + "0" * 30 + "7"))
         assert sd.field == GF(7)
