@@ -96,6 +96,21 @@ def _int_param(tok, what):
     return n
 
 
+def _seed(tok):
+    """A --seed value: an optional leading - and then ASCII digits, of
+    magnitude below 2^64."""
+    neg = tok.startswith("-")
+    try:
+        n = int_token(tok[1:] if neg else tok, "seed")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed must be below 2^64 in magnitude, got {tok!r}")
+    if n is None:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer, got {tok!r}")
+    return -n if neg else n
+
+
 CATALOG_NAMES = "k, kC<n>, kS3, k^C<n>, k^S3, sweedler4, taft <n> <p> [<q>]"
 
 
@@ -410,7 +425,7 @@ def _build_parser():
                  "certify the comparison isomorphism with seeded checks")
     sp.add_argument("spec")
     sp.add_argument("--quotient", required=True, metavar="FILE")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     sp = command("morita", _cmd_morita,
                  "certify pre-equivalence data between two coalgebras")
@@ -421,7 +436,7 @@ def _build_parser():
 
     sp = command("suite", _cmd_suite, "run the full acceptance battery")
     sp.add_argument("what", choices=["all"])
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     return p
 
 

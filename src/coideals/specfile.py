@@ -405,8 +405,7 @@ def canonical_form(sd):
                  _permute_index(c, caxes, cdims, bperm, operm))] = v
         maps[mname] = LinMap(sd.field, m.rows, m.cols, ent)
     if sd.kind == "subspace":
-        sp = Subspace.from_vectors(sd.field, len(sd.basis),
-                                   maps["vectors"].dense_rows())
+        sp = _vectors_span(sd.field, len(sd.basis), maps["vectors"])
         maps["vectors"] = (LinMap.from_rows(sd.field, sp.rows) if sp.dim
                            else LinMap.zero(sd.field, 0, len(sd.basis)))
     return SpecData(sd.field, sd.kind, "",
@@ -451,8 +450,17 @@ def to_comodule(sd):
 def to_subspace(sd):
     if sd.kind != "subspace":
         _object_error(f"expected a subspace spec, got kind {sd.kind}")
-    return Subspace.from_vectors(sd.field, sd.dim,
-                                 sd.maps["vectors"].dense_rows())
+    return _vectors_span(sd.field, sd.dim, sd.maps["vectors"])
+
+
+def _vectors_span(field, ambient, vectors):
+    """The span of the rows of a `vectors` map.  Its row count is the
+    largest vector number plus one, so only the nonzero rows are made
+    dense: zero rows do not change the span."""
+    rows = {}
+    for (r, c), v in vectors.entries():
+        rows.setdefault(r, [field.zero] * ambient)[c] = v
+    return Subspace.from_vectors(field, ambient, list(rows.values()))
 
 
 # -- parsed specs from package objects ----------------------------------

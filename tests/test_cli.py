@@ -23,7 +23,7 @@ from coideals.catalog import (
     sweedler4,
     symmetric_group_3,
 )
-from coideals.cli import DIM_CAP_VAR, main
+from coideals.cli import DIM_CAP_VAR, _build_parser, main
 from coideals.correspondence import (
     quotient_module_coalgebra,
     verify_coideal_subalgebra,
@@ -210,6 +210,29 @@ class TestCatalogAndCheck:
             assert code == 0, name
             assert "check FAIL" not in out
 
+    def test_far_apart_vector_numbers_get_a_verdict(self, tmp_path):
+        # vectors 0 and 10^12 make a map with 10^12 + 1 rows, all but two
+        # of them zero; the child's address space is capped so that
+        # densifying those rows fails fast instead of exhausting memory
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        spec = tmp_path / "far.spec"
+        spec.write_text("field Q\nkind subspace\nbasis a b\nmap vectors\n"
+                        f"0 a 1/1\n{10 ** 12} b 1/1\n")
+        src = str(Path(coideals.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "coideals.cli", "check", str(spec)],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=cap)
+        assert "Traceback" not in out.stderr
+        assert out.returncode == 1, out.stderr
+        assert ("check FAIL spanning-vectors-independent\n"
+                "witness dimension 2 from 1000000000001 vectors\n") in out.stdout
+
 
 class TestCorrespond:
 
@@ -283,6 +306,31 @@ class TestPipelines:
                            "--seed", "11")
         assert code == 0
         assert out.splitlines()[1] == "seed 11"
+
+    @pytest.mark.parametrize("tok,seed", [
+        ("7", 7), ("007", 7), ("-5", -5), ("20260822", 20260822),
+        (str(2 ** 64 - 1), 2 ** 64 - 1), (str(1 - 2 ** 64), 1 - 2 ** 64),
+    ])
+    @pytest.mark.parametrize("cmd", [("suite", "all"),
+                                     ("gamma", "h.spec", "--quotient", "q.spec")])
+    def test_seed_takes_a_signed_ascii_integer(self, cmd, tok, seed):
+        assert _build_parser().parse_args([*cmd, "--seed", tok]).seed == seed
+
+    @pytest.mark.parametrize("tok,frag", [
+        ("\u0661_\u0662", "seed must be an integer, got '\u0661_\u0662'"),
+        ("1_0", "seed must be an integer, got '1_0'"),
+        ("+5", "seed must be an integer, got '+5'"),
+        ("9" * 5000, "seed must be below 2^64 in magnitude, got '999"),
+        (str(2 ** 64), f"seed must be below 2^64 in magnitude, got '{2 ** 64}'"),
+    ], ids=["arabic-indic", "underscore", "plus-sign", "5000-digits", "2^64"])
+    @pytest.mark.parametrize("cmd", [("suite", "all"),
+                                     ("gamma", "h.spec", "--quotient", "q.spec")])
+    def test_seed_outside_the_rule_exits_2_naming_it(self, capsys, cmd, tok,
+                                                     frag):
+        code, out, err = run(capsys, *cmd, "--seed", tok)
+        assert (code, out) == (2, "")
+        assert frag in err
+        assert "Exceeds the limit" not in err
 
 
 class TestMorita:

@@ -9,7 +9,7 @@ recovered through an independent construction (restriction of the ambient
 product, the comultiplication of the tensoring coalgebra, the quotient
 projection)."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -41,6 +41,7 @@ from coideals.monadics import (
     compare_talgebras_to_modules,
     cotensor_psi_adjunction,
     cotensor_psi_monad,
+    free_forget_adjunction,
     free_forget_monad,
     gamma_isomorphism,
     internal_hom,
@@ -128,6 +129,89 @@ def test_monad_laws_hold_on_all_sampled_objects(monad_1g):
         assert f"associativity at {v}" in names
         assert f"unit law (lifted unit) at {v}" in names
         assert f"unit law (outer unit) at {v}" in names
+
+
+def associativity_through_t3(adj, v):
+    """mu_V o T(mu_V) against mu_V o mu_TV, two maps out of T^3 V, built
+    from the adjunction directly: the formula that the counit square
+    replaced, kept as its oracle."""
+    def lft(x):
+        return adj.left_on_objects(x)
+
+    def t(x):
+        return adj.right_on_objects(lft(x))
+
+    def mu(x):
+        lx = lft(x)
+        return adj.right_on_maps(lft(adj.right_on_objects(lx)), lx,
+                                 adj.counit(lx))
+
+    tv = t(v)
+    t2v = t(tv)
+    mu_v = mu(v)
+    t_mu = adj.right_on_maps(lft(t2v), lft(tv), adj.left_on_maps(t2v, tv, mu_v))
+    return (mu_v @ t_mu - mu_v @ mu(tv)).is_zero()
+
+
+@pytest.fixture(scope="module")
+def ks3_pair():
+    _, a3, q3 = subgroup_data(QQ, symmetric_group_3(), (0, 3))
+    return a3, q3
+
+
+@pytest.mark.parametrize("case", ["free/forget sweedler4", "cotensor sweedler4",
+                                  "free/forget k^S3", "cotensor k^S3"])
+def test_counit_square_agrees_with_the_t3_formula(case, a_1g, q_1g, ks3_pair):
+    a, q = (a_1g, q_1g) if "sweedler4" in case else ks3_pair
+    adj = (free_forget_adjunction(a) if case.startswith("free")
+           else cotensor_psi_adjunction(q))
+    verdicts = {c.name: c.ok for c in monad_from_adjunction(adj).report.checks}
+    for v in adj.sample_objects:
+        assert associativity_through_t3(adj, v)
+        assert verdicts[f"associativity at {v.name}"]
+
+
+@dataclass(frozen=True)
+class Tagged:
+    """An object that records how many functors were applied to it."""
+    name: str
+    dim: int
+    depth: int = 0
+    field = QQ
+
+
+def _deeper(x):
+    return replace(x, depth=x.depth + 1)
+
+
+def test_unnatural_counit_fails_the_counit_square():
+    # both adjoints keep carriers and raise the depth; the counit is the
+    # identity up to depth 1, where the triangle identities look, and
+    # twice the identity deeper, so it is not natural along eps_FV and
+    # only the counit square at each sample can see it
+    def counit(m):
+        return identity_map(QQ, m.dim).scale(QQ.from_int(1 if m.depth <= 1 else 2))
+
+    objects = (Tagged("V", 1), Tagged("W", 2))
+    adj = AdjunctionData(
+        name="unnatural counit",
+        left_on_objects=_deeper,
+        left_on_maps=lambda s, d, m: m,
+        right_on_objects=_deeper,
+        right_on_maps=lambda s, d, m: m,
+        unit=lambda x: identity_map(QQ, x.dim),
+        counit=counit,
+        sample_objects=objects)
+    with pytest.raises(VerificationFailed) as exc:
+        monad_from_adjunction(adj)
+    rep = exc.value.report
+    assert [c.name for c in rep.failures()] == [
+        "counit square at V", "counit square at W"]
+    assert not any(c.name.startswith("associativity") for c in rep.checks)
+    assert all(c.ok for c in rep.checks
+               if c.name.startswith(("left-triangle", "right-triangle", "unit law")))
+    # the right adjoint is faithful here, so associativity fails as well
+    assert not any(associativity_through_t3(adj, v) for v in objects)
 
 
 def test_scalars_give_the_identity_monad(h4, objs):
@@ -369,6 +453,30 @@ def test_cotensor_adjunction_cotensors_each_object_once(monkeypatch):
     assert cotensor_psi_monad(q3).report.ok
     assert len(seen) > 1
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("case", ["k^S3/quot3", "h4/q1g"])
+def test_cotensor_monad_cotensors_nothing_above_t2v(monkeypatch, case, q_1g,
+                                                    ks3_pair):
+    # F keeps carriers, so cotensoring F(T^k V) builds T^(k+1) V; the
+    # largest object cotensored must be F(TV), whose cotensor is T^2 V
+    import coideals.monadics as monadics
+    q = ks3_pair[1] if case == "k^S3/quot3" else q_1g
+    dims = []
+    real = monadics.cotensor
+
+    def counted(v, w):
+        dims.append(v.dim)
+        return real(v, w)
+
+    monkeypatch.setattr(monadics, "cotensor", counted)
+    ms = cotensor_psi_monad(q)
+    assert ms.report.ok
+    built = list(dims)
+    tv = [ms.t_on_objects(v) for v in ms.objects]
+    t2v = [ms.t_on_objects(x) for x in tv]
+    assert max(built) == max(x.dim for x in tv)
+    assert max(x.dim for x in t2v) > max(x.dim for x in tv)
 
 
 def test_cotensor_adjunction_names_each_object(q_1g):
