@@ -448,16 +448,17 @@ def main(argv=None):
     t0 = perf_counter()
     try:
         return args.fn(args, t0)
+    except VerificationFailed as e:
+        # a constructor refused mid-command; the certificate explains it.
+        # VerificationFailed is a ValueError, so this clause comes first
+        sys.stdout.write(CertReport("refused").merge(e.report).serialize())
+        return 1
     except (InputError, SpecParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except VerificationFailed as e:
-        # a constructor refused mid-command; the certificate explains it
-        sys.stdout.write(CertReport("refused").merge(e.report).serialize())
-        return 1
 
 
 if __name__ == "__main__":

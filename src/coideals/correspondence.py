@@ -673,9 +673,7 @@ def mw_equivalence_check(a, test_comodules=None):
         rep.add(f"{nm}: quotient-coaction-well-defined", wd)
         rep.merge(check_comodule(com), f"{nm}: quotient ")
         psi_rel, s = psi_cotensor(com, a, q)
-        amb_u = proj.tensor(ih) @ m.comodule.coaction
-        u = s.coords_map() @ amb_u
-        lands = (s.basis_map() @ u) == amb_u
+        u, lands = s.factor(proj.tensor(ih) @ m.comodule.coaction)
         rep.add(f"{nm}: unit-lands-in-cotensor", lands)
         ru = rank(u)
         bij = s.dim == m.dim and ru == m.dim

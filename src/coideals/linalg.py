@@ -13,6 +13,10 @@ Conventions used by the whole package:
 * Subspaces are stored in reduced row echelon form with unit pivots and
   rows ordered by pivot column; two subspaces are equal iff their stored
   bases are identical.
+* Restricting a map to a subspace goes through one method,
+  Subspace.factor: it returns the coordinates of the map's columns and
+  whether every column is a member, so membership and coordinates come
+  from one path.
 
 A LinMap is stored sparse: a dict keyed by (row, col), with no zeros kept.
 Every elimination (rref, kernel_of, image_of, rank, solve, invert,
@@ -413,8 +417,16 @@ class Subspace:
     def contains(self, vec):
         return self.coords(vec) is not None
 
-    def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
+    def factor(self, m):
+        """Factor a LinMap m: k^n -> k^ambient through this subspace.
+
+        Returns (X, lands) with X = coords_map() @ m, and lands true
+        exactly when basis_map() @ X == m, that is, when every column of m
+        is a member; X is then the unique such map.  Callers that report
+        a failed check may still read X.
+        """
+        x = self.coords_map() @ m
+        return x, self.basis_map() @ x == m
 
     def _same_ambient(self, other):
         same_field(self.field, other.field)
@@ -471,9 +483,6 @@ class Subspace:
         coordinates (a retraction of basis_map).
         """
         f = self.field
-        # coords are pivot coordinates of the RREF basis: coeff_i = v[pivot_i]
-        # after eliminating previous pivots; since rows are RREF, reading the
-        # pivot entries directly is exact for members.
         entries = {}
         for i, p in enumerate(self.pivots):
             entries[(i, p)] = f.one
@@ -626,24 +635,6 @@ def stack_maps(maps):
             ent[(off + r, c)] = v
         off += m.rows
     return LinMap(field, off, cols, ent)
-
-
-def left_inverse(m):
-    """R with R @ m = id (m injective), or None."""
-    field = m.field
-    mt = m.transpose()
-    cols = []
-    for i in range(m.cols):
-        y = solve(mt, basis_vector(field, m.cols, i))
-        if y is None:
-            return None
-        cols.append(y)
-    ent = {}
-    for i, y in enumerate(cols):
-        for j, v in enumerate(y):
-            if v != field.zero:
-                ent[(i, j)] = v
-    return LinMap(field, m.cols, m.rows, ent)
 
 
 # -- spaces of maps ----------------------------------------------------

@@ -20,8 +20,11 @@ precondition raises instead of returning a wrong answer.
 The standard constructions have one builder each, used by every other
 module: regular_comodule_of (the regular comodule of any coalgebra),
 restrict_module (pull-back along an algebra map), generated_submodule
-(the submodule a vector generates) and _quotient_maps (projection and
-section modulo a subspace).  A failed check names its first violating
+(the submodule a vector generates), _quotient_maps (projection and
+section modulo a subspace) and comodule_on_subspace (a coaction
+restricted to a subspace, the one way to restrict a map on a tensor
+leg).  Restrictions that land in the subspace itself go through
+linalg's Subspace.factor.  A failed check names its first violating
 basis tuple through hopf._witness.
 """
 
@@ -44,8 +47,9 @@ from .linalg import (
     LinMap,
     Subspace,
     basis_vector,
+    image_of,
+    invert,
     kernel_of,
-    left_inverse,
     map_to_vec,
     matrix_of_operator,
     solve,
@@ -216,11 +220,14 @@ def restricted_comultiplication(h, inclusion):
     which is the right coideal condition for the subspace.
     """
     f = h.field
-    retr = left_inverse(inclusion)
-    if retr is None:
+    # one elimination: the inclusion is injective exactly when reading its
+    # image's pivot coordinates gives a square invertible matrix
+    coords = image_of(inclusion).coords_map()
+    inv = invert(coords @ inclusion)
+    if inv is None:
         raise ValueError("inclusion is not injective")
     ih = LinMap.identity(f, h.dim)
-    delta = retr.tensor(ih) @ h.comult @ inclusion
+    delta = (inv @ coords).tensor(ih) @ h.comult @ inclusion
     diff = inclusion.tensor(ih) @ delta - h.comult @ inclusion
     return delta, ("coproduct-stays-in-subspace", diff.is_zero(),
                    _witness(diff, [_default_labels(inclusion.cols, "a")]))
@@ -437,23 +444,14 @@ def restrict_algebra(a, s, labels=()):
     """Structure constants of a subalgebra on the canonical basis of a
     subspace; raises when the subspace is not closed under the product or
     misses the unit.  Returns (algebra, inclusion)."""
-    f = a.field
-    d = s.dim
-    ent = {}
-    for i, ri in enumerate(s.rows):
-        for j, rj in enumerate(s.rows):
-            coords = s.coords(a.product(ri, rj))
-            if coords is None:
-                raise ValueError("subspace is not closed under the product")
-            for k, c in enumerate(coords):
-                if c != f.zero:
-                    ent[(k, i * d + j)] = c
-    unit = s.coords(a.unit_vector)
-    if unit is None:
+    b = s.basis_map()
+    mult, closed = s.factor(a.mult @ b.tensor(b))
+    if not closed:
+        raise ValueError("subspace is not closed under the product")
+    unit, unital = s.factor(a.unit)
+    if not unital:
         raise ValueError("subspace does not contain the unit")
-    sub = AlgebraData(f, d, LinMap(f, d, d * d, ent),
-                      LinMap.from_column(f, unit), tuple(labels))
-    return sub, s.basis_map()
+    return AlgebraData(a.field, s.dim, mult, unit, tuple(labels)), b
 
 
 def regular_relhopf(h, subalg, incl, name=""):
@@ -538,19 +536,12 @@ def module_on_subspace(m, s):
     if m.side != "right":
         raise ValueError("submodule restriction is implemented for right modules")
     f = m.field
-    da = m.over.dim
-    ops = m.action_operators()
-    cols = {}
-    for j, r in enumerate(s.rows):
-        for i_a, op in enumerate(ops):
-            coords = s.coords(op.apply(r))
-            if coords is None:
-                raise ValueError("subspace is not invariant under the action")
-            for i, c in enumerate(coords):
-                if c != f.zero:
-                    cols[(i, j * da + i_a)] = c
-    act = LinMap(f, s.dim, s.dim * da, cols)
-    return ModuleData(f, s.dim, act, m.over, "right", m.name), s.basis_map()
+    b = s.basis_map()
+    act, invariant = s.factor(
+        m.action @ b.tensor(LinMap.identity(f, m.over.dim)))
+    if not invariant:
+        raise ValueError("subspace is not invariant under the action")
+    return ModuleData(f, s.dim, act, m.over, "right", m.name), b
 
 
 def _quotient_maps(sub):
@@ -666,21 +657,17 @@ def algebra_from_matrix_span(field, span, n):
     canonical basis of its flattened span."""
     basis = [vec_to_map(field, n, n, r) for r in span.rows]
     d = span.dim
-    ent = {}
-    for i in range(d):
-        for j in range(d):
-            coords = span.coords(map_to_vec(basis[i] @ basis[j]))
-            if coords is None:
-                raise ValueError("span is not closed under products")
-            for k, c in enumerate(coords):
-                if c != field.zero:
-                    ent[(k, i * d + j)] = c
-    unit = span.coords(map_to_vec(LinMap.identity(field, n)))
-    if unit is None:
+    products = LinMap(field, n * n, d * d, {
+        (r * n + c, i * d + j): v for i, x in enumerate(basis)
+        for j, y in enumerate(basis) for (r, c), v in (x @ y).entries()})
+    mult, closed = span.factor(products)
+    if not closed:
+        raise ValueError("span is not closed under products")
+    unit, unital = span.factor(LinMap.from_column(
+        field, map_to_vec(LinMap.identity(field, n))))
+    if not unital:
         raise ValueError("span does not contain the identity")
-    alg = AlgebraData(field, d, LinMap(field, d, d * d, ent),
-                      LinMap.from_column(field, unit))
-    return alg, basis
+    return AlgebraData(field, d, mult, unit), basis
 
 
 def _combination(field, n, basis, coeffs):

@@ -23,6 +23,8 @@ from coideals.catalog import (
     sweedler4,
     symmetric_group_3,
 )
+from coideals import cli
+from coideals.certs import CertReport, VerificationFailed
 from coideals.cli import DIM_CAP_VAR, _build_parser, main
 from coideals.correspondence import (
     quotient_module_coalgebra,
@@ -149,6 +151,22 @@ class TestCatalogAndCheck:
         assert out.returncode == 2, out.stderr
         assert "above the cap" in out.stderr
         assert out.stdout == ""
+
+    def test_refused_certificate_exits_1_with_its_report(self, capsys,
+                                                         monkeypatch):
+        # VerificationFailed is a ValueError; a certificate refused
+        # mid-command is a failed check, not unusable input
+        def refuse(h):
+            rep = CertReport("hopf axioms")
+            rep.add("antipode", False, "(x)")
+            raise VerificationFailed(rep)
+
+        monkeypatch.setattr(cli, "check_hopf_axioms", refuse)
+        code, out, err = run(capsys, "catalog", "sweedler4")
+        assert code == 1, err
+        assert out.startswith("report refused\n")
+        assert "check FAIL antipode\nwitness (x)" in out
+        assert err == ""
 
     @pytest.mark.parametrize("char,code,frag", [
         (str(10 ** 400 + 1), 2, "below 2^64"),

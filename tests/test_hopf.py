@@ -397,6 +397,43 @@ def test_only_fields_names_fraction():
     assert not found, "Fraction named outside fields.py: " + ", ".join(found)
 
 
+def _is_call_of(node, method):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method)
+
+
+def _matmul_operands(node):
+    """The operands that meet at a matmul node: the rightmost factor of
+    its left side and the leftmost factor of its right side."""
+    left, right = node.left, node.right
+    while isinstance(left, ast.BinOp) and isinstance(left.op, ast.MatMult):
+        left = left.right
+    while isinstance(right, ast.BinOp) and isinstance(right.op, ast.MatMult):
+        right = right.left
+    return left, right
+
+
+def test_subspace_factor_is_the_one_membership_path():
+    # a map lands in a subspace, and gets its coordinates there, through
+    # Subspace.factor; no ambient projector basis_map() @ coords_map() and
+    # neither of the helpers it replaced
+    src = Path(coideals.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = _names(node)
+            if isinstance(node, ast.FunctionDef):
+                names += (node.name,)
+            if {"contains_subspace", "left_inverse"} & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                left, right = _matmul_operands(node)
+                if _is_call_of(left, "basis_map") and _is_call_of(right, "coords_map"):
+                    found.append(f"{path.name}:{node.lineno} projector")
+    assert not found, "second membership paths in src/coideals: " + ", ".join(found)
+
+
 PUBLIC_API = [
     "AlgebraData", "BicomoduleData", "CertReport", "CoalgebraData",
     "CoidealSubalgebraData", "ComoduleData", "GF", "HopfAlgebraData",

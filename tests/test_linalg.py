@@ -11,7 +11,7 @@ from random import Random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -252,6 +252,47 @@ def test_invert_matches_sympy_on_sparse_square_maps(field, data):
         return
     want = [[_plain(field, x) for x in r] for r in dm.inv().to_list()]
     assert inv == LinMap.from_rows(field, want)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@seed(20261018)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_factor_agrees_with_coords_column_by_column(field, data):
+    # oracle: Subspace.coords on each column on its own; the columns are
+    # members, members with exactly one pushed off the subspace along a
+    # non-pivot coordinate, or arbitrary vectors
+    scalar = st.one_of(st.just(0), _entries(field))
+
+    def vector(k):
+        return st.lists(scalar, min_size=k, max_size=k).map(
+            lambda xs: tuple(field.parse(str(x)) for x in xs))
+
+    n = data.draw(st.integers(1, 6))
+    s = Subspace.from_vectors(field, n, data.draw(st.lists(vector(n), max_size=4)))
+    k = data.draw(st.integers(0, 5))
+    kind = data.draw(st.sampled_from(["members", "one outside", "arbitrary"]))
+    if kind == "arbitrary":
+        cols = data.draw(st.lists(vector(n), min_size=k, max_size=k))
+    else:
+        cols = [s.basis_map().apply(c) for c in
+                data.draw(st.lists(vector(s.dim), min_size=k, max_size=k))]
+    free = [j for j in range(n) if j not in s.pivots]
+    if kind == "one outside" and cols and free:
+        i, j = data.draw(st.integers(0, k - 1)), data.draw(st.sampled_from(free))
+        cols[i] = tuple(field.add(x, field.one) if r == j else x
+                        for r, x in enumerate(cols[i]))
+    m = LinMap(field, n, k, {(r, c): x for c, col in enumerate(cols)
+                             for r, x in enumerate(col)})
+    x, lands = s.factor(m)
+    coords = [s.coords(col) for col in cols]
+    assert lands == all(c is not None for c in coords)
+    if kind == "one outside" and cols and free:
+        assert coords.count(None) == 1 and not lands
+    for c, want in enumerate(coords):
+        if want is not None:
+            assert x.column(c) == want
+    assert (x.rows, x.cols) == (s.dim, k)
 
 
 def test_eliminations_never_densify_their_input(monkeypatch):

@@ -138,11 +138,12 @@ def test_relhopf_rejects_non_coideal_subalgebra():
 def test_restrict_algebra_validation():
     h = sweedler4()
     no_unit = Subspace.from_vectors(QQ, 4, [basis_vector(QQ, 4, 1)])
-    with pytest.raises(ValueError):
-        restrict_algebra(h.algebra, no_unit)
+    with pytest.raises(ValueError, match="^subspace does not contain the unit$"):
+        restrict_algebra(h.algebra, no_unit)  # x*x = 0 stays in span{x}
     not_closed = Subspace.from_vectors(
         QQ, 4, [basis_vector(QQ, 4, i) for i in (0, 1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^subspace is not closed under the product$"):
         restrict_algebra(h.algebra, not_closed)  # g*x = gx escapes span{1, x, g}
 
 
@@ -297,7 +298,8 @@ def test_submodule_and_quotient_roundtrip():
     assert check_module(sub).ok and check_module(quo).ok
     assert incl.cols == 2 and proj.rows == 2
     bad = Subspace.from_vectors(QQ, 4, [basis_vector(QQ, 4, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^subspace is not invariant under the action$"):
         module_on_subspace(m, bad)  # g*g = 1 escapes the span of g
 
 
