@@ -213,15 +213,20 @@ def verify_coideal_subalgebra(h, s, name=""):
 
     sub_ok = s.contains(h.unit_vector())
     sub_witness = None if sub_ok else "(1)"
+    algebra = inclusion = None
     if sub_ok:
-        for i, ri in enumerate(s.rows):
-            for j, rj in enumerate(s.rows):
-                if not s.contains(h.algebra.product(ri, rj)):
-                    sub_ok = False
-                    sub_witness = f"({piv_labels[i]},{piv_labels[j]})"
-                    break
-            if not sub_ok:
-                break
+        try:
+            algebra, inclusion = restrict_algebra(h.algebra, s, labels=piv_labels)
+        except ValueError:
+            # refused as not closed under the product: name the first pair
+            # of basis rows whose product leaves the span
+            sub_ok = False
+            sub_witness = next(
+                (f"({piv_labels[i]},{piv_labels[j]})"
+                 for i, ri in enumerate(s.rows) for j, rj in enumerate(s.rows)
+                 if not s.contains(h.algebra.product(ri, rj))), None)
+            if sub_witness is None:
+                raise
     rep.add("is-subalgebra", sub_ok, sub_witness)
 
     bad = _first_coproduct_outside(
@@ -229,10 +234,6 @@ def verify_coideal_subalgebra(h, s, name=""):
         [_times_basis(f, r, h.dim, j) for r in s.rows for j in range(h.dim)])
     rep.add("is-coideal", bad is None,
             None if bad is None else f"({piv_labels[bad]})")
-
-    algebra = inclusion = None
-    if sub_ok:
-        algebra, inclusion = restrict_algebra(h.algebra, s, labels=piv_labels)
     return CoidealSubalgebraData(h, s, rep, algebra, inclusion, "right", name)
 
 

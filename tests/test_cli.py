@@ -473,6 +473,8 @@ GOLDEN = (
      "e47f8d6a3ed11e106840c7e5f60a1c98db1536ec7c7ad6206686a39ccb668d08"),
     (("catalog", "taft", "6", "7"), 0,
      "a5664585ce0deac0ec4943fb2641eaa98c3511b11da1bae4e554b0f3464edc12"),
+    (("catalog", "taft", "8", "17"), 0,
+     "8ae8fc67371ef015333124b8d95ef1dd537570df1ded1e2016a1ff88ff6983c4"),
 )
 
 

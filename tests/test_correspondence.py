@@ -129,6 +129,19 @@ def test_non_closed_span_fails_subalgebra(h4):
     assert bad.algebra is None
 
 
+@pytest.mark.parametrize("idxs, witness", [
+    # pairs run in row order 1, x, g: x times g = -gx is the first product
+    # outside the span
+    ((0, 1, 2), "(x,g)"),
+    ((1, 2), "(1)"),
+])
+def test_subalgebra_witness_is_pinned(h4, idxs, witness):
+    bad = verify_coideal_subalgebra(h4, span4(*idxs))
+    (check,) = [c for c in bad.report.checks if c.name == "is-subalgebra"]
+    assert (check.ok, check.witness) == (False, witness)
+    assert bad.algebra is None and bad.inclusion is None
+
+
 def test_augmentation_ideal_of_grouplike_span(a_1g):
     # counit kills x and gx and fixes 1 and g, so A+ is spanned by 1 - g
     ap = augmentation_ideal(a_1g)
