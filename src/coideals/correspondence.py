@@ -221,9 +221,10 @@ def verify_coideal_subalgebra(h, s, name=""):
             # refused as not closed under the product: name the first pair
             # of basis rows whose product leaves the span
             sub_ok = False
+            rows = s.rows
             sub_witness = next(
                 (f"({piv_labels[i]},{piv_labels[j]})"
-                 for i, ri in enumerate(s.rows) for j, rj in enumerate(s.rows)
+                 for i, ri in enumerate(rows) for j, rj in enumerate(rows)
                  if not s.contains(h.algebra.product(ri, rj))), None)
             if sub_witness is None:
                 raise
@@ -242,10 +243,8 @@ def augmentation_ideal(a):
     subspace of the ambient Hopf algebra.  Always one dimension below A,
     since a unital subalgebra meets the counit nontrivially."""
     _require(a)
-    f = a.hopf.field
     ker = kernel_of(a.hopf.counit @ a.inclusion)
-    vecs = [a.inclusion.apply(r) for r in ker.rows]
-    return Subspace.from_vectors(f, a.hopf.dim, vecs)
+    return image_of(a.inclusion @ ker.basis_map())
 
 
 def quotient_data(h, b, pi, sigma, section=None, name=""):

@@ -214,7 +214,7 @@ def _generating_set(a, prod):
             s, v = pending.pop()
             w = _left_times(f, d, prod, s, v)
             if not span.contains(w):
-                span = Subspace.from_vectors(f, d, [*span.rows, w])
+                span = span.sum_with(Subspace.from_vectors(f, d, [w]))
                 grown.append(w)
                 pending += [(t, w) for t in gens]
     return tuple(gens)

@@ -10,21 +10,24 @@ Conventions used by the whole package:
   with row index i*rows_g + i2, column index j*cols_g + j2.
 * A linear map f: V -> W, seen as a vector (for Hom-space computations),
   is flattened entry-major: entry (r, c) sits at position r*cols + c.
-* Subspaces are stored in reduced row echelon form with unit pivots and
-  rows ordered by pivot column; two subspaces are equal iff their stored
-  bases are identical.
+* A Subspace is stored as the reduced row echelon basis that `_eliminate`
+  returns, {pivot col: {col: scalar}}: unit pivots, every row zero at the
+  other pivots, only nonzeros kept.  It never changes after construction,
+  and two subspaces are equal iff their stored bases are identical.
+  `Subspace.rows` is a dense view built on each access: tuples in pivot
+  order, for callers that need vectors.
 * Restricting a map to a subspace goes through one method,
   Subspace.factor: it returns the coordinates of the map's columns and
   whether every column is a member, so membership and coordinates come
   from one path.
 
 A LinMap is stored sparse: a dict keyed by (row, col), with no zeros kept.
-Every elimination (rref, kernel_of, image_of, rank, solve, invert,
-find_section) runs on one kernel, `_eliminate`, over sparse rows: dicts
-{col: scalar} of the nonzeros.  kernel_of, image_of and rank read their
-rows straight from a LinMap's entries, and solve, invert and find_section
-build their augmented systems sparse; only Subspace rows, which stay
-dense tuples, are ever expanded.
+Every elimination (Subspace.from_vectors and sum_with, kernel_of,
+image_of, rank, solve, invert, find_section, rref) runs on one kernel,
+`_eliminate`, over sparse rows: dicts {col: scalar} of the nonzeros.
+Its result is a Subspace's stored basis as it is; only `rref`, whose
+callers pass and get row lists, and the `rows` view expand it to dense
+tuples.
 """
 
 from __future__ import annotations
@@ -71,15 +74,6 @@ class LinMap:
         return m
 
     @classmethod
-    def from_entries(cls, field, rows, cols, triples):
-        d = {}
-        for r, c, v in triples:
-            if (r, c) in d:
-                raise ValueError(f"duplicate entry at {(r, c)}")
-            d[(r, c)] = v
-        return cls(field, rows, cols, d)
-
-    @classmethod
     def from_rows(cls, field, mat):
         rows = len(mat)
         cols = len(mat[0]) if rows else 0
@@ -124,13 +118,6 @@ class LinMap:
 
     def is_zero(self):
         return self.nnz() == 0
-
-    def dense_rows(self):
-        z = self.field.zero
-        m = [[z] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries():
-            m[r][c] = v
-        return m
 
     def column(self, c):
         return tuple(self.entry(r, c) for r in range(self.rows))
@@ -357,15 +344,18 @@ def rref(field, mat):
 
 
 class Subspace:
-    """Canonical subspace of k^ambient: RREF basis rows, equality is identity."""
+    """Canonical subspace of k^ambient: its RREF basis, equality is identity.
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    The basis is stored as `_eliminate` returns it, {pivot: {col: value}},
+    and never changes after construction."""
 
-    def __init__(self, field, ambient, rows, pivots):
+    __slots__ = ("field", "ambient", "pivots", "_basis")
+
+    def __init__(self, field, ambient, basis):
         self.field = field
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self.pivots = tuple(sorted(basis))
+        self._basis = basis
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -374,34 +364,39 @@ class Subspace:
             if len(v) != ambient:
                 raise DimensionMismatchError(
                     f"vector {i} has length {len(v)}, ambient is {ambient}")
-        if not vecs:
-            return cls(field, ambient, (), ())
-        rows, pivots = rref(field, vecs)
-        return cls(field, ambient, rows, pivots)
+        return cls(field, ambient, _eliminate(
+            field, [dict(filter(_value, enumerate(v))) for v in vecs]))
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, (), ())
+        return cls(field, ambient, {})
 
     @classmethod
     def full(cls, field, ambient):
-        rows = [basis_vector(field, ambient, i) for i in range(ambient)]
-        return cls(field, ambient, rows, tuple(range(ambient)))
+        return cls(field, ambient, {i: {i: field.one} for i in range(ambient)})
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._basis)
+
+    @property
+    def rows(self):
+        """The basis as dense tuples in pivot order, built on each access."""
+        return tuple(_dense(self.field, self._basis, self.ambient)[0])
 
     def reduce(self, vec):
         """Residual of vec after killing its pivot coordinates (canonical coset rep)."""
+        if len(vec) != self.ambient:
+            raise DimensionMismatchError(
+                f"vector of length {len(vec)}, ambient is {self.ambient}")
         mul, sub = self.field.mul, self.field.sub
         v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
+        # each row is zero at the other pivots, so the order does not matter
+        for p, row in self._basis.items():
             coeff = v[p]
             if coeff:
-                for j in range(p, len(row)):
-                    if row[j]:
-                        v[j] = sub(v[j], mul(coeff, row[j]))
+                for j, x in row.items():
+                    v[j] = sub(v[j], mul(coeff, x))
         return tuple(v)
 
     def coords(self, vec):
@@ -435,46 +430,31 @@ class Subspace:
                 f"ambient dimensions {self.ambient} and {other.ambient}")
 
     def sum_with(self, other):
+        """U + W.  The kernel changes the rows it is given and a Subspace's
+        must not change, so it gets copies; U's rows are already reduced
+        against each other, so only W's need reducing."""
         self._same_ambient(other)
-        return Subspace.from_vectors(self.field, self.ambient, list(self.rows) + list(other.rows))
+        return Subspace(self.field, self.ambient, _eliminate(
+            self.field, [dict(r) for s in (self, other) for r in s._basis.values()]))
 
     def intersect(self, other):
-        """Zassenhaus-free intersection: solve x*R1 = y*R2 via a kernel."""
+        """U meet W: each (x, y) in the kernel of [B_U | B_W] gives the
+        vector B_U x = -B_W y of both."""
         self._same_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        # columns of m: coefficients (x, y); rows: ambient conditions of x*R1 - y*R2 = 0
-        f = self.field
-        d1, d2 = self.dim, other.dim
-        entries = {}
-        for i, r in enumerate(self.rows):
-            for j, v in enumerate(r):
-                if v != f.zero:
-                    entries[(j, i)] = v
-        for i, r in enumerate(other.rows):
-            for j, v in enumerate(r):
-                if v != f.zero:
-                    entries[(j, d1 + i)] = f.neg(v)
-        m = LinMap(f, self.ambient, d1 + d2, entries)
-        ker = kernel_of(m)
-        vecs = []
-        for coeffs in ker.rows:
-            v = [f.zero] * self.ambient
-            for i, r in enumerate(self.rows):
-                if coeffs[i] != f.zero:
-                    v = [f.add(x, f.mul(coeffs[i], y)) for x, y in zip(v, r)]
-            vecs.append(tuple(v))
-        return Subspace.from_vectors(f, self.ambient, vecs)
+        f, n, d = self.field, self.ambient, self.dim
+        cols = d + other.dim
+        bu = self.basis_map()._d
+        pair = {(i, d + j): x for (i, j), x in other.basis_map()._d.items()}
+        pair.update(bu)
+        ker = kernel_of(LinMap._trusted(f, n, cols, pair))
+        # [B_U | 0] sends each kernel vector (x, y) to B_U x
+        return image_of(LinMap._trusted(f, n, cols, bu) @ ker.basis_map())
 
     def basis_map(self):
         """LinMap k^dim -> k^ambient whose columns are the canonical basis rows."""
-        f = self.field
-        entries = {}
-        for j, row in enumerate(self.rows):
-            for i, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return LinMap(f, self.ambient, self.dim, entries)
+        return LinMap._trusted(self.field, self.ambient, self.dim, {
+            (i, j): x for j, p in enumerate(self.pivots)
+            for i, x in self._basis[p].items()})
 
     def coords_map(self):
         """LinMap k^ambient -> k^dim: coordinates on the canonical basis.
@@ -482,17 +462,15 @@ class Subspace:
         Only meaningful on members; on a general vector it reads off pivot
         coordinates (a retraction of basis_map).
         """
-        f = self.field
-        entries = {}
-        for i, p in enumerate(self.pivots):
-            entries[(i, p)] = f.one
-        return LinMap(f, self.dim, self.ambient, entries)
+        one = self.field.one
+        return LinMap._trusted(self.field, self.dim, self.ambient,
+                               {(i, p): one for i, p in enumerate(self.pivots)})
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.field == other.field and self.ambient == other.ambient
-                and self.rows == other.rows)
+                and self._basis == other._basis)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient} over {self.field})"
@@ -509,15 +487,13 @@ def kernel_of(f):
         for j, x in row.items():
             if j != p:
                 vecs[j][p] = neg(x)
-    rows, pivots = _dense(field, _eliminate(field, vecs.values()), f.cols)
-    return Subspace(field, f.cols, rows, pivots)
+    return Subspace(field, f.cols, _eliminate(field, vecs.values()))
 
 
 def image_of(f):
     """Column span of a LinMap as a canonical Subspace of k^rows."""
     cols = _row_dicts(f.transpose()).values()
-    rows, pivots = _dense(f.field, _eliminate(f.field, cols), f.rows)
-    return Subspace(f.field, f.rows, rows, pivots)
+    return Subspace(f.field, f.rows, _eliminate(f.field, cols))
 
 
 def rank(f):

@@ -551,13 +551,14 @@ def _quotient_maps(sub):
     placed: e_j itself off the pivots, minus the row with pivot j on them."""
     f, d = sub.field, sub.ambient
     piv = set(sub.pivots)
-    nonpiv = [c for c in range(d) if c not in piv]
-    ent = {(k, c): f.one for k, c in enumerate(nonpiv)}
-    for row, p in zip(sub.rows, sub.pivots):
-        ent.update({(k, p): f.neg(row[c]) for k, c in enumerate(nonpiv) if row[c]})
-    qd = len(nonpiv)
+    index = {c: k for k, c in enumerate(c for c in range(d) if c not in piv)}
+    ent = {(k, c): f.one for c, k in index.items()}
+    for (c, j), x in sub.basis_map().entries():
+        if c in index:
+            ent[(index[c], sub.pivots[j])] = f.neg(x)
+    qd = len(index)
     return (LinMap(f, qd, d, ent),
-            LinMap(f, d, qd, {(c, k): f.one for k, c in enumerate(nonpiv)}))
+            LinMap(f, d, qd, {(c, k): f.one for c, k in index.items()}))
 
 
 def module_on_quotient(m, s):
@@ -730,7 +731,8 @@ def generated_submodule(f, ops, vec):
     prev = -1
     while span.dim != prev:
         prev = span.dim
-        imgs = [op.apply(r) for op in ops for r in span.rows]
+        rows = span.rows
+        imgs = [op.apply(r) for op in ops for r in rows]
         span = span.sum_with(Subspace.from_vectors(f, len(vec), imgs))
     return span
 

@@ -406,8 +406,7 @@ def canonical_form(sd):
         maps[mname] = LinMap(sd.field, m.rows, m.cols, ent)
     if sd.kind == "subspace":
         sp = _vectors_span(sd.field, len(sd.basis), maps["vectors"])
-        maps["vectors"] = (LinMap.from_rows(sd.field, sp.rows) if sp.dim
-                           else LinMap.zero(sd.field, 0, len(sd.basis)))
+        maps["vectors"] = sp.basis_map().transpose()
     return SpecData(sd.field, sd.kind, "",
                     tuple(sd.basis[i] for i in bsort),
                     tuple(sd.over[i] for i in osort), maps)
@@ -491,12 +490,7 @@ def spec_from_comodule(v, labels=(), name=None):
 
 def spec_from_subspace(s, labels, name=""):
     sd = SpecData(s.field, "subspace", name, tuple(labels))
-    ent = {}
-    for i, row in enumerate(s.rows):
-        for j, v in enumerate(row):
-            if v != s.field.zero:
-                ent[(i, j)] = v
-    sd.maps = {"vectors": LinMap(s.field, s.dim, s.ambient, ent)}
+    sd.maps = {"vectors": s.basis_map().transpose()}
     return sd
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from coideals import linalg
 from coideals.fields import GF, QQ, FieldMismatchError
 from coideals.linalg import (
     DimensionMismatchError,
@@ -75,6 +76,22 @@ def test_membership_and_coords():
     assert coords == (F(2), F(-1))
     assert not s.contains((F(1), F(0), F(0)))
     assert s.reduce(v) == (F(0), F(0), F(0))
+
+
+def test_membership_checks_the_vector_length():
+    # a long vector used to read as a member of the full space, a short one
+    # as a member of the zero space, and a short one of a line raised
+    # IndexError
+    with pytest.raises(DimensionMismatchError):
+        Subspace.full(QQ, 2).contains((F(1), F(0), F(0)))
+    with pytest.raises(DimensionMismatchError):
+        Subspace.zero(QQ, 3).contains((F(0), F(0)))
+    line = Subspace.from_vectors(QQ, 3, [(F(0), F(0), F(1))])
+    for short in [(F(0),), (F(0), F(1))]:
+        with pytest.raises(DimensionMismatchError):
+            line.coords(short)
+        with pytest.raises(DimensionMismatchError):
+            line.reduce(short)
 
 
 def test_intersection_hand_example():
@@ -295,17 +312,46 @@ def test_factor_agrees_with_coords_column_by_column(field, data):
     assert (x.rows, x.cols) == (s.dim, k)
 
 
-def test_eliminations_never_densify_their_input(monkeypatch):
-    # the six functions take their rows from the sparse entries; only the
-    # spec writer still calls dense_rows
-    def refuse(self):
-        raise AssertionError("dense_rows called")
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@seed(20261019)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sum_and_intersection_match_sympy(field, data):
+    # oracle: sympy's RREF of the stacked rows for U + W, and sympy ranks
+    # for the dimension formula and for membership of U meet W's basis
+    scalar = st.one_of(st.just(0), _entries(field))
+    n = data.draw(st.integers(1, 6))
+    vectors = st.lists(st.lists(scalar, min_size=n, max_size=n).map(
+        lambda xs: [field.parse(str(x)) for x in xs]), max_size=4)
+    urows, wrows = data.draw(vectors), data.draw(vectors)
+    u = Subspace.from_vectors(field, n, urows)
+    w = Subspace.from_vectors(field, n, wrows)
 
-    monkeypatch.setattr(LinMap, "dense_rows", refuse)
+    def rank_of(rows):
+        return len(sympy_span(field, rows, n)[1])
+
+    total = u.sum_with(w)
+    assert (list(total.rows), total.pivots) == sympy_span(field, urows + wrows, n)
+    meet = u.intersect(w)
+    assert meet.dim == rank_of(urows) + rank_of(wrows) - rank_of(urows + wrows)
+    for r in meet.rows:
+        for rows in (urows, wrows):
+            assert rank_of(rows + [list(r)]) == rank_of(rows)
+
+
+def test_eliminations_never_densify_their_input(monkeypatch):
+    # a Subspace keeps the sparse basis the kernel returns, so only rref
+    # and the rows view expand rows to dense tuples
+    def refuse(*args):
+        raise AssertionError("_dense called")
+
+    monkeypatch.setattr(linalg, "_dense", refuse)
     m = qmap([[1, 2, 0], [0, 0, 0], [2, 4, 1], [0, 0, 3]])
-    assert kernel_of(m).rows == ((F(1), F(-1, 2), F(0)),)
+    ker = kernel_of(m)
+    assert ker == Subspace.from_vectors(QQ, 3, [(F(2), F(-1), F(0))])
     assert rank(m) == 2
-    assert image_of(m).dim == 2
+    img = image_of(m)
+    assert img.dim == 2 and img.contains((F(1), F(0), F(2), F(0)))
     assert m.apply(solve(m, (F(1), F(0), F(3), F(3)))) == \
         (F(1), F(0), F(3), F(3))
     sq = qmap([[2, 1], [7, 4]])
@@ -313,6 +359,15 @@ def test_eliminations_never_densify_their_input(monkeypatch):
     p = qmap([[1, 0, 2], [0, 1, 5]])
     assert p @ find_section(p, [(identity_map(QQ, 2), identity_map(QQ, 3))]) \
         == identity_map(QQ, 2)
+    u = Subspace.from_vectors(QQ, 3, [(F(1), F(1), F(0)), (F(0), F(0), F(1))])
+    w = Subspace.from_vectors(QQ, 3, [(F(0), F(1), F(1))])
+    assert u.sum_with(w) == Subspace.full(QQ, 3)
+    assert u.intersect(w) == Subspace.zero(QQ, 3)
+    assert u.intersect(ker.sum_with(w)).dim == 1
+    x, lands = u.factor(u.basis_map())
+    assert lands and x == identity_map(QQ, 2)
+    assert u.coords_map() @ u.basis_map() == identity_map(QQ, 2)
+    assert u.contains((F(3), F(3), F(-1))) and not w.contains((F(1), F(0), F(0)))
 
 
 def test_products_store_no_zeros():
@@ -503,10 +558,10 @@ def test_find_section_with_satisfiable_constraint():
 def test_sparse_dense_paths_agree():
     dense_rows = [[F(i + j + 1) for j in range(4)] for i in range(4)]
     m = LinMap.from_rows(QQ, dense_rows)
-    half_a = LinMap.from_entries(QQ, 4, 4,
-                                 [(i, j, dense_rows[i][j]) for i in range(4) for j in range(2)])
-    half_b = LinMap.from_entries(QQ, 4, 4,
-                                 [(i, j, dense_rows[i][j]) for i in range(4) for j in range(2, 4)])
+    half_a = LinMap(QQ, 4, 4, {(i, j): dense_rows[i][j]
+                               for i in range(4) for j in range(2)})
+    half_b = LinMap(QQ, 4, 4, {(i, j): dense_rows[i][j]
+                               for i in range(4) for j in range(2, 4)})
     assert half_a + half_b == m
     x = qmap([[1, 0], [0, 1], [1, 1], [2, 3]])
     assert (half_a @ x) + (half_b @ x) == m @ x
@@ -515,11 +570,9 @@ def test_sparse_dense_paths_agree():
     assert list(m.entries()) == list((half_a + half_b).entries())
 
 
-def test_no_stored_zeros_and_duplicate_rejection():
-    m = LinMap.from_entries(QQ, 2, 2, [(0, 0, F(0)), (1, 1, F(3))])
+def test_no_stored_zeros():
+    m = LinMap(QQ, 2, 2, {(0, 0): F(0), (1, 1): F(3)})
     assert m.nnz() == 1
-    with pytest.raises(ValueError):
-        LinMap.from_entries(QQ, 2, 2, [(0, 0, F(1)), (0, 0, F(2))])
 
 
 # -- map-space utilities ----------------------------------------------
