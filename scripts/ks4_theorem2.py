@@ -4,7 +4,7 @@ The Hopf algebra is k^S4 over QQ (dimension 24), and the quotient is
 functions on the order-2 subgroup that the transposition (0 1)
 generates.  The pipeline's monad stage cotensors objects up to T^2 V of
 the regular comodule, so this is the largest instance the workbench
-runs end to end; it takes about 5 s (4.7 to 5.9 s on a 2-vCPU x86-64
+runs end to end; it takes about 3 s (2.7 to 3.1 s on a 2-vCPU x86-64
 VM), which is why it is a script and not a test.
 
 The address space of this process is capped at 2.5 GB with

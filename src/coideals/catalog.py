@@ -18,7 +18,7 @@ from .hopf import (
     PairingData,
     dual_hopf,
 )
-from .linalg import LinMap, Subspace
+from .linalg import LinMap, Subspace, after_leg
 
 
 class FiniteGroupTable:
@@ -215,7 +215,7 @@ def subgroup_data(field, g, indices):
     n, m = g.order, sub.order
     pi = LinMap(field, m, n, {(r, ms[r]): field.one for r in range(m)})
     sect = LinMap(field, n, m, {(ms[r], r): field.one for r in range(m)})
-    sigma = pi @ kf.mult @ LinMap.identity(field, n).tensor(sect)
+    sigma = pi @ after_leg(kf.mult, n, sect, 1)
     q = quotient_data(kf, b, pi, sigma, section=sect,
                       name=f"functions on order-{sub.order} subgroup")
     return kf, a, q

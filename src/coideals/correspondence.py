@@ -38,11 +38,13 @@ from .linalg import (
     DimensionMismatchError,
     LinMap,
     Subspace,
+    after_leg,
     basis_vector,
     find_section,
     identity_map,
     image_of,
     kernel_of,
+    on_leg,
     rank,
     stack_maps,
     swap_map,
@@ -253,7 +255,6 @@ def quotient_data(h, b, pi, sigma, section=None, name=""):
     All structural invariants are checked mechanically; a failure raises
     VerificationFailed carrying the report."""
     f = h.field
-    ih = identity_map(f, h.dim)
     rep = CertReport(name or f"quotient coalgebra dim {b.dim}")
 
     r = rank(pi)
@@ -282,7 +283,7 @@ def quotient_data(h, b, pi, sigma, section=None, name=""):
         bad = _first_coproduct_outside(h.comult, ker.rows, two_sided)
         rep.add("kernel-is-coideal", bad is None,
                 None if bad is None else f"({ker_labels[bad]})")
-        left_ideal = pi @ h.mult @ ih.tensor(ker.basis_map())
+        left_ideal = pi @ after_leg(h.mult, h.dim, ker.basis_map(), 1)
         rep.add("kernel-is-left-ideal", left_ideal.is_zero(),
                 _witness(left_ideal, [[f"h{i},{l}" for i in range(h.dim)
                                        for l in ker_labels]]))
@@ -293,7 +294,7 @@ def quotient_data(h, b, pi, sigma, section=None, name=""):
     rep.merge(b.check(), "quotient ")
     rep.merge(is_coalgebra_map(pi, h.coalgebra, b), "projection ")
     rep.merge(check_module(ModuleData(f, b.dim, sigma, h.algebra, "left")), "module ")
-    lin = sigma @ ih.tensor(pi) - pi @ h.mult
+    lin = after_leg(sigma, h.dim, pi, 1) - pi @ h.mult
     rep.add("projection-module-linear", lin.is_zero())
 
     if not rep.ok:
@@ -307,9 +308,9 @@ def quotient_through_section(h, pi, sect, labels):
     counit eps o sect, and sigma = pi o mult o (id (x) sect).  Returns
     (B, sigma); quotient_data certifies that they are well defined."""
     f = h.field
-    b = CoalgebraData(f, pi.rows, pi.tensor(pi) @ h.comult @ sect,
-                      h.counit @ sect, labels)
-    sigma = pi @ h.mult @ identity_map(f, h.dim).tensor(sect)
+    comult = on_leg(1, pi, pi.rows, on_leg(h.dim, pi, 1, h.comult @ sect))
+    b = CoalgebraData(f, pi.rows, comult, h.counit @ sect, labels)
+    sigma = pi @ after_leg(h.mult, h.dim, sect, 1)
     return b, sigma
 
 
@@ -344,9 +345,9 @@ def coinvariants(q):
     _require(q)
     h = q.hopf
     f = h.field
-    ih = identity_map(f, h.dim)
     pi_one = LinMap.from_column(f, q.projection.apply(h.unit_vector()))
-    diff = quotient_coaction(q, "left").coaction - pi_one.tensor(ih)
+    diff = quotient_coaction(q, "left").coaction \
+        - on_leg(1, pi_one, h.dim, identity_map(f, h.dim))
     ker = kernel_of(diff)
     a = verify_coideal_subalgebra(h, ker, f"coinvariants of {q.name or 'B'}")
     if not a.ok:
@@ -376,12 +377,9 @@ class FlatnessResult:
 
 
 def _cover_blocks(mod, vec):
-    f = mod.field
-    ia = identity_map(f, mod.over.dim)
-    col = LinMap.from_column(f, vec)
-    if mod.side == "left":
-        return mod.action @ ia.tensor(col)
-    return mod.action @ col.tensor(ia)
+    # the orbit map a |-> a.vec: vec sits on the carrier leg
+    a, b = (mod.over.dim, 1) if mod.side == "left" else (1, mod.over.dim)
+    return after_leg(mod.action, a, LinMap.from_column(mod.field, vec), b)
 
 
 def module_flatness(mod, carrier_labels=()):
@@ -424,8 +422,8 @@ def module_flatness(mod, carrier_labels=()):
 
     mops = mod.action_operators()
     regs = regular_module(alg, mod.side).action_operators()
-    constraints = [(op, identity_map(f, n).tensor(reg))
-                   for op, reg in zip(mops, regs)]
+    one = identity_map(f, n * da)
+    constraints = [(op, on_leg(n, reg, 1, one)) for op, reg in zip(mops, regs)]
     section = find_section(p, constraints)
     projective = section is not None
     rep.add("projective", projective,
@@ -463,11 +461,10 @@ def is_faithfully_flat(a, side="left"):
     _require(a)
     h = a.hopf
     f = h.field
-    ih = identity_map(f, h.dim)
     if side == "left":
-        act = h.mult @ a.inclusion.tensor(ih)
+        act = after_leg(h.mult, 1, a.inclusion, h.dim)
     elif side == "right":
-        act = h.mult @ ih.tensor(a.inclusion)
+        act = after_leg(h.mult, h.dim, a.inclusion, 1)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     mod = ModuleData(f, h.dim, act, a.algebra, side, name=h.name or "H")
@@ -478,11 +475,10 @@ def quotient_coaction(q, side, name=""):
     """H as a comodule over the quotient coalgebra B: coaction
     (pi (x) id) o Delta on the left side, (id (x) pi) o Delta on the right."""
     h = q.hopf
-    ih = identity_map(h.field, h.dim)
     if side == "left":
-        coact = q.projection.tensor(ih) @ h.comult
+        coact = on_leg(1, q.projection, h.dim, h.comult)
     elif side == "right":
-        coact = ih.tensor(q.projection) @ h.comult
+        coact = on_leg(h.dim, q.projection, 1, h.comult)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return ComoduleData(h.field, h.dim, coact, q.coalgebra, side, name)
@@ -601,15 +597,15 @@ def psi_cotensor(n, a, q):
     module, cotensor subspace of N (x) H)."""
     h = q.hopf
     f = h.field
-    ih = identity_map(f, h.dim)
-    i_n = identity_map(f, n.dim)
+    dnh = n.dim * h.dim
     s = cotensor(n, quotient_coaction(q, "left"))
-    ambient_com = ComoduleData(f, n.dim * h.dim, i_n.tensor(h.comult),
-                               h.coalgebra, "right")
+    ambient_com = ComoduleData(f, dnh, on_leg(
+        n.dim, h.comult, 1, identity_map(f, dnh)), h.coalgebra, "right")
     com, _ = comodule_on_subspace(ambient_com, s)
-    ambient_mod = ModuleData(f, n.dim * h.dim,
-                             i_n.tensor(h.mult @ ih.tensor(a.inclusion)),
-                             a.algebra, "right")
+    right_mult = after_leg(h.mult, h.dim, a.inclusion, 1)
+    ambient_mod = ModuleData(
+        f, dnh, on_leg(n.dim, right_mult, 1, identity_map(f, dnh * a.dim)),
+        a.algebra, "right")
     mod, _ = module_on_subspace(ambient_mod, s)
     rel = RelHopfModuleData(h, a.algebra, a.inclusion, com, mod,
                             name=f"cotensor of {n.name or 'N'}")
@@ -655,7 +651,6 @@ def mw_equivalence_check(a, test_comodules=None):
     if not fl.ok:
         raise VerificationFailed(fl.report)
     h = a.hopf
-    f = h.field
     q = quotient_module_coalgebra(a)
     test_modules = [
         regular_relhopf(h, a.algebra, a.inclusion, name=h.name or "H"),
@@ -665,7 +660,6 @@ def mw_equivalence_check(a, test_comodules=None):
         test_comodules = default_test_comodules(q)
 
     rep = CertReport(f"module-comodule equivalence over {a.name or 'A'}")
-    ih = identity_map(f, h.dim)
     unit_items = []
     for m in test_modules:
         nm = m.name or "M"
@@ -673,7 +667,7 @@ def mw_equivalence_check(a, test_comodules=None):
         rep.add(f"{nm}: quotient-coaction-well-defined", wd)
         rep.merge(check_comodule(com), f"{nm}: quotient ")
         psi_rel, s = psi_cotensor(com, a, q)
-        u, lands = s.factor(proj.tensor(ih) @ m.comodule.coaction)
+        u, lands = s.factor(on_leg(1, proj, h.dim, m.comodule.coaction))
         rep.add(f"{nm}: unit-lands-in-cotensor", lands)
         ru = rank(u)
         bij = s.dim == m.dim and ru == m.dim
@@ -693,7 +687,7 @@ def mw_equivalence_check(a, test_comodules=None):
         rep.merge(check_relhopf(psi_rel), f"{nm}: cotensor ")
         naplus = _times_aplus(psi_rel.module, a)
         proj2, sect2 = _quotient_maps(naplus)
-        ev = identity_map(f, n.dim).tensor(h.counit) @ s.basis_map()
+        ev = on_leg(n.dim, h.counit, 1, s.basis_map())
         wd = naplus.dim == 0 or (ev @ naplus.basis_map()).is_zero()
         rep.add(f"{nm}: counit-map-well-defined", wd)
         c = ev @ sect2
@@ -871,15 +865,14 @@ def ses_cross_check(a, side="left"):
     _require(a)
     h = a.hopf
     f = h.field
-    ih = identity_map(f, h.dim)
     verdict = is_faithfully_flat(a, side)
     if side == "left":
         algx = a.algebra
-        w_ops = ModuleData(f, h.dim, h.mult @ a.inclusion.tensor(ih),
+        w_ops = ModuleData(f, h.dim, after_leg(h.mult, 1, a.inclusion, h.dim),
                            algx, "left").action_operators()
     else:
         algx = a.algebra.op()
-        right_act = h.mult @ ih.tensor(a.inclusion)
+        right_act = after_leg(h.mult, h.dim, a.inclusion, 1)
         w_ops = ModuleData(f, h.dim, right_act @ swap_map(f, algx.dim, h.dim),
                            algx, "left").action_operators()
 
@@ -903,7 +896,7 @@ def ses_cross_check(a, side="left"):
         return memo[key]
 
     def tensor_map(fmap, src_data, dst_data):
-        return dst_data[0] @ fmap.tensor(ih) @ src_data[1]
+        return dst_data[0] @ on_leg(1, fmap, h.dim, src_data[1])
 
     preserve_ok = True
     reflect_ok = True

@@ -46,8 +46,10 @@ from .linalg import (
     DimensionMismatchError,
     LinMap,
     Subspace,
+    after_leg,
     basis_vector,
     identity_map,
+    on_leg,
     rank,
     swap_map,
 )
@@ -156,12 +158,12 @@ class AlgebraData:
         return self.mult.apply(tuple(w))
 
     def left_mult_by(self, vec):
-        return self.mult @ LinMap.from_column(self.field, vec).tensor(
-            identity_map(self.field, self.dim))
+        return after_leg(self.mult, 1, LinMap.from_column(self.field, vec),
+                         self.dim)
 
     def right_mult_by(self, vec):
-        return self.mult @ identity_map(self.field, self.dim).tensor(
-            LinMap.from_column(self.field, vec))
+        return after_leg(self.mult, self.dim,
+                         LinMap.from_column(self.field, vec), 1)
 
     def op(self):
         return AlgebraData(self.field, self.dim,
@@ -555,24 +557,20 @@ def check_pairing(p):
     rep = CertReport("bialgebra pairing")
     f = p.u.field
     du, dh = p.u.dim, p.h.dim
-    i_u, i_h = identity_map(f, du), identity_map(f, dh)
+    # (u, v, x, y) -> <u, x><v, y> on U (x) U (x) H (x) H
+    form2 = after_leg(p.form.tensor(p.form), du, swap_map(f, du, dh), dh)
     # <uv, x> = <u, x1><v, x2>
-    lhs = p.form @ p.u.mult.tensor(i_h)
-    reorder = i_u.tensor(swap_map(f, du, dh).tensor(i_h))
-    rhs = (p.form.tensor(p.form) @ reorder
-           @ i_u.tensor(i_u).tensor(p.h.comult))
-    d1 = lhs - rhs
+    d1 = after_leg(p.form, 1, p.u.mult, dh) \
+        - after_leg(form2, du * du, p.h.comult, 1)
     rep.add("mult-vs-comult", d1.is_zero())
     # <u, xy> = <u1, x><u2, y>
-    lhs2 = p.form @ i_u.tensor(p.h.mult)
-    rhs2 = (p.form.tensor(p.form) @ reorder
-            @ p.u.comult.tensor(i_h.tensor(i_h)))
-    d2 = lhs2 - rhs2
+    d2 = after_leg(p.form, du, p.h.mult, 1) \
+        - after_leg(form2, 1, p.u.comult, dh * dh)
     rep.add("comult-vs-mult", d2.is_zero())
     # units pair to counits
-    lu = p.form @ p.u.unit.tensor(i_h) - p.h.counit
+    lu = after_leg(p.form, 1, p.u.unit, dh) - p.h.counit
     rep.add("unit-left", lu.is_zero())
-    ru = p.form @ i_u.tensor(p.h.unit) - p.u.counit
+    ru = after_leg(p.form, du, p.h.unit, 1) - p.u.counit
     rep.add("unit-right", ru.is_zero())
     return rep
 
@@ -590,19 +588,16 @@ def hit_action(p, side):
 
     f = p.u.field
     du, dh = p.u.dim, p.h.dim
-    i_u, i_h = identity_map(f, du), identity_map(f, dh)
+    one = identity_map(f, du * dh)
     if side == "right":
-        # H (x) U -> H: (x, z) -> (x1, x2, z) -> (x2, z, x1) -> x2 <z, x1>
-        act = (i_h.tensor(p.form)
-               @ i_h.tensor(swap_map(f, dh, du))
-               @ swap_map(f, dh, dh).tensor(i_u)
-               @ p.h.comult.tensor(i_u))
+        # H (x) U -> H: (x, z) -> (x2, x1, z) -> x2 <z, x1>
+        cop = on_leg(1, swap_map(f, dh, dh) @ p.h.comult, du, one)
+        act = on_leg(dh, p.form @ swap_map(f, dh, du), 1, cop)
         mod = ModuleData(f, dh, act, p.u.algebra, side="right")
     elif side == "left":
         # U (x) H -> H: (z, x) -> (z, x1, x2) -> (x1, z, x2) -> x1 <z, x2>
-        act = (i_h.tensor(p.form)
-               @ swap_map(f, du, dh).tensor(i_h)
-               @ i_u.tensor(p.h.comult))
+        act = on_leg(dh, p.form, 1, on_leg(
+            1, swap_map(f, du, dh), dh, on_leg(du, p.h.comult, 1, one)))
         mod = ModuleData(f, dh, act, p.u.algebra, side="left")
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")

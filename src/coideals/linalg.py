@@ -8,6 +8,10 @@ Conventions used by the whole package:
   V (x) W sits at position i*dim(W) + j.  Both unitors and the associator
   are then literal identities, and f.tensor(g) is the Kronecker product
   with row index i*rows_g + i2, column index j*cols_g + j2.
+* A map g on one leg, I_a (x) g (x) I_b, is placed, never built: on_leg
+  sends row (i*g.cols + k)*b + j of m to rows (i*g.rows + k2)*b + j, and
+  after_leg does the same to columns.  `tensor` is for factors that are
+  not identities; a leg map wanted as a matrix is on_leg of an identity.
 * A linear map f: V -> W, seen as a vector (for Hom-space computations),
   is flattened entry-major: entry (r, c) sits at position r*cols + c.
 * A Subspace is stored as the reduced row echelon basis that `_eliminate`
@@ -196,8 +200,8 @@ class LinMap:
         return tuple(out)
 
     def transpose(self):
-        return LinMap(self.field, self.cols, self.rows,
-                      {(c, r): v for (r, c), v in self._d.items()})
+        return LinMap._trusted(self.field, self.cols, self.rows,
+                               {(c, r): v for (r, c), v in self._d.items()})
 
     def tensor(self, other):
         """Kronecker product; see the module docstring for index flattening."""
@@ -221,6 +225,48 @@ class LinMap:
 
     def __repr__(self):
         return f"LinMap({self.field}, {self.rows}x{self.cols}, nnz={self.nnz()})"
+
+
+def on_leg(a, g, b, m):
+    """(I_a (x) g (x) I_b) o m, with no Kronecker product built: row r of m
+    splits as r = (i*g.cols + k)*b + j, and each term w of g's column k adds
+    w * m[r][c] at row (i*g.rows + k2)*b + j, k2 the term's row."""
+    same_field(g.field, m.field)
+    if m.rows != a * g.cols * b:
+        raise DimensionMismatchError(
+            f"I_{a} (x) {g.rows}x{g.cols} (x) I_{b} before {m.rows}x{m.cols}")
+    f = g.field
+    mul, add = f.mul, f.add
+    gc, gr = g.cols, g.rows
+    col = {}
+    for (k2, k), w in g._d.items():
+        col.setdefault(k, []).append((k2, w))
+    out = {}
+    for (r, c), v in m._d.items():
+        q, j = divmod(r, b)
+        i, k = divmod(q, gc)
+        base = i * gr
+        for k2, w in col.get(k, ()):
+            key = ((base + k2) * b + j, c)
+            cur = out.get(key)
+            if cur is None:
+                out[key] = mul(w, v)
+            else:
+                s = add(cur, mul(w, v))
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return LinMap._trusted(f, a * gr * b, m.cols, out)
+
+
+def after_leg(m, a, g, b):
+    """m o (I_a (x) g (x) I_b): on_leg on the transposes, so column c of m
+    splits as c = (i*g.rows + k2)*b + j."""
+    if m.cols != a * g.rows * b:
+        raise DimensionMismatchError(
+            f"{m.rows}x{m.cols} after I_{a} (x) {g.rows}x{g.cols} (x) I_{b}")
+    return on_leg(a, g.transpose(), b, m.transpose()).transpose()
 
 
 def swap_map(field, m, n):

@@ -41,11 +41,13 @@ from dataclasses import dataclass, replace
 from .linalg import (
     LinMap,
     Subspace,
+    after_leg,
     basis_vector,
     identity_map,
     invert,
     kernel_of,
     matrix_of_operator,
+    on_leg,
     rank,
     stack_maps,
     swap_map,
@@ -257,7 +259,7 @@ def _free_object(h, a, acom, v):
     right tensor leg."""
     f = h.field
     com = tensor_comodules(h, v, acom, name=f"{_obj_name(v)} (x) subalgebra")
-    act = identity_map(f, v.dim).tensor(a.algebra.mult)
+    act = on_leg(v.dim, a.algebra.mult, 1, identity_map(f, v.dim * a.dim * a.dim))
     mod = ModuleData(f, v.dim * a.dim, act, a.algebra, "right", com.name)
     return RelHopfModuleData(h, a.algebra, a.inclusion, com, mod, com.name)
 
@@ -280,7 +282,7 @@ def free_forget_adjunction(a, objects=None, morphisms=()):
         return _free_object(h, a, acom, v)
 
     def left_on_maps(src, dst, m):
-        return m.tensor(identity_map(f, a.dim))
+        return on_leg(1, m, a.dim, identity_map(f, m.cols * a.dim))
 
     def right_on_objects(m):
         return m.comodule
@@ -289,7 +291,7 @@ def free_forget_adjunction(a, objects=None, morphisms=()):
         return mat
 
     def unit(v):
-        return identity_map(f, v.dim).tensor(unit_col)
+        return on_leg(v.dim, unit_col, 1, identity_map(f, v.dim))
 
     def counit(m):
         return m.module.action
@@ -304,9 +306,7 @@ def colinear_endomorphism(h, functional):
     """The comodule endomorphism of the regular comodule attached to a
     functional: first comultiply, then evaluate the functional on the
     second leg."""
-    f = h.field
-    row = LinMap.from_row(f, functional)
-    return identity_map(f, h.dim).tensor(row) @ h.comult
+    return on_leg(h.dim, LinMap.from_row(h.field, functional), 1, h.comult)
 
 
 def free_forget_monad(a, objects=None, morphisms=()):
@@ -360,7 +360,6 @@ def unit_object_algebra(ms, labels=()):
     unit = ms.eta(i_obj)
     alg = AlgebraData(f, d, mult, unit, tuple(labels))
     rep.merge(alg.check())
-    ida = identity_map(f, d)
     for i, v in enumerate(ms.objects):
         nm = _obj_name(v, i)
         w_v = ms.tensor_witness(v)
@@ -370,11 +369,10 @@ def unit_object_algebra(ms, labels=()):
         rep.add(f"witness bijective at {nm}", okw)
         if not okw:
             continue
-        w2 = ms.tensor_witness(tv) @ w_v.tensor(ida)
-        iv = identity_map(f, v.dim)
-        d1 = ms.mu(v) @ w2 - w_v @ iv.tensor(mult)
+        w2 = after_leg(ms.tensor_witness(tv), 1, w_v, d)
+        d1 = ms.mu(v) @ w2 - after_leg(w_v, v.dim, mult, 1)
         rep.add(f"multiplication factors through T(I) at {nm}", d1.is_zero())
-        d2 = ms.eta(v) - w_v @ iv.tensor(unit)
+        d2 = ms.eta(v) - after_leg(w_v, v.dim, unit, 1)
         rep.add(f"unit factors through T(I) at {nm}", d2.is_zero())
     return UnitObjectAlgebra(alg, ms, rep)
 
@@ -523,11 +521,10 @@ def internal_hom(a, n):
     dmap = dn * da
     rep = CertReport(f"internal hom into {_obj_name(n)}")
     delta, _ = restricted_comultiplication(h, a.inclusion)
-    twist = identity_map(f, dn).tensor(
-        h.mult @ identity_map(f, dh).tensor(h.antipode))
+    twist = after_leg(h.mult, dh, h.antipode, 1)
 
     def omega_fn(fm):
-        return twist @ (n.coaction @ fm).tensor(identity_map(f, dh)) @ delta
+        return on_leg(dn, twist, 1, on_leg(1, n.coaction @ fm, dh, delta))
 
     omega = matrix_of_operator(f, (dn, da), (dn * dh, da), omega_fn)
 
@@ -549,8 +546,7 @@ def internal_hom(a, n):
     rho = nu_inv @ omega
 
     lmults = [a.algebra.left_mult_by(basis_vector(f, da, j)) for j in range(da)]
-    pre = [matrix_of_operator(f, (dn, da), (dn, da), lambda fm, l=l: fm @ l)
-           for l in lmults]
+    pre = [_precompose_operator(f, dn, l) for l in lmults]
     rmults = [h.algebra.right_mult_by(basis_vector(f, dh, l)) for l in range(dh)]
     conds = []
     for j in range(da):
@@ -560,7 +556,7 @@ def internal_hom(a, n):
             if col != j:
                 continue
             k, l = divmod(row, dh)
-            rhs = rhs + (pre[k].tensor(rmults[l]) @ rho).scale(c)
+            rhs = rhs + on_leg(1, pre[k], dh, on_leg(dmap, rmults[l], 1, rho)).scale(c)
         conds.append(lhs - rhs)
     carrier = kernel_of(stack_maps(conds))
 
@@ -597,8 +593,8 @@ def internal_hom(a, n):
 
 
 def _precompose_operator(f, x_dim, g):
-    """Matrix, on flattened map spaces, of precomposition with g."""
-    return identity_map(f, x_dim).tensor(g.transpose())
+    """Matrix, on flattened map spaces, of precomposition with g: I (x) g^T."""
+    return on_leg(x_dim, g.transpose(), 1, identity_map(f, x_dim * g.rows))
 
 
 def _module_to_hom_operator(f, m, dn):
@@ -645,13 +641,12 @@ def adjunction_unit_counit_check(a, m, n):
     lhs = hom_colinear(m.comodule, n)
     t0 = _module_to_hom_operator(f, m.module, dn)
     bmap = ihom.carrier.basis_map()
-    idm = identity_map(f, dm)
-    tmat = ihom.carrier.coords_map().tensor(idm) @ t0
+    tmat = on_leg(1, ihom.carrier.coords_map(), dm, t0)
 
     lhs_b = lhs.basis_map()
     translated = tmat @ lhs_b
     rep.add("translate lands in the compatible part",
-            bmap.tensor(idm) @ translated == t0 @ lhs_b)
+            on_leg(1, bmap, dm, translated) == t0 @ lhs_b)
 
     c = ihom.carrier.dim
     da = a.dim
@@ -659,9 +654,9 @@ def adjunction_unit_counit_check(a, m, n):
     cops = ihom.module.action_operators()
     pieces = []
     for j in range(da):
-        op1 = _precompose_operator(f, c, mops[j])
-        op2 = cops[j].tensor(idm)
-        pieces.append((op1 - op2) @ tmat)
+        # precomposition with mops[j] is I_c (x) mops[j]^T
+        pieces.append(on_leg(c, mops[j].transpose(), 1, tmat)
+                      - on_leg(1, cops[j], dm, tmat))
     d2 = stack_maps(pieces) @ lhs_b
     rep.add("translate intertwines the actions", d2.is_zero())
 
@@ -682,8 +677,7 @@ def adjunction_unit_counit_check(a, m, n):
             if uc != f.zero:
                 ev[(n0, n0 * da + j)] = uc
     evmap = LinMap(f, dn, dn * da, ev)
-    theta_amb = (evmap @ bmap).tensor(idm)
-    backward, lands = lhs.factor(theta_amb @ rhs.basis_map())
+    backward, lands = lhs.factor(on_leg(1, evmap @ bmap, dm, rhs.basis_map()))
     rep.add("evaluation lands in the colinear maps", lands)
     d3 = backward @ forward - identity_map(f, lhs.dim)
     rep.add("evaluation after translate is the identity", d3.is_zero())
@@ -707,22 +701,20 @@ def surjectivity_from_coflatness(q):
     r = rank(q.projection)
     rep.add("projection has full rank", r == b.dim,
             f"rank {r} against dim {b.dim}")
-    ih = identity_map(f, h.dim)
+    dh = h.dim
     right = quotient_coaction(q, "right", "whole algebra, right quotient coaction")
     left = quotient_coaction(q, "left", "whole algebra, left quotient coaction")
     mixed = cotensor(right, left)
     rep.add("comultiplication lands in the cotensor",
             mixed.factor(h.comult)[1])
     onesided = cotensor(regular_comodule_of(b, "quotient regular"), left)
-    proj2 = q.projection.tensor(ih)
-    mapped = onesided.coords_map() @ proj2 @ mixed.basis_map()
+    mapped = onesided.coords_map() @ on_leg(1, q.projection, dh, mixed.basis_map())
     r = rank(mapped)
     rep.add("projected cotensor map is onto", r == onesided.dim,
             f"rank {r} against dim {onesided.dim}")
-    counit_leg = b.counit.tensor(ih)
     rep.add("counit leg identifies the one-sided cotensor",
-            rank(counit_leg @ onesided.basis_map()) == onesided.dim)
-    comp = counit_leg @ proj2 @ h.comult - ih
+            rank(on_leg(1, b.counit, dh, onesided.basis_map())) == onesided.dim)
+    comp = on_leg(1, b.counit @ q.projection, dh, h.comult) - identity_map(f, dh)
     rep.add("composite is the identity", comp.is_zero())
     return rep
 
@@ -737,11 +729,10 @@ def translated_tensor(x, m, q):
     h = q.hopf
     f = h.field
     dx, dm = x.dim, m.dim
-    c1 = x.coaction.tensor(m.coaction)
-    c2 = identity_map(f, dx).tensor(
-        swap_map(f, h.dim, dm).tensor(identity_map(f, q.coalgebra.dim)))
-    c3 = identity_map(f, dx * dm).tensor(q.action)
-    return ComoduleData(f, dx * dm, c3 @ c2 @ c1, q.coalgebra, "right",
+    swapped = on_leg(dx, swap_map(f, h.dim, dm), q.coalgebra.dim,
+                     x.coaction.tensor(m.coaction))
+    return ComoduleData(f, dx * dm, on_leg(dx * dm, q.action, 1, swapped),
+                        q.coalgebra, "right",
                         f"{_obj_name(x)} translated-tensor {_obj_name(m)}")
 
 
@@ -788,23 +779,22 @@ def _gamma_data(x, m, s1, q, left, rep):
     dx, dm, dh = x.dim, m.dim, h.dim
     hat = translated_tensor(x, m, q)
     s2 = cotensor(hat, left)
-    ix = identity_map(f, dx)
-    im = identity_map(f, dm)
-    ih = identity_map(f, dh)
-    reorder = ix.tensor(swap_map(f, dh, dm)).tensor(ih)
-    amb_fwd = ix.tensor(im).tensor(h.mult) @ reorder \
-        @ x.coaction.tensor(identity_map(f, dm * dh))
-    smult = h.mult @ h.antipode.tensor(ih)
-    amb_bwd = ix.tensor(im).tensor(smult) @ reorder \
-        @ x.coaction.tensor(identity_map(f, dm * dh))
-    dom = ix.tensor(s1.basis_map())
-    forward, lands = s2.factor(amb_fwd @ dom)
+    flip = swap_map(f, dh, dm)
+
+    def contract(mult, t):
+        # X (x) H (x) M (x) H -> X (x) M (x) H (x) H -> X (x) M (x) H
+        return on_leg(dx * dm, mult, 1, on_leg(dx, flip, dh, t))
+
+    # (coaction (x) I_M (x) I_H) o (I_X (x) B_1) = coaction (x) B_1
+    b1 = s1.basis_map()
+    forward, lands = s2.factor(contract(h.mult, x.coaction.tensor(b1)))
     rep.add("forward map lands in the translated cotensor", lands,
             None if lands
             else "membership in the cotensor over the quotient failed")
-    bwd_cols = amb_bwd @ s2.basis_map()
-    backward = ix.tensor(s1.coords_map()) @ bwd_cols
-    lands = dom @ backward == bwd_cols
+    smult = after_leg(h.mult, 1, h.antipode, dh)
+    bwd_cols = contract(smult, on_leg(1, x.coaction, dm * dh, s2.basis_map()))
+    backward = on_leg(dx, s1.coords_map(), 1, bwd_cols)
+    lands = on_leg(dx, b1, 1, backward) == bwd_cols
     rep.add("backward map lands in the tensor against the cotensor", lands,
             None if lands
             else "membership in the source cotensor failed")
@@ -879,7 +869,6 @@ def _cotensor_psi(q, objects):
     """cotensor_psi_adjunction, the left quotient comodule and the memoized
     lookup of an object's cotensor subspace and comodule."""
     h = q.hopf
-    f = h.field
     b = q.coalgebra
     left = quotient_coaction(q, "left", "whole algebra, left coaction")
     memo = {}
@@ -888,9 +877,10 @@ def _cotensor_psi(q, objects):
         key = (n.dim, tuple(n.coaction.entries()))
         if key not in memo:
             s = cotensor(n, left)
-            amb = ComoduleData(f, n.dim * h.dim,
-                               identity_map(f, n.dim).tensor(h.comult),
-                               h.coalgebra, "right")
+            dnh = n.dim * h.dim
+            amb = ComoduleData(h.field, dnh, on_leg(
+                n.dim, h.comult, 1, identity_map(h.field, dnh)),
+                h.coalgebra, "right")
             memo[key] = s, comodule_on_subspace(amb, s)[0]
         return memo[key]
 
@@ -906,8 +896,7 @@ def _cotensor_psi(q, objects):
 
     def right_on_maps(nsrc, ndst, mat):
         s_src, s_dst = cotensored(nsrc)[0], cotensored(ndst)[0]
-        out, lands = s_dst.factor(
-            mat.tensor(identity_map(f, h.dim)) @ s_src.basis_map())
+        out, lands = s_dst.factor(on_leg(1, mat, h.dim, s_src.basis_map()))
         if not lands:
             raise ValueError("map does not preserve the cotensor")
         return out
@@ -919,8 +908,7 @@ def _cotensor_psi(q, objects):
         return out
 
     def counit(n):
-        s = cotensored(n)[0]
-        return identity_map(f, n.dim).tensor(h.counit) @ s.basis_map()
+        return on_leg(n.dim, h.counit, 1, cotensored(n)[0].basis_map())
 
     if objects is None:
         objects = (trivial_comodule(h), regular_comodule(h))
@@ -993,7 +981,6 @@ def theorem2_pipeline(q, objects=None):
     restricted multiplication; and certify faithful flatness over the
     subalgebra."""
     h = q.hopf
-    f = h.field
     rep = CertReport(f"quotient-to-subalgebra pipeline "
                      f"for {q.name or 'quotient'}")
     stages = []
@@ -1007,8 +994,7 @@ def theorem2_pipeline(q, objects=None):
     _pipeline_stage(rep, stages, "coalgebra map recovery", sub)
 
     sub = CertReport("translation action")
-    d = q.action @ identity_map(f, h.dim).tensor(q.projection) \
-        - q.projection @ h.mult
+    d = after_leg(q.action, h.dim, q.projection, 1) - q.projection @ h.mult
     sub.add("projection intertwines multiplication and action", d.is_zero())
     _pipeline_stage(rep, stages, "translation action", sub)
 

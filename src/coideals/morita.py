@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from .linalg import (
     LinMap,
     Subspace,
+    after_leg,
     find_section,
     identity_map,
-    kernel_of,
     map_to_vec,
     matrix_of_operator,
+    on_leg,
     rank,
     vec_to_map,
 )
@@ -190,26 +191,25 @@ def cohom(x, y):
     com = ComoduleData(f, com.dim, com.coaction, gamma, "right", nm)
     rep.merge(check_comodule(com), "value ")
 
-    ix = identity_map(f, x.dim)
+    # bij[w] = I_w (x) s.basis_map(), the bijection at width w
+    bij = {}
     for w in _COHOM_WIDTHS:
-        iw = identity_map(f, w)
-        wx = ComoduleData(f, w * x.dim, iw.tensor(xr.coaction), xr.over,
-                          "right", f"width {w} against X")
+        wx = ComoduleData(
+            f, w * x.dim, on_leg(w, xr.coaction, 1, identity_map(f, w * x.dim)),
+            xr.over, "right", f"width {w} against X")
         t = hom_colinear(y, wx)
         rep.add(f"dimension bookkeeping at width {w}", t.dim == w * s.dim,
                 f"{t.dim} against {w} * {s.dim}")
-        j = iw.tensor(s.basis_map())
-        rep.add(f"bijection image is colinear at width {w}", t.factor(j)[1])
-        r = rank(j)
+        bij[w] = on_leg(w, s.basis_map(), 1, identity_map(f, w * s.dim))
+        rep.add(f"bijection image is colinear at width {w}", t.factor(bij[w])[1])
+        r = rank(bij[w])
         rep.add(f"bijection at width {w}", r == w * s.dim == t.dim,
                 f"rank {r}, target dimension {t.dim}")
     w1, w2 = _COHOM_WIDTHS
     step = LinMap(f, w2, w1, {(i, j): f.from_int(i + j + 1)
                               for i in range(w2) for j in range(w1)})
-    j1 = identity_map(f, w1).tensor(s.basis_map())
-    j2 = identity_map(f, w2).tensor(s.basis_map())
-    lhs = step.tensor(ix).tensor(identity_map(f, y.dim)) @ j1
-    rhs = j2 @ step.tensor(identity_map(f, s.dim))
+    lhs = on_leg(1, step, x.dim * y.dim, bij[w1])
+    rhs = after_leg(bij[w2], 1, step, s.dim)
     rep.add("bijection natural in the width", (lhs - rhs).is_zero())
     if not rep.ok:
         raise VerificationFailed(rep)
@@ -378,23 +378,19 @@ def _double_cotensor(v, mid, far):
     coactions on the middle carrier commute), the second condition is
     solved on that small carrier, and the result is embedded back."""
     f = v.field
-    iv = identity_map(f, v.dim)
-    im = identity_map(f, mid.dim)
-    ifar = identity_map(f, far.dim)
-    k1 = v.coaction.tensor(im) - iv.tensor(mid.left_coaction)
-    first = kernel_of(k1)
-    amb_rho = ComoduleData(f, v.dim * mid.dim, iv.tensor(mid.right_coaction),
-                           mid.right_over, "right")
+    first = cotensor(v, mid.left_comodule())
+    dvm = v.dim * mid.dim
+    amb_rho = ComoduleData(
+        f, dvm, on_leg(v.dim, mid.right_coaction, 1, identity_map(f, dvm)),
+        mid.right_over, "right")
     try:
         restricted, b = comodule_on_subspace(amb_rho, first)
     except ValueError:
         rep = CertReport("iterated cotensor")
         rep.add("middle coaction restricts to the first cotensor", False)
         raise VerificationFailed(rep)
-    rho_first = restricted.coaction
-    k2 = rho_first.tensor(ifar) - identity_map(f, first.dim).tensor(far.left_coaction)
-    inner = kernel_of(k2)
-    emb = b.tensor(ifar) @ inner.basis_map()
+    inner = cotensor(restricted, far.left_comodule())
+    emb = on_leg(1, b, far.dim, inner.basis_map())
     vecs = [tuple(emb.column(j)) for j in range(emb.cols)]
     return Subspace.from_vectors(f, v.dim * mid.dim * far.dim, vecs)
 
@@ -407,12 +403,8 @@ def verify_pre_equivalence(e, test_objects=None):
     test_objects: right comodules over either of the two coalgebras; each
     is routed to the matching composite (to both when the coalgebras
     coincide).  Defaults to the regular comodules on both sides."""
-    f = e.gamma.field
     rep = CertReport(f"pre-equivalence data {e.name}".rstrip())
-    ig = identity_map(f, e.gamma.dim)
-    idd = identity_map(f, e.d.dim)
-    ip = identity_map(f, e.p.dim)
-    iq = identity_map(f, e.q.dim)
+    dg, dd, dp, dq = e.gamma.dim, e.d.dim, e.p.dim, e.q.dim
 
     rep.merge(e.gamma.check(), "first coalgebra ")
     rep.merge(e.d.check(), "second coalgebra ")
@@ -424,18 +416,18 @@ def verify_pre_equivalence(e, test_objects=None):
     rep.add("f lands in the cotensor", ct_pq.factor(e.f)[1])
     rep.add("g lands in the cotensor", ct_qp.factor(e.g)[1])
 
-    d1 = e.p.left_coaction.tensor(iq) @ e.f - ig.tensor(e.f) @ e.gamma.comult
+    d1 = on_leg(1, e.p.left_coaction, dq, e.f) - on_leg(dg, e.f, 1, e.gamma.comult)
     rep.add("f left-colinear", d1.is_zero())
-    d2 = ip.tensor(e.q.right_coaction) @ e.f - e.f.tensor(ig) @ e.gamma.comult
+    d2 = on_leg(dp, e.q.right_coaction, 1, e.f) - on_leg(1, e.f, dg, e.gamma.comult)
     rep.add("f right-colinear", d2.is_zero())
-    d3 = e.q.left_coaction.tensor(ip) @ e.g - idd.tensor(e.g) @ e.d.comult
+    d3 = on_leg(1, e.q.left_coaction, dp, e.g) - on_leg(dd, e.g, 1, e.d.comult)
     rep.add("g left-colinear", d3.is_zero())
-    d4 = iq.tensor(e.p.right_coaction) @ e.g - e.g.tensor(idd) @ e.d.comult
+    d4 = on_leg(dq, e.p.right_coaction, 1, e.g) - on_leg(1, e.g, dd, e.d.comult)
     rep.add("g right-colinear", d4.is_zero())
 
-    s1 = e.f.tensor(ip) @ e.p.left_coaction - ip.tensor(e.g) @ e.p.right_coaction
+    s1 = on_leg(1, e.f, dp, e.p.left_coaction) - on_leg(dp, e.g, 1, e.p.right_coaction)
     rep.add("first compatibility square", s1.is_zero())
-    s2 = e.g.tensor(iq) @ e.q.left_coaction - iq.tensor(e.f) @ e.q.right_coaction
+    s2 = on_leg(1, e.g, dq, e.q.left_coaction) - on_leg(dq, e.f, 1, e.q.right_coaction)
     rep.add("second compatibility square", s2.is_zero())
 
     rf, rg = rank(e.f), rank(e.g)
@@ -456,7 +448,7 @@ def verify_pre_equivalence(e, test_objects=None):
     def composite_checks(v, word, mid, far, comparison):
         nm = _obj_name(v)
         dv = _double_cotensor(v, mid, far)
-        eta = identity_map(f, v.dim).tensor(comparison) @ v.coaction
+        eta = on_leg(v.dim, comparison, 1, v.coaction)
         rep.add(f"{word} composite lands in the iterated cotensor at {nm}",
                 dv.factor(eta)[1])
         r = rank(eta)
@@ -519,8 +511,7 @@ def coend_pre_equivalence(m):
         lt = LinMap(f, d.dim, d.dim,
                     {(j, k): val for (r, k), val in d.comult.entries()
                      for dr, j in [divmod(r, d.dim)] if dr == dd})
-        op = identity_map(f, dm).tensor(lt.transpose())
-        co, lands = sd.factor(op @ b_sd)
+        co, lands = sd.factor(on_leg(dm, lt.transpose(), 1, b_sd))
         if not lands:
             rep.add("translations preserve the translate space", False)
             raise VerificationFailed(rep)
@@ -545,7 +536,7 @@ def coend_pre_equivalence(m):
         cc, p2 = divmod(r, dm)
         lmat_ent[(cc, p2 * dm + mcol)] = val
     lmat = LinMap(f, c.dim, dm * dm, lmat_ent)
-    rhs = identity_map(f, dm).tensor(g) @ m.coaction
+    rhs = on_leg(dm, g, 1, m.coaction)
     rmat_ent = {}
     for (r, mcol), val in rhs.entries():
         pq, p2 = divmod(r, dm)

@@ -46,12 +46,14 @@ from .linalg import (
     DimensionMismatchError,
     LinMap,
     Subspace,
+    after_leg,
     basis_vector,
     image_of,
     invert,
     kernel_of,
     map_to_vec,
     matrix_of_operator,
+    on_leg,
     solve,
     stack_maps,
     swap_map,
@@ -87,11 +89,9 @@ class ModuleData:
 
     def act_by(self, vec):
         """Operator on the carrier given by one coefficient vector."""
-        i = LinMap.identity(self.field, self.dim)
-        c = LinMap.from_column(self.field, vec)
-        if self.side == "right":
-            return self.action @ i.tensor(c)
-        return self.action @ c.tensor(i)
+        # the algebra leg is V (x) A's right leg, A (x) V's left
+        a, b = (self.dim, 1) if self.side == "right" else (1, self.dim)
+        return after_leg(self.action, a, LinMap.from_column(self.field, vec), b)
 
     def action_operators(self):
         """The operators of the basis elements e_0..e_{da-1} of the algebra,
@@ -179,13 +179,11 @@ def _as_right_module(m):
 def check_module(m):
     act, alg = _as_right_module(m)
     f, dm, da = m.field, m.dim, alg.dim
-    im = LinMap.identity(f, dm)
-    ia = LinMap.identity(f, da)
     rep = CertReport(m.name or f"{m.side} module")
     lm, la = _default_labels(dm, "m"), alg.labels
-    assoc = act @ act.tensor(ia) - act @ im.tensor(alg.mult)
+    assoc = after_leg(act, 1, act, da) - after_leg(act, dm, alg.mult, 1)
     rep.add("action-associative", assoc.is_zero(), _witness(assoc, [lm, la, la]))
-    unital = act @ im.tensor(alg.unit) - im
+    unital = after_leg(act, dm, alg.unit, 1) - LinMap.identity(f, dm)
     rep.add("action-unital", unital.is_zero(), _witness(unital, [lm]))
     return rep
 
@@ -200,13 +198,11 @@ def _as_right_comodule(v):
 def check_comodule(v):
     rho, co = _as_right_comodule(v)
     f, dv, dc = v.field, v.dim, co.dim
-    iv = LinMap.identity(f, dv)
-    ic = LinMap.identity(f, dc)
     rep = CertReport(v.name or f"{v.side} comodule")
     lv = _default_labels(dv, "v")
-    coassoc = rho.tensor(ic) @ rho - iv.tensor(co.comult) @ rho
+    coassoc = on_leg(1, rho, dc, rho) - on_leg(dv, co.comult, 1, rho)
     rep.add("coaction-coassociative", coassoc.is_zero(), _witness(coassoc, [lv]))
-    counital = iv.tensor(co.counit) @ rho - iv
+    counital = on_leg(dv, co.counit, 1, rho) - LinMap.identity(f, dv)
     rep.add("coaction-counital", counital.is_zero(), _witness(counital, [lv]))
     return rep
 
@@ -219,16 +215,15 @@ def restricted_comultiplication(h, inclusion):
     exactly when tensor(inclusion, id) @ delta reproduces comult @ inclusion,
     which is the right coideal condition for the subspace.
     """
-    f = h.field
     # one elimination: the inclusion is injective exactly when reading its
     # image's pivot coordinates gives a square invertible matrix
     coords = image_of(inclusion).coords_map()
     inv = invert(coords @ inclusion)
     if inv is None:
         raise ValueError("inclusion is not injective")
-    ih = LinMap.identity(f, h.dim)
-    delta = (inv @ coords).tensor(ih) @ h.comult @ inclusion
-    diff = inclusion.tensor(ih) @ delta - h.comult @ inclusion
+    image = h.comult @ inclusion
+    delta = on_leg(1, inv @ coords, h.dim, image)
+    diff = on_leg(1, inclusion, h.dim, delta) - image
     return delta, ("coproduct-stays-in-subspace", diff.is_zero(),
                    _witness(diff, [_default_labels(inclusion.cols, "a")]))
 
@@ -245,13 +240,11 @@ def check_relhopf(x):
     rep.add(cname, cok, cwit)
     if cok:
         dm, da, dh = x.comodule.dim, x.subalgebra.dim, h.dim
-        im = LinMap.identity(f, dm)
-        ih = LinMap.identity(f, dh)
         rho, act = x.comodule.coaction, x.module.action
         # rho(m.a) must equal m0.a(1) (x) m1*a(2), the first coproduct leg of
         # a staying inside the subalgebra
-        rhs = act.tensor(h.mult) @ im.tensor(swap_map(f, dh, da).tensor(ih)) \
-            @ rho.tensor(delta)
+        rhs = act.tensor(h.mult) @ on_leg(dm, swap_map(f, dh, da), dh,
+                                          rho.tensor(delta))
         diff = rho @ act - rhs
         rep.add("coaction-module-compatible", diff.is_zero(),
                 _witness(diff, [_default_labels(dm, "m"), _default_labels(da, "a")]))
@@ -259,14 +252,11 @@ def check_relhopf(x):
 
 
 def check_bicomodule(x):
-    f = x.field
     rep = CertReport(x.name or "bicomodule")
     rep.merge(check_comodule(x.left_comodule()), "left ")
     rep.merge(check_comodule(x.right_comodule()), "right ")
-    ic = LinMap.identity(f, x.left_over.dim)
-    idd = LinMap.identity(f, x.right_over.dim)
-    diff = ic.tensor(x.right_coaction) @ x.left_coaction \
-        - x.left_coaction.tensor(idd) @ x.right_coaction
+    diff = on_leg(x.left_over.dim, x.right_coaction, 1, x.left_coaction) \
+        - on_leg(1, x.left_coaction, x.right_over.dim, x.right_coaction)
     rep.add("coactions-commute", diff.is_zero(),
             _witness(diff, [_default_labels(x.dim, "v")]))
     return rep
@@ -324,12 +314,9 @@ def tensor_comodules(h, v, w, name=""):
     if v.side != "right" or w.side != "right":
         raise ValueError("tensor of comodules is implemented for right comodules")
     f = h.field
-    dh = h.dim
-    iv = LinMap.identity(f, v.dim)
-    iw = LinMap.identity(f, w.dim)
-    ih = LinMap.identity(f, dh)
-    mid = iv.tensor(swap_map(f, dh, w.dim).tensor(ih))
-    out = iv.tensor(iw).tensor(h.mult) @ mid @ v.coaction.tensor(w.coaction)
+    mid = on_leg(v.dim, swap_map(f, h.dim, w.dim), h.dim,
+                 v.coaction.tensor(w.coaction))
+    out = on_leg(v.dim * w.dim, h.mult, 1, mid)
     return ComoduleData(f, v.dim * w.dim, out, h.coalgebra, "right", name)
 
 
@@ -337,25 +324,26 @@ def restrict_module(m, alg, phi):
     """Pull a module back along an algebra map phi from alg into the acting
     algebra: restriction to a subalgebra along its inclusion, or inflation
     from a quotient along its projection."""
-    f = m.field
-    im = LinMap.identity(f, m.dim)
-    act = m.action @ (im.tensor(phi) if m.side == "right" else phi.tensor(im))
-    return ModuleData(f, m.dim, act, alg, m.side, m.name)
+    a, b = (m.dim, 1) if m.side == "right" else (1, m.dim)
+    return ModuleData(m.field, m.dim, after_leg(m.action, a, phi, b), alg,
+                      m.side, m.name)
 
 
 def corestrict_comodule(v, b, psi):
     """Push a right comodule forward along a coalgebra map into b."""
     if v.side != "right":
         raise ValueError("corestriction is implemented for right comodules")
-    iv = LinMap.identity(v.field, v.dim)
-    return ComoduleData(v.field, v.dim, iv.tensor(psi) @ v.coaction, b, "right", v.name)
+    return ComoduleData(v.field, v.dim, on_leg(v.dim, psi, 1, v.coaction), b,
+                        "right", v.name)
 
 
 # -- morphisms, hom spaces, cotensor -----------------------------------
 
 def is_coalgebra_map(psi, src, dst):
     rep = CertReport("coalgebra map")
-    d1 = dst.comult @ psi - psi.tensor(psi) @ src.comult
+    # (psi (x) psi) o comult, one leg at a time
+    d1 = dst.comult @ psi \
+        - on_leg(1, psi, dst.dim, on_leg(src.dim, psi, 1, src.comult))
     rep.add("respects-comultiplication", d1.is_zero(), _witness(d1, [src.labels]))
     d2 = dst.counit @ psi - src.counit
     rep.add("respects-counit", d2.is_zero(), _witness(d2, [src.labels]))
@@ -365,10 +353,10 @@ def is_coalgebra_map(psi, src, dst):
 def _colinearity_defect(v, w):
     """The map fm |-> w.coaction o fm - (fm (x) id) o v.coaction, with
     id (x) fm for left comodules; it vanishes exactly on colinear maps."""
-    ic = LinMap.identity(v.field, v.over.dim)
+    dc = v.over.dim
     if v.side == "right":
-        return lambda fm: w.coaction @ fm - fm.tensor(ic) @ v.coaction
-    return lambda fm: w.coaction @ fm - ic.tensor(fm) @ v.coaction
+        return lambda fm: w.coaction @ fm - on_leg(1, fm, dc, v.coaction)
+    return lambda fm: w.coaction @ fm - on_leg(dc, fm, 1, v.coaction)
 
 
 def hom_colinear(v, w):
@@ -410,10 +398,9 @@ def cotensor(v, w):
         raise ValueError("cotensor takes a right comodule then a left comodule")
     if v.over.dim != w.over.dim or v.over.comult != w.over.comult:
         raise ValueError("cotensor over mismatched coalgebras")
-    f = v.field
-    iv = LinMap.identity(f, v.dim)
-    iw = LinMap.identity(f, w.dim)
-    return kernel_of(v.coaction.tensor(iw) - iv.tensor(w.coaction))
+    one = LinMap.identity(v.field, v.dim * w.dim)
+    return kernel_of(on_leg(1, v.coaction, w.dim, one)
+                     - on_leg(v.dim, w.coaction, 1, one))
 
 
 def comodule_on_subspace(v, s):
@@ -426,18 +413,14 @@ def comodule_on_subspace(v, s):
     s is invariant exactly when lifting that back, (B (x) I) on the right
     or (I (x) B) on the left, gives coaction o B again.
     """
-    f = v.field
-    ic = LinMap.identity(f, v.over.dim)
     b = s.basis_map()
     img = v.coaction @ b
-    if v.side == "right":
-        down, up = s.coords_map().tensor(ic), b.tensor(ic)
-    else:
-        down, up = ic.tensor(s.coords_map()), ic.tensor(b)
-    coact = down @ img
-    if up @ coact != img:
+    # the leg of V in V (x) C on the right, in C (x) V on the left
+    a, c = (1, v.over.dim) if v.side == "right" else (v.over.dim, 1)
+    coact = on_leg(a, s.coords_map(), c, img)
+    if on_leg(a, b, c, coact) != img:
         raise ValueError("subspace is not invariant under the coaction")
-    return ComoduleData(f, s.dim, coact, v.over, v.side, v.name), b
+    return ComoduleData(v.field, s.dim, coact, v.over, v.side, v.name), b
 
 
 def restrict_algebra(a, s, labels=()):
@@ -445,7 +428,7 @@ def restrict_algebra(a, s, labels=()):
     subspace; raises when the subspace is not closed under the product or
     misses the unit.  Returns (algebra, inclusion)."""
     b = s.basis_map()
-    mult, closed = s.factor(a.mult @ b.tensor(b))
+    mult, closed = s.factor(after_leg(after_leg(a.mult, 1, b, a.dim), s.dim, b, 1))
     if not closed:
         raise ValueError("subspace is not closed under the product")
     unit, unital = s.factor(a.unit)
@@ -459,9 +442,8 @@ def regular_relhopf(h, subalg, incl, name=""):
     action by right multiplication through the subalgebra inclusion.  A
     failed relative Hopf module check raises VerificationFailed."""
     f = h.field
-    ih = LinMap.identity(f, h.dim)
     comod = regular_comodule(h)
-    mod = ModuleData(f, h.dim, h.mult @ ih.tensor(incl), subalg, "right")
+    mod = ModuleData(f, h.dim, after_leg(h.mult, h.dim, incl, 1), subalg, "right")
     x = RelHopfModuleData(h, subalg, incl, comod, mod,
                           name or f"{h.name or 'H'} as relative Hopf module")
     rep = check_relhopf(x)
@@ -519,14 +501,14 @@ def quotient_algebra(a, ideal):
     proj, sect = _quotient_maps(ideal)
     if ideal.dim:
         bm = ideal.basis_map()
-        idm = LinMap.identity(f, a.dim)
-        if not (proj @ a.mult @ bm.tensor(idm)).is_zero() \
-                or not (proj @ a.mult @ idm.tensor(bm)).is_zero():
+        if not (proj @ after_leg(a.mult, 1, bm, a.dim)).is_zero() \
+                or not (proj @ after_leg(a.mult, a.dim, bm, 1)).is_zero():
             raise ValueError("quotient by a subspace that is not a two-sided ideal")
     piv = set(ideal.pivots)
     labels = tuple(f"[{lbl}]" for i, lbl in enumerate(a.labels) if i not in piv)
-    q = AlgebraData(f, proj.rows, proj @ a.mult @ sect.tensor(sect),
-                    proj @ a.unit, labels)
+    qd = proj.rows
+    mult = after_leg(after_leg(a.mult, 1, sect, a.dim), qd, sect, 1)
+    q = AlgebraData(f, qd, proj @ mult, proj @ a.unit, labels)
     return q, proj, sect
 
 
@@ -535,13 +517,11 @@ def module_on_subspace(m, s):
     invariant.  Returns (module, inclusion)."""
     if m.side != "right":
         raise ValueError("submodule restriction is implemented for right modules")
-    f = m.field
     b = s.basis_map()
-    act, invariant = s.factor(
-        m.action @ b.tensor(LinMap.identity(f, m.over.dim)))
+    act, invariant = s.factor(after_leg(m.action, 1, b, m.over.dim))
     if not invariant:
         raise ValueError("subspace is not invariant under the action")
-    return ModuleData(f, s.dim, act, m.over, "right", m.name), b
+    return ModuleData(m.field, s.dim, act, m.over, "right", m.name), b
 
 
 def _quotient_maps(sub):
@@ -566,11 +546,9 @@ def module_on_quotient(m, s):
     (module, projection) on the non-pivot coordinates."""
     if m.side != "right":
         raise ValueError("quotient modules are implemented for right modules")
-    f = m.field
     proj, sect = _quotient_maps(s)
-    im = LinMap.identity(f, m.over.dim)
-    act = proj @ m.action @ sect.tensor(im)
-    return ModuleData(f, proj.rows, act, m.over, "right", m.name), proj
+    act = proj @ after_leg(m.action, 1, sect, m.over.dim)
+    return ModuleData(m.field, proj.rows, act, m.over, "right", m.name), proj
 
 
 # -- minimal polynomials -----------------------------------------------
@@ -641,16 +619,26 @@ def poly_at_matrix(field, coeffs, m):
 
 def matrix_algebra_closure(field, mats, n):
     """Span-closure of a set of n x n matrices under products, seeded with
-    the identity.  Returns (subspace of flattened matrices, canonical basis)."""
-    seed = [LinMap.identity(field, n)] + list(mats)
-    span = Subspace.from_vectors(field, n * n, [map_to_vec(m) for m in seed])
-    while True:
-        basis = [vec_to_map(field, n, n, r) for r in span.rows]
-        new = [map_to_vec(a @ b) for a in basis for b in basis
-               if not span.contains(map_to_vec(a @ b))]
-        if not new:
-            return span, basis
-        span = span.sum_with(Subspace.from_vectors(field, n * n, new))
+    the identity.  Returns (subspace of flattened matrices, canonical basis).
+
+    A matrix joins the spanning list `kept` when it is not yet in the span.
+    Each round multiplies only the pairs of `kept` with a factor added in
+    the round before, so every product is taken once, and a round that adds
+    nothing leaves the span closed.  The closure is unique, so its
+    canonical basis does not depend on the order of the products."""
+    span = Subspace.zero(field, n * n)
+    kept = []
+    todo = [LinMap.identity(field, n), *mats]
+    while todo:
+        old = len(kept)
+        for m in todo:
+            v = map_to_vec(m)
+            if not span.contains(v):
+                span = span.sum_with(Subspace.from_vectors(field, n * n, [v]))
+                kept.append(m)
+        todo = [a @ b for i, a in enumerate(kept) for j, b in enumerate(kept)
+                if max(i, j) >= old]
+    return span, [vec_to_map(field, n, n, r) for r in span.rows]
 
 
 def algebra_from_matrix_span(field, span, n):
@@ -907,12 +895,9 @@ def recover_coalgebra_map(h, b, lam):
     """Read a coalgebra map H -> B off a right coaction of b on the Hopf
     algebra's carrier via the counit, with the report certifying that the
     result is a coalgebra map regenerating the given coaction."""
-    f = h.field
-    ib = LinMap.identity(f, b.dim)
-    psi = h.counit.tensor(ib) @ lam
+    psi = on_leg(1, h.counit, b.dim, lam)
     rep = CertReport("recovered coalgebra map")
     rep.merge(is_coalgebra_map(psi, h.coalgebra, b))
-    ih = LinMap.identity(f, h.dim)
-    regen = ih.tensor(psi) @ h.comult - lam
+    regen = on_leg(h.dim, psi, 1, h.comult) - lam
     rep.add("coaction-regenerated", regen.is_zero(), _witness(regen, [h.labels]))
     return psi, rep

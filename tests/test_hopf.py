@@ -28,11 +28,13 @@ from coideals.catalog import (
     evaluation_pairing,
     function_algebra,
     group_algebra,
+    subgroup_data,
     sweedler4,
     symmetric_group_3,
     taft,
 )
 from coideals.certs import VerificationFailed
+from coideals.cli import main
 from coideals.fields import GF, QQ
 from coideals.hopf import (
     AlgebraData,
@@ -48,6 +50,7 @@ from coideals.hopf import (
     hit_action,
 )
 from coideals.linalg import DimensionMismatchError, LinMap, basis_vector, swap_map
+from coideals.specfile import save_spec, spec_from_hopf, spec_from_quotient
 
 
 def catalog_instances():
@@ -505,6 +508,53 @@ def test_subspace_factor_is_the_one_membership_path():
                 if _is_call_of(left, "basis_map") and _is_call_of(right, "coords_map"):
                     found.append(f"{path.name}:{node.lineno} projector")
     assert not found, "second membership paths in src/coideals: " + ", ".join(found)
+
+
+def _is_identity_call(node):
+    """identity_map(...) or LinMap.identity(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    return (isinstance(fn, ast.Name) and fn.id == "identity_map") or (
+        isinstance(fn, ast.Attribute) and fn.attr == "identity"
+        and isinstance(fn.value, ast.Name) and fn.value.id == "LinMap")
+
+
+def test_no_kronecker_product_takes_a_built_identity():
+    # a map on one tensor leg goes through linalg.on_leg or after_leg; an
+    # identity built to be a factor of tensor is the idiom they replace
+    src = Path(coideals.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if _is_call_of(node, "tensor") and any(
+                    _is_identity_call(x) for x in (node.func.value, *node.args)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "identity factors of tensor in src/coideals: " + ", ".join(found)
+
+
+def test_theorem2_builds_no_identity_factor(monkeypatch, tmp_path):
+    # theorem2 on k^S3 with the quotient by the order-two subgroup; before
+    # maps on one leg were placed, 277 of its 291 tensor calls had an
+    # identity factor
+    g = symmetric_group_3()
+    save_spec(spec_from_hopf(function_algebra(QQ, g, name="k^S3")),
+              tmp_path / "ks3fun.spec")
+    save_spec(spec_from_quotient(subgroup_data(QQ, g, (0, 3))[2]),
+              tmp_path / "quot3.spec")
+    calls = []
+    tensor = LinMap.tensor
+
+    def counted(self, other):
+        calls.append(any(m == LinMap.identity(m.field, m.rows)
+                         for m in (self, other) if m.rows == m.cols))
+        return tensor(self, other)
+
+    monkeypatch.setattr(LinMap, "tensor", counted)
+    assert main(["theorem2", str(tmp_path / "ks3fun.spec"),
+                 "--quotient", str(tmp_path / "quot3.spec")]) == 0
+    assert calls, "the count saw no tensor call at all"
+    assert sum(calls) == 0
 
 
 PUBLIC_API = [

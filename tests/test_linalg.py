@@ -5,6 +5,7 @@ hand-solved systems, exhaustive enumeration over GF(5), and literal
 Kronecker expansion by definition.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -21,6 +22,7 @@ from coideals.linalg import (
     DimensionMismatchError,
     LinMap,
     Subspace,
+    after_leg,
     find_section,
     identity_map,
     image_of,
@@ -28,6 +30,7 @@ from coideals.linalg import (
     kernel_of,
     map_to_vec,
     matrix_of_operator,
+    on_leg,
     rank,
     rref,
     solve,
@@ -498,6 +501,40 @@ def test_tensor_bilinear():
     f, f2 = qmap([[1, 2], [3, 4]]), qmap([[0, 1], [1, 1]])
     g = qmap([[2, 0], [0, 2]])
     assert (f + f2).tensor(g) == f.tensor(g) + f2.tensor(g)
+
+
+@pytest.mark.parametrize("shape", ["unit", "counit", "rectangular", "zero"])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@seed(20261020)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_leg_placement_matches_the_kronecker_product(field, shape, data):
+    # oracle: I_a (x) g (x) I_b built with tensor and composed with @; g is
+    # a column (a unit), a row (a counit), any shape, or zero
+    scalar = st.one_of(st.just(0), _entries(field))
+
+    def linmap(rows, cols):
+        return st.lists(scalar, min_size=rows * cols, max_size=rows * cols).map(
+            lambda xs: LinMap(field, rows, cols, {
+                divmod(i, cols): field.parse(str(x)) for i, x in enumerate(xs)}))
+
+    a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    size = st.integers(1, 3)
+    gr = 1 if shape == "counit" else data.draw(size)
+    gc = 1 if shape == "unit" else data.draw(size)
+    g = LinMap.zero(field, gr, gc) if shape == "zero" else data.draw(linmap(gr, gc))
+    kron = identity_map(field, a).tensor(g).tensor(identity_map(field, b))
+    m = data.draw(linmap(a * gc * b, data.draw(st.integers(0, 3))))
+    assert on_leg(a, g, b, m) == kron @ m
+    m2 = data.draw(linmap(data.draw(st.integers(0, 3)), a * gr * b))
+    assert after_leg(m2, a, g, b) == m2 @ kron
+    # a wrong size is refused, naming the leg map as it was given
+    leg = re.escape(f"I_{a} (x) {gr}x{gc} (x) I_{b}")
+    for off in (-1, 1):
+        with pytest.raises(DimensionMismatchError, match=leg):
+            on_leg(a, g, b, LinMap.zero(field, a * gc * b + off, 1))
+        with pytest.raises(DimensionMismatchError, match=leg):
+            after_leg(LinMap.zero(field, 1, a * gr * b + off), a, g, b)
 
 
 def test_swap_map_involution_and_action():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
+from itertools import groupby
 from pathlib import Path
 from random import Random
 
@@ -23,7 +24,7 @@ from coideals.catalog import (
 from coideals.certs import VerificationFailed
 from coideals.fields import GF, QQ
 from coideals.hopf import AlgebraData, dual_algebra
-from coideals.linalg import LinMap, Subspace, basis_vector, kernel_of
+from coideals.linalg import LinMap, Subspace, basis_vector, kernel_of, map_to_vec
 from coideals.repcats import (
     ComoduleData,
     _quotient_maps,
@@ -44,6 +45,7 @@ from coideals.repcats import (
     invariant_subspace,
     is_cosemisimple,
     is_module_semisimple,
+    matrix_algebra_closure,
     matrix_minpoly,
     module_on_quotient,
     module_on_subspace,
@@ -349,6 +351,42 @@ def test_matrix_minpoly_against_hand_values():
     diag = LinMap(QQ, 2, 2, {(0, 0): Fr(1), (1, 1): Fr(2)})
     assert matrix_minpoly(diag) == (Fr(2), Fr(-3), Fr(1))  # (x-1)(x-2)
     assert matrix_minpoly(LinMap.identity(QQ, 3)) == (Fr(-1), Fr(1))
+
+
+@pytest.mark.parametrize("field, gens, n, rows, runs", [
+    # the reflection representation of S3: all of M_2(QQ)
+    (QQ, [[[0, -1], [1, -1]], [[0, 1], [1, 0]]], 2,
+     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [9, 7]),
+    # diag(2, 3, 3) and a nilpotent Jordan block over GF(5): the upper
+    # triangular matrices whose last two diagonal entries agree
+    (GF(5), [[[2, 0, 0], [0, 3, 0], [0, 0, 3]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]], 3,
+     [(1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0),
+      (0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 0, 1),
+      (0, 0, 0, 0, 0, 1, 0, 0, 0)], [9, 16]),
+], ids=["M2(QQ)", "GF(5) triangular"])
+def test_matrix_algebra_closure_takes_each_product_once(monkeypatch, field, gens,
+                                                        n, rows, runs):
+    # oracle: the span and canonical basis pinned from the loop that retested
+    # every pair each round; the closure is unique, so they must not move.
+    # A round's products all come before its membership tests, so the runs
+    # of products in the event log are the rounds: round one multiplies the
+    # k1 seeds pairwise, round two only the k2^2 - k1^2 pairs with a factor
+    # new in round one, fewer than the k2^2 a full retest takes
+    events = []
+    matmul, contains = LinMap.__matmul__, Subspace.contains
+    monkeypatch.setattr(LinMap, "__matmul__",
+                        lambda a, b: events.append("product") or matmul(a, b))
+    monkeypatch.setattr(Subspace, "contains",
+                        lambda s, v: events.append("test") or contains(s, v))
+    mats = [LinMap.from_rows(field, [[field.from_int(x) for x in r] for r in m])
+            for m in gens]
+    span, basis = matrix_algebra_closure(field, mats, n)
+    assert span.rows == tuple(tuple(field.from_int(x) for x in r) for r in rows)
+    assert [map_to_vec(b) for b in basis] == list(span.rows)
+    rounds = [len(list(run)) for e, run in groupby(events) if e == "product"]
+    assert rounds == runs
+    assert sum(rounds) == span.dim ** 2
+    assert rounds[-1] < span.dim ** 2
 
 
 def test_factor_poly():
