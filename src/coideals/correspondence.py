@@ -361,7 +361,10 @@ def coinvariants(q):
 class FlatnessResult:
     """Verdict with its evidence: the chosen free-cover generators, the
     module-linear section witnessing projectivity, and the dimension of the
-    tensor with each simple module of the base."""
+    tensor with each simple module of the base.  decomposition is the
+    (radical, simples) of radical_and_simples for the base algebra, or for
+    its opposite when the module is a right module, so callers that
+    need the simples again read them here."""
 
     ok: bool
     side: str
@@ -370,6 +373,7 @@ class FlatnessResult:
     free_rank: int | None
     section: LinMap | None
     simple_tensor_dims: tuple
+    decomposition: tuple
     report: CertReport
 
     def __bool__(self):
@@ -431,8 +435,9 @@ def module_flatness(mod, carrier_labels=()):
 
     # dim of L (x)_A R, the module on its side and a simple on the other
     left = mod.side == "left"
+    decomposition = radical_and_simples(alg if left else alg.op())
     dims = []
-    for i, s in enumerate(radical_and_simples(alg if left else alg.op())[1]):
+    for i, s in enumerate(decomposition[1]):
         sops = s.action_operators()
         lops, rops, dl, dr = ((sops, mops, s.dim, dm) if left
                               else (mops, sops, dm, s.dim))
@@ -452,6 +457,7 @@ def module_flatness(mod, carrier_labels=()):
         free_rank=n if n * da == dm else None,
         section=section,
         simple_tensor_dims=tuple(dims),
+        decomposition=decomposition,
         report=rep)
 
 
@@ -876,8 +882,9 @@ def ses_cross_check(a, side="left"):
         w_ops = ModuleData(f, h.dim, right_act @ swap_map(f, algx.dim, h.dim),
                            algx, "left").action_operators()
 
+    # the flatness verdict decomposed this same algebra
     pool = [regular_module(algx, "right")]
-    rad, simples = radical_and_simples(algx)
+    rad, simples = verdict.decomposition
     pool += simples
     for i in range(len(simples)):
         for j in range(i, len(simples)):

@@ -302,6 +302,11 @@ def _eliminate(field, rows):
     and RREF is unique, so the result does not depend on the order of the
     rows.  Scalars are tested for zero by truthiness (exact for the int and
     Fraction scalars of QQ and for canonical GF(p) ints).
+
+    rows may be a generator: each row is drawn after the one before it is
+    reduced.  A row already in the span is left empty, and a row that
+    enlarges it never is, so the generator can tell from the dict it last
+    yielded whether the span grew, and choose its next row by that.
     """
     mul, sub, one, zero = field.mul, field.sub, field.one, field.zero
     basis = {}

@@ -322,43 +322,71 @@ def load_spec(path):
     return parse_spec(text)
 
 
-def _fmt_value(f, v):
-    if f is QQ:
-        return f"{v.numerator}/{v.denominator}"
-    return f.fmt(v)
+class _IndexKeys(dict):
+    """index -> (relabelled index, key text) for the indices of one map
+    side, filled on first use: each index is decoded once into its
+    per-leg digits, which give both.  legs maps an axis to its labels and
+    the new position of each old label position."""
+
+    def __init__(self, axes, legs):
+        super().__init__()
+        self.numbered = axes == ("N",)
+        self.last_first = () if self.numbered else [
+            (len(legs[ax][0]), *legs[ax]) for ax in reversed(axes)]
+
+    def __missing__(self, index):
+        if self.numbered:
+            out = (index, str(index))
+        else:
+            new, scale, rest, parts = 0, 1, index, []
+            for n, labels, pos in self.last_first:
+                rest, i = divmod(rest, n)
+                new += pos[i] * scale
+                scale *= n
+                parts.append(labels[i])
+            parts.reverse()
+            out = (new, ".".join(parts))
+        self[index] = out
+        return out
 
 
-def _key_of(index, axes, dims, sd):
-    if axes == ("S",):
-        return "_"
-    if axes == ("N",):
-        return str(index)
-    parts = []
-    for ax, d in zip(reversed(axes), reversed(dims)):
-        index, i = divmod(index, d)
-        parts.append(sd.basis[i] if ax == "B" else sd.over[i])
-    return ".".join(reversed(parts))
+def _emit(sd, bsort, osort, name):
+    """The spec text of sd with the carrier basis listed in the order bsort
+    and the second basis in the order osort (old positions, in their new
+    order), under the display name `name`.  The lines of each map are
+    sorted by the relabelled matrix position of their entries."""
+    f = sd.field
+    fmt = (lambda v: f"{v.numerator}/{v.denominator}") if f is QQ else f.fmt
+    lines = ["field Q" if f is QQ else f"field {f.p}", f"kind {sd.kind}"]
+    if name:
+        lines.append(f"name {name}")
+    lines.append("basis " + " ".join(sd.basis[i] for i in bsort))
+    if sd.kind in KINDS_WITH_OVER:
+        lines.append("over " + " ".join(sd.over[i] for i in osort))
+    legs = {"S": (("_",), (0,))}
+    for ax, labels, order in (("B", sd.basis, bsort), ("O", sd.over, osort)):
+        pos = [0] * len(labels)
+        for new, old in enumerate(order):
+            pos[old] = new
+        legs[ax] = (labels, pos)
+    keys = {axes: _IndexKeys(axes, legs)
+            for _, raxes, caxes in KIND_MAPS[sd.kind] for axes in (raxes, caxes)}
+    for mname, raxes, caxes in KIND_MAPS[sd.kind]:
+        m = sd.maps[mname]
+        rkeys, ckeys, cols = keys[raxes], keys[caxes], m.cols
+        out = []
+        for (r, c), v in m.entries():
+            rk, rt = rkeys[r]
+            ck, ct = ckeys[c]
+            out.append((rk * cols + ck, f"{rt} {ct} {fmt(v)}"))
+        out.sort()
+        lines.append(f"map {mname}")
+        lines.extend(text for _, text in out)
+    return "\n".join(lines) + "\n"
 
 
 def serialize_spec(sd):
-    lines = []
-    lines.append("field Q" if sd.field is QQ else f"field {sd.field.p}")
-    lines.append(f"kind {sd.kind}")
-    if sd.name:
-        lines.append(f"name {sd.name}")
-    lines.append("basis " + " ".join(sd.basis))
-    if sd.kind in KINDS_WITH_OVER:
-        lines.append("over " + " ".join(sd.over))
-    for mname, raxes, caxes in KIND_MAPS[sd.kind]:
-        m = sd.maps[mname]
-        rdims = _axis_dims(sd, raxes)
-        cdims = _axis_dims(sd, caxes)
-        lines.append(f"map {mname}")
-        for (r, c), v in sorted(m.entries()):
-            lines.append(f"{_key_of(r, raxes, rdims, sd)} "
-                         f"{_key_of(c, caxes, cdims, sd)} "
-                         f"{_fmt_value(sd.field, v)}")
-    return "\n".join(lines) + "\n"
+    return _emit(sd, range(len(sd.basis)), range(len(sd.over)), sd.name)
 
 
 def save_spec(sd, path):
@@ -366,50 +394,28 @@ def save_spec(sd, path):
         fh.write(serialize_spec(sd))
 
 
-def _permute_index(index, axes, dims, bperm, operm):
-    parts = []
-    for d in reversed(dims):
-        index, i = divmod(index, d)
-        parts.append(i)
-    parts.reverse()
-    out = 0
-    for ax, d, i in zip(axes, dims, parts):
-        if ax == "B":
-            i = bperm[i]
-        elif ax == "O":
-            i = operm[i]
-        out = out * d + i
-    return out
+def canonical_text(sd):
+    """Relabeling-invariant text used for content hashing.
 
-
-def canonical_form(sd):
-    """Relabeling-invariant presentation used for content hashing.
-
-    Both label lists are sorted and every structure constant is permuted
-    to match, the display name is dropped, and spanning vectors are
-    replaced by their reduced row form, so two files describing the same
-    object under reordered labels or a different spanning set serialize
-    to the same bytes."""
+    The spec text with both label lists sorted and every structure
+    constant listed at its relabelled position, without the display
+    name; spanning vectors are first replaced by their reduced row form
+    in the sorted coordinates.  Two files describing the same object
+    under reordered labels or a different spanning set give the same
+    bytes, and the text parses to that object under sorted labels."""
     bsort = sorted(range(len(sd.basis)), key=sd.basis.__getitem__)
     osort = sorted(range(len(sd.over)), key=sd.over.__getitem__)
-    bperm = {old: new for new, old in enumerate(bsort)}
-    operm = {old: new for new, old in enumerate(osort)}
-    maps = {}
-    for mname, raxes, caxes in KIND_MAPS[sd.kind]:
-        m = sd.maps[mname]
-        rdims = [m.rows if d is None else d for d in _axis_dims(sd, raxes)]
-        cdims = [m.cols if d is None else d for d in _axis_dims(sd, caxes)]
-        ent = {}
-        for (r, c), v in m.entries():
-            ent[(_permute_index(r, raxes, rdims, bperm, operm),
-                 _permute_index(c, caxes, cdims, bperm, operm))] = v
-        maps[mname] = LinMap(sd.field, m.rows, m.cols, ent)
     if sd.kind == "subspace":
-        sp = _vectors_span(sd.field, len(sd.basis), maps["vectors"])
-        maps["vectors"] = sp.basis_map().transpose()
-    return SpecData(sd.field, sd.kind, "",
-                    tuple(sd.basis[i] for i in bsort),
-                    tuple(sd.over[i] for i in osort), maps)
+        pos = {old: new for new, old in enumerate(bsort)}
+        vec = sd.maps["vectors"]
+        span = _vectors_span(sd.field, sd.dim, LinMap(
+            sd.field, vec.rows, vec.cols,
+            {(r, pos[c]): v for (r, c), v in vec.entries()}))
+        sd = SpecData(sd.field, "subspace", "",
+                      tuple(sd.basis[i] for i in bsort), (),
+                      {"vectors": span.basis_map().transpose()})
+        bsort = range(sd.dim)
+    return _emit(sd, bsort, osort, "")
 
 
 # -- package objects from parsed specs ----------------------------------

@@ -203,6 +203,26 @@ def test_every_check_matches_materialized_formula(h, which):
     for seed in range(30):
         bad = with_map(h, which, add_to_one_entry(maps[which], Random(seed)))
         assert sparse_checks(bad) == materialized_checks(bad), seed
+        if which == "counit":
+            # eps(1) = 1 stays, so counit-multiplicative runs on the
+            # generating set
+            bad = with_map(h, which, add_off_the_unit(h, Random(seed)))
+            assert ("counit-unital", True, None) in sparse_checks(bad)
+            assert sparse_checks(bad) == materialized_checks(bad), seed
+
+
+def add_off_the_unit(h, rng):
+    """h.counit plus delta (u_b e_c - u_c e_b) for basis indices b != c,
+    with u the unit vector, so eps(1) does not change."""
+    f, u = h.field, h.unit_vector()
+    b, c = rng.sample(range(h.dim), 2)
+    while not (u[b] or u[c]):
+        b, c = rng.sample(range(h.dim), 2)
+    delta = f.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    eps = [h.counit.entry(0, a) for a in range(h.dim)]
+    eps[c] = f.add(eps[c], f.mul(delta, u[b]))
+    eps[b] = f.sub(eps[b], f.mul(delta, u[c]))
+    return LinMap.from_row(f, eps)
 
 
 def add_to_unit_coproduct(h, rng):
@@ -247,6 +267,59 @@ def test_unit_law_failure_disables_the_reduced_checks():
     assert comult_multiplicative(bad) == (False, "(u, u)")
 
 
+def with_counit_values(h, values):
+    """h with eps(e_i) = values[label of e_i] for the labels given."""
+    eps = [values.get(lbl, h.counit.entry(0, i))
+           for i, lbl in enumerate(h.labels)]
+    return with_map(h, "counit", LinMap.from_row(h.field, eps))
+
+
+def check(h, name):
+    (c,) = [c for c in check_hopf_axioms(h).checks if c.name == name]
+    return c.ok, c.witness
+
+
+# Sweedler's algebra is generated by x and g, and the unit 1 = e_0 is not in
+# the generating set.  In each instance below one precondition of a reduced
+# check fails, every other one holds, and the check run on x and g alone
+# would give the wrong verdict or witness.
+def test_counit_unital_failure_keeps_the_full_counit_scans():
+    # eps = 0 is multiplicative, but eps(1) = 0: the counit law fails at
+    # every basis element, first at 1, which x and g alone would miss
+    bad = with_counit_values(sweedler4(), {"1": QQ.zero, "g": QQ.zero})
+    assert check(bad, "counit-multiplicative") == (True, None)
+    assert check(bad, "counit") == (False, "(1)")
+    assert sparse_checks(bad) == materialized_checks(bad)
+    # eps(1) = 0 alone: eps(1 g) = 1 but eps(1) eps(g) = 0, so
+    # counit-multiplicative fails first at (1, g); on x and g it would
+    # report (g, 1)
+    bad = with_counit_values(sweedler4(), {"1": QQ.zero})
+    assert check(bad, "counit-multiplicative") == (False, "(1, g)")
+    assert sparse_checks(bad) == materialized_checks(bad)
+
+
+def test_counit_multiplicative_failure_keeps_the_full_counit_scan():
+    # eps(gx) = 5 keeps eps(1) = 1, but eps(x g) = eps(-gx) = -5 while
+    # eps(x) eps(g) = 0; the counit law fails only at gx, which x and g
+    # alone would pass
+    bad = with_counit_values(sweedler4(), {"gx": QQ.from_int(5)})
+    assert check(bad, "counit-unital") == (True, None)
+    assert check(bad, "counit-multiplicative") == (False, "(x, g)")
+    assert check(bad, "counit") == (False, "(gx)")
+    assert sparse_checks(bad) == materialized_checks(bad)
+
+
+def test_comult_unital_failure_keeps_the_full_coalgebra_scans():
+    # Delta = 0 is multiplicative and coassociative, but Delta(1) = 0: the
+    # counit law fails at every basis element, first at 1
+    h = sweedler4()
+    bad = with_map(h, "comult", LinMap.zero(QQ, 16, 4))
+    assert check(bad, "comult-multiplicative") == (True, None)
+    assert check(bad, "comult-unital") == (False, None)
+    assert check(bad, "counit") == (False, "(1)")
+    assert sparse_checks(bad) == materialized_checks(bad)
+
+
 GENERATORS = [
     (sweedler4(), ("x", "g")),
     *[(taft(n, GF(p)), ("x", "g"))
@@ -275,6 +348,48 @@ def test_comult_multiplicative_compares_only_generator_pairs(monkeypatch):
         pairs.append((i, j)) or at(f, d, prod, coproducts, i, j))
     assert check_hopf_axioms(taft(6, GF(7))).ok
     assert len(pairs) == 72
+
+
+def summed_columns(monkeypatch):
+    """A list that gets, for each hopf._difference call, the shape of the
+    difference map and the number of columns its terms reach."""
+    seen = []
+    difference = hopf._difference
+
+    def counting(f, rows, cols, lhs, rhs):
+        lhs, rhs = list(lhs), list(rhs)
+        seen.append(((rows, cols), len({c for (_, c), _ in lhs + rhs})))
+        return difference(f, rows, cols, lhs, rhs)
+
+    monkeypatch.setattr(hopf, "_difference", counting)
+    return seen
+
+
+def test_reduced_checks_sum_only_generator_columns(monkeypatch):
+    # taft(6) is generated by x and g: coassoc and the two counit laws sum
+    # 2 of the 36 columns and counit-multiplicative 2 * 36 of the 36 * 36
+    # pairs; the unit and antipode laws sum all 36 columns (assoc, reduced
+    # as well, is left out: many of its columns have no terms)
+    seen = summed_columns(monkeypatch)
+    assert check_hopf_axioms(taft(6, GF(7))).ok
+    d = 36
+    columns = {}
+    for shape, n in seen:
+        columns.setdefault(shape, []).append(n)
+    del columns[d, d ** 3]
+    assert {shape: sorted(n) for shape, n in columns.items()} == {
+        (d ** 3, d): [2],
+        (d, d): [2, 2, d, d, d, d],
+        (1, d * d): [2 * d],
+        (d * d, 1): [1],
+        (1, 1): [1],
+    }
+
+
+def test_coalgebra_check_alone_scans_every_column(monkeypatch):
+    seen = summed_columns(monkeypatch)
+    assert taft(6, GF(7)).coalgebra.check().ok
+    assert [n for _, n in seen] == [36, 36, 36]
 
 
 def test_axiom_checks_build_no_kronecker_product(monkeypatch):

@@ -7,11 +7,14 @@ parse(serialize(parse(t))) == parse(t) and byte-identity on canonical
 text are checked both on the catalog corpus and on random subspace data.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coideals.catalog import (
+    canonical_pairing,
     coset_function_subspace,
     cyclic_group,
     function_algebra,
@@ -33,11 +36,12 @@ from coideals.report import content_hash
 from coideals.specfile import (
     SpecData,
     SpecParseError,
-    canonical_form,
+    canonical_text,
     load_spec,
     parse_spec,
     save_spec,
     serialize_spec,
+    spec_from_coalgebra,
     spec_from_comodule,
     spec_from_hopf,
     spec_from_quotient,
@@ -51,6 +55,63 @@ from coideals.specfile import (
 def span4(*idxs):
     return Subspace.from_vectors(QQ, 4, [basis_vector(QQ, 4, i)
                                          for i in idxs])
+
+
+def pin_specs():
+    """One spec of each kind, over QQ and over prime fields; the subspace
+    is given by a spanning set that is not reduced."""
+    g = symmetric_group_3()
+    kf = function_algebra(QQ, g, name="k^S3")
+    _, _, q3 = subgroup_data(QQ, g, (0, 3))
+    c3 = cyclic_group(3)
+    pair = canonical_pairing(group_algebra(GF(5), c3),
+                             function_algebra(GF(5), c3))
+    n = QQ.from_int
+    vectors = LinMap(QQ, 3, 6, {(0, 0): n(1), (0, 3): n(1), (1, 1): n(2),
+                                (1, 4): n(-1), (2, 0): n(3), (2, 3): n(3),
+                                (2, 5): QQ.parse("1/2")})
+    return {
+        "hopf": spec_from_hopf(taft(3, GF(7))),
+        "coalgebra": spec_from_coalgebra(kf.coalgebra, name="k^S3 coalgebra"),
+        "comodule": spec_from_comodule(regular_comodule(sweedler4())),
+        "subspace": SpecData(QQ, "subspace", "mixed", kf.labels, (),
+                             {"vectors": vectors}),
+        "pairing": SpecData(GF(5), "pairing", "C3 evaluation", pair.u.labels,
+                            pair.h.labels, {"pairing": pair.form}),
+        "quotient": spec_from_quotient(q3),
+    }
+
+
+def reordered(sd):
+    """sd written out and loaded again with each label list reordered, odd
+    positions first and then the even ones backwards: the same object on a
+    permuted basis."""
+    lines = []
+    for line in serialize_spec(sd).splitlines():
+        head, _, rest = line.partition(" ")
+        if head in ("basis", "over"):
+            labels = rest.split(" ")
+            line = " ".join([head] + labels[1::2] + labels[::2][::-1])
+        lines.append(line)
+    return parse_spec("\n".join(lines) + "\n")
+
+
+# (content_hash, sha256 of serialize_spec) of reordered(pin_specs()[kind]),
+# recorded before the hash and the serializer shared one emitter
+HASH_PINS = {
+    "hopf": ("6bc01de1ebf824cd1bdc61987868f8983e94d6a67ea84281ed7775280e064c6c",
+             "feb20aaa6c27adec7365039deb6679250e6a2278857cce6affbc282235cb6997"),
+    "coalgebra": ("bffee485b8b9db946e669bf0c69868765f633014a71ee001cbfced226b0a5caa",
+                  "d26fd7e94fed2ec26abcffa7c3eafec7579926acb17bff3491346eef440fd44c"),
+    "comodule": ("5eb72c6050baf820ac71ac198fff8f359b8773dd09be111c5701bd63dedc6a84",
+                 "bbf6c8e775b627ac306caf632fc4b477d136e9880276b064b4a6d51ff8eb2da1"),
+    "subspace": ("09fe37bab8dfefb8c426967775f0639c2443fc421cb2804fb95ca7fb4d1fa10d",
+                 "de608c945f037b1fab90bdf848f50a405702c5842e795afa0602a6dd29242010"),
+    "pairing": ("7b668cad07e1e1aa4f14c70391ea19d5820ba14766adf2ddfeecc19d8db8076b",
+                "2b2455d115a16bab865ec3111459da31f430451f6c85e39b7f74ed5c0117489a"),
+    "quotient": ("e842735eb85e037230e89192911d6d19f768b309315555b17fa0cfa4ec65630f",
+                 "7ddb31caf1b5c5abab05a64542b130e105bcb655f10f2f3d3ff066226abba7e8"),
+}
 
 
 MINIMAL = """\
@@ -325,12 +386,24 @@ class TestContentHash:
 
     def test_canonical_form_sorts_labels(self):
         sd = spec_from_hopf(sweedler4())
-        canon = canonical_form(sd)
+        canon = parse_spec(canonical_text(sd))
         assert canon.basis == tuple(sorted(sd.basis))
         assert canon.name == ""
         # the canonical presentation still describes the same object
         h = to_hopf(canon)
         assert check_hopf_axioms(h).ok
+
+    @pytest.mark.parametrize("kind", sorted(HASH_PINS))
+    def test_hash_bytes_are_pinned(self, kind):
+        sd = pin_specs()[kind]
+        loaded = reordered(sd)
+        assert (loaded.basis, loaded.over) != (sd.basis, sd.over)
+        text = serialize_spec(loaded)
+        assert parse_spec(text) == loaded
+        assert (content_hash(loaded),
+                hashlib.sha256(text.encode("ascii")).hexdigest()) \
+            == HASH_PINS[kind]
+        assert content_hash(loaded) == content_hash(sd)
 
 
 class TestBuilders:
