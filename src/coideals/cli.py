@@ -13,6 +13,7 @@ bounds the dimension of any loaded or constructed carrier.
 import argparse
 import os
 import sys
+from functools import cache
 from time import perf_counter
 
 from .catalog import (
@@ -376,7 +377,9 @@ def _cmd_suite(args, t0):
     return _emit_and_print(rep, args.emit, t0)
 
 
+@cache
 def _build_parser():
+    """The parser, built on first use; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="coideals",
         description="certified checks on finite-dimensional coideal "

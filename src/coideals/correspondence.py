@@ -597,6 +597,18 @@ def phi_quotient(m, a, q):
     return com, proj, sect, well_defined
 
 
+def cotensor_comodule(n, h, left):
+    """N cotensor_B H inside N (x) H, for left the quotient coaction of H
+    over B, with the H-coaction I_N (x) Delta restricted to it.  Returns
+    (cotensor subspace, comodule)."""
+    f = h.field
+    dnh = n.dim * h.dim
+    s = cotensor(n, left)
+    ambient = ComoduleData(f, dnh, on_leg(
+        n.dim, h.comult, 1, identity_map(f, dnh)), h.coalgebra, "right")
+    return s, comodule_on_subspace(ambient, s)[0]
+
+
 def psi_cotensor(n, a, q):
     """N |-> N cotensor_B H with the comodule structure on the second leg
     and the subalgebra acting there as well.  Returns (relative Hopf
@@ -604,10 +616,7 @@ def psi_cotensor(n, a, q):
     h = q.hopf
     f = h.field
     dnh = n.dim * h.dim
-    s = cotensor(n, quotient_coaction(q, "left"))
-    ambient_com = ComoduleData(f, dnh, on_leg(
-        n.dim, h.comult, 1, identity_map(f, dnh)), h.coalgebra, "right")
-    com, _ = comodule_on_subspace(ambient_com, s)
+    s, com = cotensor_comodule(n, h, quotient_coaction(q, "left"))
     right_mult = after_leg(h.mult, h.dim, a.inclusion, 1)
     ambient_mod = ModuleData(
         f, dnh, on_leg(n.dim, right_mult, 1, identity_map(f, dnh * a.dim)),

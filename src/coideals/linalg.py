@@ -14,6 +14,13 @@ Conventions used by the whole package:
   not identities; a leg map wanted as a matrix is on_leg of an identity.
 * A linear map f: V -> W, seen as a vector (for Hom-space computations),
   is flattened entry-major: entry (r, c) sits at position r*cols + c.
+  Operators on such maps are placed from entries, never built by applying
+  them to each elementary map: X |-> g o X on maps with `cols` columns is
+  on_leg(1, g, cols, I), and X |-> X o h on maps with `rows` rows is
+  on_leg(rows, h^T, 1, I).  on_leg_operator places
+  X |-> (I_a (x) X (x) I_b) o m for X of shape rows x dv: entry
+  m[(i*dv + k)*b + j, c] goes to row ((i*rows + r)*b + j)*m.cols + c,
+  column r*dv + k, for each r < rows.
 * A Subspace is stored as the reduced row echelon basis that `_eliminate`
   returns, {pivot col: {col: scalar}}: unit pivots, every row zero at the
   other pivots, only nonzeros kept.  It never changes after construction,
@@ -267,6 +274,24 @@ def after_leg(m, a, g, b):
         raise DimensionMismatchError(
             f"{m.rows}x{m.cols} after I_{a} (x) {g.rows}x{g.cols} (x) I_{b}")
     return on_leg(a, g.transpose(), b, m.transpose()).transpose()
+
+
+def on_leg_operator(a, rows, b, m):
+    """The matrix of X |-> on_leg(a, X, b, m) on maps X with `rows` rows,
+    flattened entry-major as in the module docstring.  Each entry of m is
+    placed once per row of X; no two land on the same position."""
+    dv, rem = divmod(m.rows, a * b)
+    if rem:
+        raise DimensionMismatchError(
+            f"I_{a} (x) X (x) I_{b} before {m.rows}x{m.cols}")
+    cols = m.cols
+    out = {}
+    for (row, c), v in m._d.items():
+        q, j = divmod(row, b)
+        i, k = divmod(q, dv)
+        for r in range(rows):
+            out[(((i * rows + r) * b + j) * cols + c, r * dv + k)] = v
+    return LinMap._trusted(m.field, a * rows * b * cols, rows * dv, out)
 
 
 def swap_map(field, m, n):
@@ -684,26 +709,4 @@ def vec_to_map(field, rows, cols, vec):
             if v != field.zero:
                 ent[(r, c)] = v
     return LinMap(field, rows, cols, ent)
-
-
-def matrix_of_operator(field, in_shape, out_shape, fn):
-    """Materialize a linear operator on map spaces.
-
-    fn takes a LinMap of shape in_shape=(rows, cols) and returns one of shape
-    out_shape, linearly; the result is the matrix of fn on flattened maps.
-    """
-    ir, ic = in_shape
-    orr, oc = out_shape
-    ent = {}
-    for r in range(ir):
-        for c in range(ic):
-            e = LinMap(field, ir, ic, {(r, c): field.one})
-            img = fn(e)
-            if (img.rows, img.cols) != (orr, oc):
-                raise DimensionMismatchError(
-                    f"operator gave {img.rows}x{img.cols}, expected {orr}x{oc}")
-            col = r * ic + c
-            for (rr, cc), v in img.entries():
-                ent[(rr * oc + cc, col)] = v
-    return LinMap(field, orr * oc, ir * ic, ent)
 

@@ -46,8 +46,8 @@ from .linalg import (
     identity_map,
     invert,
     kernel_of,
-    matrix_of_operator,
     on_leg,
+    on_leg_operator,
     rank,
     stack_maps,
     swap_map,
@@ -58,6 +58,7 @@ from .repcats import (
     ComoduleData,
     ModuleData,
     RelHopfModuleData,
+    _intertwining_relations,
     check_comodule,
     check_module,
     check_relhopf,
@@ -77,6 +78,7 @@ from .repcats import (
 )
 from .correspondence import (
     coinvariants,
+    cotensor_comodule,
     is_faithfully_coflat,
     is_faithfully_flat,
     quotient_coaction,
@@ -522,11 +524,11 @@ def internal_hom(a, n):
     rep = CertReport(f"internal hom into {_obj_name(n)}")
     delta, _ = restricted_comultiplication(h, a.inclusion)
     twist = after_leg(h.mult, dh, h.antipode, 1)
+    id_space = identity_map(f, dmap)
 
-    def omega_fn(fm):
-        return on_leg(dn, twist, 1, on_leg(1, n.coaction @ fm, dh, delta))
-
-    omega = matrix_of_operator(f, (dn, da), (dn * dh, da), omega_fn)
+    # fm |-> (I_N (x) twist) o (coaction o fm (x) I_H) o delta
+    omega = on_leg(dn, twist, da, on_leg_operator(1, dn * dh, dh, delta)
+                   @ on_leg(1, n.coaction, da, id_space))
 
     ent = {}
     for n0 in range(dn):
@@ -546,7 +548,7 @@ def internal_hom(a, n):
     rho = nu_inv @ omega
 
     lmults = [a.algebra.left_mult_by(basis_vector(f, da, j)) for j in range(da)]
-    pre = [_precompose_operator(f, dn, l) for l in lmults]
+    pre = [on_leg(dn, l.transpose(), 1, id_space) for l in lmults]
     rmults = [h.algebra.right_mult_by(basis_vector(f, dh, l)) for l in range(dh)]
     conds = []
     for j in range(da):
@@ -592,22 +594,13 @@ def internal_hom(a, n):
     return out
 
 
-def _precompose_operator(f, x_dim, g):
-    """Matrix, on flattened map spaces, of precomposition with g: I (x) g^T."""
-    return on_leg(x_dim, g.transpose(), 1, identity_map(f, x_dim * g.rows))
-
-
 def _module_to_hom_operator(f, m, dn):
-    """Matrix sending a map M -> N to the map M -> Hom(A, N) that feeds
-    the action into the map's argument."""
+    """Matrix sending a map phi: M -> N to the map M -> Hom(A, N) that
+    feeds the action into the map's argument, (phi (x) I_A) o sigma with
+    sigma: M -> M (x) A the action operators interleaved."""
     da = m.over.dim
-    ops = m.action_operators()
-
-    def fn(phi):
-        return _interleave_blocks(f, [phi @ op for op in ops],
-                                  dn * da, m.dim)
-
-    return matrix_of_operator(f, (dn, m.dim), (dn * da, m.dim), fn)
+    sigma = _interleave_blocks(f, m.action_operators(), m.dim * da, m.dim)
+    return on_leg_operator(1, dn, da, sigma)
 
 
 @dataclass
@@ -648,16 +641,8 @@ def adjunction_unit_counit_check(a, m, n):
     rep.add("translate lands in the compatible part",
             on_leg(1, bmap, dm, translated) == t0 @ lhs_b)
 
-    c = ihom.carrier.dim
-    da = a.dim
-    mops = m.module.action_operators()
-    cops = ihom.module.action_operators()
-    pieces = []
-    for j in range(da):
-        # precomposition with mops[j] is I_c (x) mops[j]^T
-        pieces.append(on_leg(c, mops[j].transpose(), 1, tmat)
-                      - on_leg(1, cops[j], dm, tmat))
-    d2 = stack_maps(pieces) @ lhs_b
+    d2 = _intertwining_relations(m.module.action_operators(),
+                                 ihom.module.action_operators()) @ translated
     rep.add("translate intertwines the actions", d2.is_zero())
 
     colin = hom_colinear(m.comodule, ihom.comodule)
@@ -671,6 +656,7 @@ def adjunction_unit_counit_check(a, m, n):
     forward = rhs.coords_map() @ translated
 
     unit_c = a.algebra.unit_vector
+    da = a.dim
     ev = {}
     for n0 in range(dn):
         for j, uc in enumerate(unit_c):
@@ -770,35 +756,26 @@ class GammaResult:
         return self.report.ok
 
 
-def _gamma_data(x, m, s1, q, left, rep):
-    """Build the two comparison maps in subspace coordinates, checking the
-    membership claims that make them well defined.  s1 is the cotensor of
-    m against left, the left quotient comodule of q."""
+def _contract(h, dx, dm, mult, t):
+    """X (x) H (x) M (x) H -> X (x) M (x) H (x) H -> X (x) M (x) H: swap
+    the middle legs, then multiply the two H legs by mult."""
+    flip = swap_map(h.field, h.dim, dm)
+    return on_leg(dx * dm, mult, 1, on_leg(dx, flip, h.dim, t))
+
+
+def _gamma_forward(x, m, s1, q, left, rep):
+    """The forward comparison map in subspace coordinates and the cotensor
+    s2 of the translated tensor it lands in, checking that membership.  s1
+    is the cotensor of m against left, the left quotient comodule of q."""
     h = q.hopf
-    f = h.field
-    dx, dm, dh = x.dim, m.dim, h.dim
-    hat = translated_tensor(x, m, q)
-    s2 = cotensor(hat, left)
-    flip = swap_map(f, dh, dm)
-
-    def contract(mult, t):
-        # X (x) H (x) M (x) H -> X (x) M (x) H (x) H -> X (x) M (x) H
-        return on_leg(dx * dm, mult, 1, on_leg(dx, flip, dh, t))
-
+    s2 = cotensor(translated_tensor(x, m, q), left)
     # (coaction (x) I_M (x) I_H) o (I_X (x) B_1) = coaction (x) B_1
-    b1 = s1.basis_map()
-    forward, lands = s2.factor(contract(h.mult, x.coaction.tensor(b1)))
+    forward, lands = s2.factor(_contract(h, x.dim, m.dim, h.mult,
+                                         x.coaction.tensor(s1.basis_map())))
     rep.add("forward map lands in the translated cotensor", lands,
             None if lands
             else "membership in the cotensor over the quotient failed")
-    smult = after_leg(h.mult, 1, h.antipode, dh)
-    bwd_cols = contract(smult, on_leg(1, x.coaction, dm * dh, s2.basis_map()))
-    backward = on_leg(dx, s1.coords_map(), 1, bwd_cols)
-    lands = on_leg(dx, b1, 1, backward) == bwd_cols
-    rep.add("backward map lands in the tensor against the cotensor", lands,
-            None if lands
-            else "membership in the source cotensor failed")
-    return forward, backward, s1, s2
+    return forward, s2
 
 
 # seeded random vectors on which gamma_isomorphism rechecks the round trip
@@ -826,10 +803,19 @@ def gamma_isomorphism(x, m, q, seed=20260822):
     if not fc.ok:
         raise VerificationFailed(rep)
     left = quotient_coaction(q, "left", "whole algebra, left coaction")
-    forward, backward, s1, s2 = _gamma_data(x, m, cotensor(m, left), q,
-                                            left, rep)
+    s1 = cotensor(m, left)
+    forward, s2 = _gamma_forward(x, m, s1, q, left, rep)
     f = h.field
-    dsrc = x.dim * s1.dim
+    dx, dm, dh = x.dim, m.dim, h.dim
+    smult = after_leg(h.mult, 1, h.antipode, dh)
+    bwd_cols = _contract(h, dx, dm, smult,
+                         on_leg(1, x.coaction, dm * dh, s2.basis_map()))
+    backward = on_leg(dx, s1.coords_map(), 1, bwd_cols)
+    lands = on_leg(dx, s1.basis_map(), 1, backward) == bwd_cols
+    rep.add("backward map lands in the tensor against the cotensor", lands,
+            None if lands
+            else "membership in the source cotensor failed")
+    dsrc = dx * s1.dim
     d1 = backward @ forward - identity_map(f, dsrc)
     rep.add("backward after forward is the identity", d1.is_zero())
     d2 = forward @ backward - identity_map(f, s2.dim)
@@ -876,12 +862,7 @@ def _cotensor_psi(q, objects):
     def cotensored(n):
         key = (n.dim, tuple(n.coaction.entries()))
         if key not in memo:
-            s = cotensor(n, left)
-            dnh = n.dim * h.dim
-            amb = ComoduleData(h.field, dnh, on_leg(
-                n.dim, h.comult, 1, identity_map(h.field, dnh)),
-                h.coalgebra, "right")
-            memo[key] = s, comodule_on_subspace(amb, s)[0]
+            memo[key] = cotensor_comodule(n, h, left)
         return memo[key]
 
     def left_on_objects(v):
@@ -936,7 +917,7 @@ def _cotensor_psi_monad(q, objects):
 
     def witness(v):
         rep = CertReport("tensor witness")
-        forward, backward, _, _ = _gamma_data(v, triv_b, s1, q, left, rep)
+        forward, _ = _gamma_forward(v, triv_b, s1, q, left, rep)
         if not rep.ok:
             raise VerificationFailed(rep)
         return forward

@@ -24,7 +24,6 @@ from .linalg import (
     find_section,
     identity_map,
     map_to_vec,
-    matrix_of_operator,
     on_leg,
     rank,
     vec_to_map,
@@ -122,12 +121,8 @@ def _transported_left_coaction(gamma, left_coaction, target, s, rep, label):
     is re-checked here by restricting the postcomposition, a left coaction
     on the whole map space, to s."""
     f = target.field
-
-    def post(fm):
-        return left_coaction @ fm
-
-    op = matrix_of_operator(f, (left_coaction.cols, target.dim),
-                            (left_coaction.rows, target.dim), post)
+    op = on_leg(1, left_coaction, target.dim,
+                identity_map(f, left_coaction.cols * target.dim))
     amb = ComoduleData(f, s.ambient, op, gamma, "left")
     check = f"{label} transported coaction stays in the map space"
     try:

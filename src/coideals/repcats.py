@@ -48,12 +48,13 @@ from .linalg import (
     Subspace,
     after_leg,
     basis_vector,
+    identity_map,
     image_of,
     invert,
     kernel_of,
     map_to_vec,
-    matrix_of_operator,
     on_leg,
+    on_leg_operator,
     solve,
     stack_maps,
     swap_map,
@@ -359,6 +360,16 @@ def _colinearity_defect(v, w):
     return lambda fm: w.coaction @ fm - on_leg(dc, fm, 1, v.coaction)
 
 
+def _colinearity_operator(v, w):
+    """The matrix of _colinearity_defect(v, w) on maps V -> W flattened
+    entry-major: postcomposition by w.coaction minus the placement of
+    v.coaction."""
+    dc = v.over.dim
+    post = on_leg(1, w.coaction, v.dim, identity_map(v.field, w.dim * v.dim))
+    a, b = (1, dc) if v.side == "right" else (dc, 1)
+    return post - on_leg_operator(a, w.dim, b, v.coaction)
+
+
 def hom_colinear(v, w):
     """Subspace of maps V -> W commuting with the coactions, flattened
     entry-major into k^(dimW*dimV)."""
@@ -366,9 +377,18 @@ def hom_colinear(v, w):
         raise ValueError("hom between comodules on different sides")
     if v.over.dim != w.over.dim or v.over.comult != w.over.comult:
         raise ValueError("hom between comodules over different coalgebras")
-    op = matrix_of_operator(v.field, (w.dim, v.dim), (w.coaction.rows, v.dim),
-                            _colinearity_defect(v, w))
-    return kernel_of(op)
+    return kernel_of(_colinearity_operator(v, w))
+
+
+def _intertwining_relations(ops1, ops2):
+    """The matrix of X |-> [X o r1_a - r2_a o X]_a on maps X: V1 -> V2,
+    flattened entry-major, one block per pair (r1_a, r2_a) of ops1 and ops2
+    stacked in order: precomposition by r1_a minus postcomposition by r2_a."""
+    d1, d2 = ops1[0].rows, ops2[0].rows
+    ident = identity_map(ops1[0].field, d2 * d1)
+    return stack_maps([on_leg(d2, r1.transpose(), 1, ident)
+                       - on_leg(1, r2, d1, ident)
+                       for r1, r2 in zip(ops1, ops2)])
 
 
 def hom_linear(m1, m2):
@@ -377,14 +397,8 @@ def hom_linear(m1, m2):
         raise ValueError("hom between modules on different sides")
     if m1.over.dim != m2.over.dim or m1.over.mult != m2.over.mult:
         raise ValueError("hom between modules over different algebras")
-    f = m1.field
-    ops1 = m1.action_operators()
-    ops2 = m2.action_operators()
-
-    def cond(fm):
-        return stack_maps([fm @ r1 - r2 @ fm for r1, r2 in zip(ops1, ops2)])
-    op = matrix_of_operator(f, (m2.dim, m1.dim), (m2.dim * len(ops1), m1.dim), cond)
-    return kernel_of(op)
+    return kernel_of(_intertwining_relations(m1.action_operators(),
+                                             m2.action_operators()))
 
 
 def comodule_morphism_ok(fm, v, w):
@@ -678,25 +692,16 @@ def _span_mats(field, mats, n):
 
 def commutant_in_span(field, basis, gens, n):
     """Elements of the span of basis commuting with every generator."""
-    per = n * n
-    ent = {}
-    for gi, g in enumerate(gens):
-        for j, b in enumerate(basis):
-            v = map_to_vec(b @ g - g @ b)
-            for i, x in enumerate(v):
-                if x != field.zero:
-                    ent[(gi * per + i, j)] = x
-    ker = kernel_of(LinMap(field, len(gens) * per, len(basis), ent))
+    cols = LinMap.from_rows(field, [map_to_vec(b) for b in basis]).transpose()
+    ker = kernel_of(_intertwining_relations(gens, gens) @ cols)
     return _span_mats(field, [_combination(field, n, basis, row)
                               for row in ker.rows], n)
 
 
 def full_commutant(field, gens, n):
     """All n x n matrices commuting with every generator."""
-    def cond(x):
-        return stack_maps([x @ g - g @ x for g in gens])
-    op = matrix_of_operator(field, (n, n), (n * len(gens), n), cond)
-    return [vec_to_map(field, n, n, r) for r in kernel_of(op).rows]
+    return [vec_to_map(field, n, n, r)
+            for r in kernel_of(_intertwining_relations(gens, gens)).rows]
 
 
 def _split_by_minpoly(field, cand, n):

@@ -607,7 +607,9 @@ def _matmul_operands(node):
 def test_subspace_factor_is_the_one_membership_path():
     # a map lands in a subspace, and gets its coordinates there, through
     # Subspace.factor; no ambient projector basis_map() @ coords_map() and
-    # neither of the helpers it replaced
+    # neither of the helpers it replaced.  Likewise an operator on a map
+    # space is placed (linalg.on_leg, on_leg_operator), never built by
+    # applying it to each elementary map as matrix_of_operator did
     src = Path(coideals.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -616,13 +618,15 @@ def test_subspace_factor_is_the_one_membership_path():
             names = _names(node)
             if isinstance(node, ast.FunctionDef):
                 names += (node.name,)
-            if {"contains_subspace", "left_inverse"} & set(names):
+            if {"contains_subspace", "left_inverse",
+                    "matrix_of_operator"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 left, right = _matmul_operands(node)
                 if _is_call_of(left, "basis_map") and _is_call_of(right, "coords_map"):
                     found.append(f"{path.name}:{node.lineno} projector")
-    assert not found, "second membership paths in src/coideals: " + ", ".join(found)
+    assert not found, ("second membership or map-space operator paths in "
+                       "src/coideals: " + ", ".join(found))
 
 
 def _is_identity_call(node):

@@ -17,25 +17,49 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from coideals import linalg
+from coideals.catalog import subgroup_data, sweedler4, symmetric_group_3, taft
+from coideals.certs import CertReport
+from coideals.correspondence import quotient_coaction, verify_coideal_subalgebra
 from coideals.fields import GF, QQ, FieldMismatchError
 from coideals.linalg import (
     DimensionMismatchError,
     LinMap,
     Subspace,
     after_leg,
+    basis_vector,
     find_section,
     identity_map,
     image_of,
     invert,
     kernel_of,
     map_to_vec,
-    matrix_of_operator,
     on_leg,
+    on_leg_operator,
     rank,
     rref,
     solve,
+    stack_maps,
     swap_map,
     vec_to_map,
+)
+from coideals.monadics import _interleave_blocks, _module_to_hom_operator, internal_hom
+from coideals.morita import _transported_left_coaction, coend
+from coideals.repcats import (
+    ComoduleData,
+    _colinearity_defect,
+    _colinearity_operator,
+    _combination,
+    _intertwining_relations,
+    _span_mats,
+    commutant_in_span,
+    comodule_on_subspace,
+    hom_colinear,
+    regular_comodule,
+    regular_comodule_of,
+    regular_module,
+    restrict_module,
+    restricted_comultiplication,
+    trivial_comodule,
 )
 
 F = Fraction
@@ -620,9 +644,131 @@ def test_map_vec_roundtrip():
     assert vec_to_map(QQ, 2, 3, map_to_vec(m)) == m
 
 
-def test_matrix_of_operator_postcompose():
-    a = qmap([[2, 0], [1, 1]])
-    op = matrix_of_operator(QQ, (2, 2), (2, 2), lambda f: a @ f)
-    f = qmap([[1, 2], [3, 4]])
-    assert op.apply(map_to_vec(f)) == map_to_vec(a @ f)
+def _elementary_operator(field, rows, cols, fn):
+    """The matrix of a linear operator fn on maps with shape (rows, cols),
+    built by applying fn to each elementary map: its image, flattened
+    entry-major, is the column of the elementary map's position.  This is
+    the per-elementary-map formula that placement replaced."""
+    ent = {}
+    for r in range(rows):
+        for c in range(cols):
+            img = fn(LinMap(field, rows, cols, {(r, c): field.one}))
+            for (rr, cc), v in img.entries():
+                ent[(rr * img.cols + cc, r * cols + c)] = v
+    return LinMap(field, img.rows * img.cols, rows * cols, ent)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@seed(20261801)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_placement_rules_match_the_elementary_map_formula(field, data):
+    # the module docstring's rules: postcomposition and precomposition are
+    # on_leg of an identity, and on_leg_operator places X |-> on_leg(a, X, b, m)
+    scalar = st.one_of(st.just(0), _entries(field))
+
+    def linmap(rows, cols):
+        return st.lists(scalar, min_size=rows * cols, max_size=rows * cols).map(
+            lambda xs: LinMap(field, rows, cols, {
+                divmod(i, cols): field.parse(str(x)) for i, x in enumerate(xs)}))
+
+    size = st.integers(1, 3)
+    rows, cols, k = data.draw(size), data.draw(size), data.draw(size)
+    g = data.draw(linmap(k, rows))
+    assert on_leg(1, g, cols, identity_map(field, rows * cols)) == \
+        _elementary_operator(field, rows, cols, lambda x: g @ x)
+    h = data.draw(linmap(cols, k))
+    assert on_leg(rows, h.transpose(), 1, identity_map(field, rows * cols)) == \
+        _elementary_operator(field, rows, cols, lambda x: x @ h)
+    a, b = data.draw(size), data.draw(size)
+    m = data.draw(linmap(a * cols * b, data.draw(size)))
+    assert on_leg_operator(a, rows, b, m) == _elementary_operator(
+        field, rows, cols, lambda x: on_leg(a, x, b, m))
+    if a * b > 1:
+        # the identity legs must divide the rows of m
+        with pytest.raises(DimensionMismatchError):
+            on_leg_operator(a, rows, b, LinMap.zero(field, a * cols * b + 1, 1))
+
+
+def _oracle_instance(name):
+    """A Hopf algebra, a verified coideal subalgebra and, for k^S3, the
+    quotient module coalgebra of the same subgroup."""
+    if name == "kS3-functions":
+        return subgroup_data(QQ, symmetric_group_3(), (0, 3))
+    # the grouplikes: span{1, g} of sweedler4, span{1, g, g^2} of taft(3)
+    h, idx = (sweedler4(), (0, 2)) if name == "sweedler4" else \
+        (taft(3, GF(7)), (0, 3, 6))
+    f = h.field
+    span = Subspace.from_vectors(f, h.dim, [basis_vector(f, h.dim, i) for i in idx])
+    return h, verify_coideal_subalgebra(h, span), None
+
+
+@pytest.mark.parametrize("name", ["sweedler4", "taft3-GF7", "kS3-functions"])
+def test_map_space_operators_match_the_elementary_map_formula(name):
+    # oracle: each operator applied to every elementary map, as it was built
+    # before placement, for both comodule sides and non-square map spaces
+    h, a, q = _oracle_instance(name)
+    f, c, dh = h.field, h.coalgebra, h.dim
+    unit = LinMap.from_column(f, h.unit_vector())
+    coms = [ComoduleData(f, dh, h.comult, c, side) for side in ("right", "left")]
+    coms += [ComoduleData(f, 1, unit, c, side) for side in ("right", "left")]
+    pairs = [(v, w) for v in coms for w in coms if v.side == w.side]
+    if q is not None:
+        lq = quotient_coaction(q, "left")
+        b = q.coalgebra
+        lb = ComoduleData(f, b.dim, b.comult, b, "left")
+        pairs += [(lq, lq), (lq, lb), (lb, lq)]
+    for v, w in pairs:
+        assert _colinearity_operator(v, w) == _elementary_operator(
+            f, w.dim, v.dim, _colinearity_defect(v, w))
+
+    # hom_linear and full_commutant: X |-> [X r1 - r2 X] over one algebra
+    mods = [regular_module(a.algebra),
+            restrict_module(regular_module(h.algebra), a.algebra, a.inclusion)]
+    for m1 in mods:
+        for m2 in mods:
+            o1, o2 = m1.action_operators(), m2.action_operators()
+            assert _intertwining_relations(o1, o2) == _elementary_operator(
+                f, m2.dim, m1.dim, lambda x: stack_maps(
+                    [x @ r1 - r2 @ x for r1, r2 in zip(o1, o2)]))
+
+    # commutant_in_span: the commutators b g - g b of each basis element
+    basis = mods[1].action_operators()
+    n = basis[0].rows
+    for gens in (basis, basis[:2]):
+        commutators = LinMap(f, len(gens) * n * n, len(basis), {
+            (gi * n * n + i, j): x
+            for gi, g in enumerate(gens) for j, b in enumerate(basis)
+            for i, x in enumerate(map_to_vec(b @ g - g @ b))})
+        assert commutant_in_span(f, basis, gens, n) == _span_mats(
+            f, [_combination(f, n, basis, row)
+                for row in kernel_of(commutators).rows], n)
+
+    for m in mods:
+        ops, da = m.action_operators(), m.over.dim
+        for dn in (1, 2):
+            assert _module_to_hom_operator(f, m, dn) == _elementary_operator(
+                f, dn, m.dim, lambda phi: _interleave_blocks(
+                    f, [phi @ op for op in ops], dn * da, m.dim))
+
+    delta, _ = restricted_comultiplication(h, a.inclusion)
+    twist = after_leg(h.mult, dh, h.antipode, 1)
+    for nc in (trivial_comodule(h), regular_comodule(h)):
+        dn = nc.dim
+        assert internal_hom(a, nc).omega == _elementary_operator(
+            f, dn, a.dim, lambda fm: on_leg(
+                dn, twist, 1, on_leg(1, nc.coaction @ fm, dh, delta)))
+
+    # morita: the left coaction of a coend bicomodule, postcomposed
+    dreg = regular_comodule_of(c, "regular comodule")
+    for m in (trivial_comodule(h), ComoduleData(
+            f, 2, identity_map(f, 2).tensor(unit), c, "right")):
+        ce = coend(m)
+        lc = ce.bicomodule.left_coaction
+        old = _elementary_operator(f, lc.cols, dreg.dim, lambda x: lc @ x)
+        sd = hom_colinear(dreg, m)
+        amb = ComoduleData(f, sd.ambient, old, ce.coalgebra, "left")
+        assert _transported_left_coaction(
+            ce.coalgebra, lc, dreg, sd, CertReport("transport"), "maps") == \
+            comodule_on_subspace(amb, sd)[0].coaction
 

@@ -439,17 +439,18 @@ def test_pipeline_on_functions_on_the_symmetric_group():
 
 def test_cotensor_adjunction_cotensors_each_object_once(monkeypatch):
     # the left adjoint builds a new object on every call; the cotensor is
-    # still computed once per distinct object, compared by value
-    import coideals.monadics as monadics
+    # still computed once per distinct object, compared by value.  The
+    # adjunction cotensors through correspondence.cotensor_comodule
+    import coideals.correspondence as correspondence
     _, _, q3 = subgroup_data(QQ, symmetric_group_3(), (0, 3))
     seen = []
-    real = monadics.cotensor
+    real = correspondence.cotensor
 
     def counted(v, w):
         seen.append((v.dim, tuple(v.coaction.entries())))
         return real(v, w)
 
-    monkeypatch.setattr(monadics, "cotensor", counted)
+    monkeypatch.setattr(correspondence, "cotensor", counted)
     assert cotensor_psi_monad(q3).report.ok
     assert len(seen) > 1
     assert len(seen) == len(set(seen))
@@ -460,16 +461,16 @@ def test_cotensor_monad_cotensors_nothing_above_t2v(monkeypatch, case, q_1g,
                                                     ks3_pair):
     # F keeps carriers, so cotensoring F(T^k V) builds T^(k+1) V; the
     # largest object cotensored must be F(TV), whose cotensor is T^2 V
-    import coideals.monadics as monadics
+    import coideals.correspondence as correspondence
     q = ks3_pair[1] if case == "k^S3/quot3" else q_1g
     dims = []
-    real = monadics.cotensor
+    real = correspondence.cotensor
 
     def counted(v, w):
         dims.append(v.dim)
         return real(v, w)
 
-    monkeypatch.setattr(monadics, "cotensor", counted)
+    monkeypatch.setattr(correspondence, "cotensor", counted)
     ms = cotensor_psi_monad(q)
     assert ms.report.ok
     built = list(dims)
