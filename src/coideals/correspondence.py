@@ -19,6 +19,9 @@ Conventions, fixed once here and relied on throughout:
     formulation is kept as an independent cross-check on small instances.
   * Faithful coflatness is decided on the dual: transpose the comodule
     structure and run the same flatness core over the dual algebra.
+  * Membership goes through Subspace.factor, with hopf._witness naming a
+    failure, and every spanned subspace is image_of a placed map: A (x) H,
+    K (x) H + H (x) K, H.A+ and the relations of L (x)_A R.
 """
 
 from __future__ import annotations
@@ -81,38 +84,27 @@ from .repcats import (
 
 # -- shared small helpers ----------------------------------------------
 
-def _times_basis(f, r, d, j):
-    """r (x) e_j in k^len(r) (x) k^d: the entries of r placed at the
-    positions p*d + j, with no products formed."""
-    v = [f.zero] * (len(r) * d)
-    v[j::d] = r
-    return tuple(v)
+def _leg_span(a, s, b):
+    """k^a (x) S (x) k^b: the image of the basis of S placed on the
+    middle leg."""
+    return image_of(on_leg(a, s.basis_map(), b,
+                           identity_map(s.field, a * s.dim * b)))
 
 
-def _balanced_relations(f, left_ops, right_ops, dl, dr):
-    """The rows l.a (x) e_k - e_i (x) a.r spanning the relations of the
-    balanced tensor L (x)_A R, in the order (a, i, k); left_ops act on L
-    from the right, right_ops on R from the left, one per basis element a.
-    With e_i (x) e_k at i*dr + k, entry v of l.a at row r is placed at
-    r*dr + k and entry w of a.r at row s subtracted at i*dr + s."""
-    rels = []
-    for la, ra in zip(left_ops, right_ops):
-        lcols = [[] for _ in range(dl)]
-        for (r, i), v in la.entries():
-            lcols[i].append((r, v))
-        rcols = [[] for _ in range(dr)]
-        for (s, k), w in ra.entries():
-            rcols[k].append((s, w))
-        for i in range(dl):
-            for k in range(dr):
-                row = [f.zero] * (dl * dr)
-                for r, v in lcols[i]:
-                    row[r * dr + k] = v
-                for s, w in rcols[k]:
-                    p = i * dr + s
-                    row[p] = f.sub(row[p], w) if row[p] else f.neg(w)
-                rels.append(tuple(row))
-    return rels
+def _first_outside(space, m, labels):
+    """The witness "(label)" of the first column of m outside the space,
+    labels naming the columns, or None when every column lies in it."""
+    x, lands = space.factor(m)
+    return None if lands else _witness(space.basis_map() @ x - m, [labels])
+
+
+def _balanced_relations(left_ops, right_ops, dl, dr):
+    """The relations of the balanced tensor L (x)_A R: the image of
+    l.a (x) e_k - e_i (x) a.r over all (a, i, k); left_ops act on L from
+    the right, right_ops on R from the left, one per basis element a."""
+    one = identity_map(left_ops[0].field, dl * dr)
+    return image_of(_hconcat([on_leg(1, la, dr, one) - on_leg(dl, ra, 1, one)
+                              for la, ra in zip(left_ops, right_ops)]))
 
 
 def _hconcat(maps):
@@ -129,15 +121,6 @@ def _hconcat(maps):
             ent[(r, off + c)] = v
         off += m.cols
     return LinMap(f, rows, off, ent)
-
-
-def _first_coproduct_outside(comult, rows, vectors):
-    """Index of the first row whose coproduct lies outside the span of the
-    vectors in the tensor square, or None when every coproduct lies in it."""
-    d = comult.cols
-    mixed = Subspace.from_vectors(comult.field, d * d, vectors)
-    return next((i for i, r in enumerate(rows)
-                 if not mixed.contains(comult.apply(r))), None)
 
 
 # -- the two sides of the correspondence --------------------------------
@@ -209,7 +192,6 @@ def verify_coideal_subalgebra(h, s, name=""):
     The report carries one check per certificate; a failure names the first
     violating basis element (by the label of its leading coordinate).  The
     data object is returned in both the passing and the failing case."""
-    f = h.field
     rep = CertReport(name or "coideal subalgebra")
     piv_labels = [h.labels[p] for p in s.pivots]
 
@@ -232,11 +214,9 @@ def verify_coideal_subalgebra(h, s, name=""):
                 raise
     rep.add("is-subalgebra", sub_ok, sub_witness)
 
-    bad = _first_coproduct_outside(
-        h.comult, s.rows,
-        [_times_basis(f, r, h.dim, j) for r in s.rows for j in range(h.dim)])
-    rep.add("is-coideal", bad is None,
-            None if bad is None else f"({piv_labels[bad]})")
+    bad = _first_outside(_leg_span(1, s, h.dim), h.comult @ s.basis_map(),
+                         piv_labels)
+    rep.add("is-coideal", bad is None, bad)
     return CoidealSubalgebraData(h, s, rep, algebra, inclusion, "right", name)
 
 
@@ -274,15 +254,9 @@ def quotient_data(h, b, pi, sigma, section=None, name=""):
             _witness(eps_ker, [ker_labels]))
 
     if ker.dim:
-        two_sided = []
-        zeros = (f.zero,) * h.dim
-        for r in ker.rows:
-            for j in range(h.dim):
-                two_sided.append(_times_basis(f, r, h.dim, j))
-                two_sided.append(zeros * j + r + zeros * (h.dim - 1 - j))
-        bad = _first_coproduct_outside(h.comult, ker.rows, two_sided)
-        rep.add("kernel-is-coideal", bad is None,
-                None if bad is None else f"({ker_labels[bad]})")
+        two_sided = _leg_span(1, ker, h.dim).sum_with(_leg_span(h.dim, ker, 1))
+        bad = _first_outside(two_sided, h.comult @ ker.basis_map(), ker_labels)
+        rep.add("kernel-is-coideal", bad is None, bad)
         left_ideal = pi @ after_leg(h.mult, h.dim, ker.basis_map(), 1)
         rep.add("kernel-is-left-ideal", left_ideal.is_zero(),
                 _witness(left_ideal, [[f"h{i},{l}" for i in range(h.dim)
@@ -320,14 +294,8 @@ def quotient_module_coalgebra(a, name=""):
     end to end."""
     _require(a)
     h = a.hopf
-    f = h.field
-    aplus = augmentation_ideal(a)
-    products = []
-    for i in range(h.dim):
-        e_i = basis_vector(f, h.dim, i)
-        for r in aplus.rows:
-            products.append(h.algebra.product(e_i, r))
-    ideal = Subspace.from_vectors(f, h.dim, products)
+    ideal = image_of(after_leg(h.mult, h.dim,
+                               augmentation_ideal(a).basis_map(), 1))
     proj, sect = _quotient_maps(ideal)
     labels = tuple("[{}]".format(h.labels[c]) for c in range(h.dim)
                    if c not in ideal.pivots)
@@ -405,8 +373,7 @@ def module_flatness(mod, carrier_labels=()):
     blocks = []
     for name, vec in pool:
         blk = _cover_blocks(mod, vec)
-        blocks.append((name, blk, Subspace.from_vectors(
-            f, dm, [blk.column(j) for j in range(da)])))
+        blocks.append((name, blk, image_of(blk)))
     chosen = []
     span = Subspace.zero(f, dm)
     while span.dim < dm:
@@ -441,9 +408,8 @@ def module_flatness(mod, carrier_labels=()):
         sops = s.action_operators()
         lops, rops, dl, dr = ((sops, mops, s.dim, dm) if left
                               else (mops, sops, dm, s.dim))
-        rels = _balanced_relations(f, lops, rops, dl, dr)
         dims.append((f"simple {i} dim {s.dim}",
-                     dl * dr - Subspace.from_vectors(f, dl * dr, rels).dim))
+                     dl * dr - _balanced_relations(lops, rops, dl, dr).dim))
     all_nonzero = all(d > 0 for _, d in dims)
     bad = next((nm for nm, d in dims if d == 0), None)
     rep.add("tensor-simples-nonzero", all_nonzero,
@@ -575,13 +541,10 @@ def coideal_as_relhopf(a):
 
 def _times_aplus(mod, a):
     """The subspace M.A+ of a right module M over a verified coideal
-    subalgebra A, spanned by the columns of the action of each basis
-    vector of the augmentation ideal A+."""
-    cols = []
-    for r in augmentation_ideal(a).rows:
-        op = mod.act_by(a.space.coords(r))
-        cols.extend(op.column(j) for j in range(mod.dim))
-    return Subspace.from_vectors(mod.field, mod.dim, cols)
+    subalgebra A: the image of the action on M (x) A+, with the basis of
+    the augmentation ideal A+ in the coordinates of A."""
+    aplus, _ = a.space.factor(augmentation_ideal(a).basis_map())
+    return image_of(after_leg(mod.action, mod.dim, aplus, 1))
 
 
 def phi_quotient(m, a, q):
@@ -728,13 +691,12 @@ def coideal_annihilator(p, z):
     subalgebra wins, and if neither does both failure reports are raised."""
     u, h = p.u, p.h
     f = u.field
-    bad = _first_coproduct_outside(
-        u.comult, z.rows,
-        [_times_basis(f, r, u.dim, j) for r in z.rows for j in range(u.dim)])
+    bad = _first_outside(_leg_span(1, z, u.dim), u.comult @ z.basis_map(),
+                         [u.labels[q] for q in z.pivots])
     if bad is not None:
         raise ValueError(
-            f"the subspace is not a right coideal of {u.name or 'U'} "
-            f"(basis element {bad})")
+            f"the subspace is not a right coideal of {u.name or 'U'}: "
+            f"the coproduct of {bad} leaves it")
     failures = CertReport("coideal annihilator")
     for side in ("right", "left"):
         mod = hit_action(p, side)
@@ -839,8 +801,8 @@ _SES_TOTAL_DIM_CAP = 6
 
 
 def _proper_submodules(m, rad):
-    """Up to _SUBMODULE_CAP proper submodules of m; rad is the radical of
-    the algebra m is over."""
+    """Up to _SUBMODULE_CAP proper submodules of the right module m; rad
+    is the radical of the algebra m is over."""
     f = m.field
     vecs = [basis_vector(f, m.dim, i) for i in range(m.dim)]
     for i in range(m.dim):
@@ -849,9 +811,7 @@ def _proper_submodules(m, rad):
             vecs.append(tuple(f.add(x, y) for x, y in zip(e_i, e_j)))
             vecs.append(tuple(f.sub(x, y) for x, y in zip(e_i, e_j)))
     found = []
-    rad_image = Subspace.from_vectors(
-        f, m.dim,
-        [m.act_by(r).column(i) for r in rad.rows for i in range(m.dim)])
+    rad_image = image_of(after_leg(m.action, m.dim, rad.basis_map(), 1))
     candidates = [rad_image, socle_wrt(m, rad)]
     ops = m.action_operators()
     candidates += [generated_submodule(f, ops, v) for v in vecs[: m.dim + 2 * m.dim]]
@@ -905,10 +865,8 @@ def ses_cross_check(a, side="left"):
     def tensor_data(mod):
         key = (mod.dim, tuple(mod.action.entries()))
         if key not in memo:
-            rels = _balanced_relations(f, mod.action_operators(), w_ops,
-                                       mod.dim, h.dim)
-            memo[key] = _quotient_maps(
-                Subspace.from_vectors(f, mod.dim * h.dim, rels))
+            memo[key] = _quotient_maps(_balanced_relations(
+                mod.action_operators(), w_ops, mod.dim, h.dim))
         return memo[key]
 
     def tensor_map(fmap, src_data, dst_data):

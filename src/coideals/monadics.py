@@ -66,7 +66,6 @@ from .repcats import (
     corestrict_comodule,
     cotensor,
     hom_colinear,
-    hom_linear,
     module_on_subspace,
     recover_coalgebra_map,
     regular_comodule,
@@ -641,16 +640,16 @@ def adjunction_unit_counit_check(a, m, n):
     rep.add("translate lands in the compatible part",
             on_leg(1, bmap, dm, translated) == t0 @ lhs_b)
 
-    d2 = _intertwining_relations(m.module.action_operators(),
-                                 ihom.module.action_operators()) @ translated
+    rel = _intertwining_relations(m.module.action_operators(),
+                                  ihom.module.action_operators())
+    d2 = rel @ translated
     rep.add("translate intertwines the actions", d2.is_zero())
 
     colin = hom_colinear(m.comodule, ihom.comodule)
     rep.add("translate intertwines the coactions",
             colin.factor(translated)[1])
 
-    lin = hom_linear(m.module, ihom.module)
-    rhs = lin.intersect(colin)
+    rhs = kernel_of(rel).intersect(colin)
     rep.add("dimensions match", lhs.dim == rhs.dim,
             f"({lhs.dim}, {rhs.dim})")
     forward = rhs.coords_map() @ translated

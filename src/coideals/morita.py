@@ -23,6 +23,7 @@ from .linalg import (
     after_leg,
     find_section,
     identity_map,
+    image_of,
     map_to_vec,
     on_leg,
     rank,
@@ -385,9 +386,7 @@ def _double_cotensor(v, mid, far):
         rep.add("middle coaction restricts to the first cotensor", False)
         raise VerificationFailed(rep)
     inner = cotensor(restricted, far.left_comodule())
-    emb = on_leg(1, b, far.dim, inner.basis_map())
-    vecs = [tuple(emb.column(j)) for j in range(emb.cols)]
-    return Subspace.from_vectors(f, v.dim * mid.dim * far.dim, vecs)
+    return image_of(on_leg(1, b, far.dim, inner.basis_map()))
 
 
 def verify_pre_equivalence(e, test_objects=None):

@@ -682,20 +682,13 @@ def _combination(field, n, basis, coeffs):
     return m
 
 
-def _span_mats(field, mats, n):
-    """Canonical basis matrices of the span of the given matrices."""
-    if not mats:
-        return []
-    sp = Subspace.from_vectors(field, n * n, [map_to_vec(m) for m in mats])
-    return [vec_to_map(field, n, n, r) for r in sp.rows]
-
-
 def commutant_in_span(field, basis, gens, n):
-    """Elements of the span of basis commuting with every generator."""
+    """Canonical basis matrices of the elements of the span of basis that
+    commute with every generator."""
     cols = LinMap.from_rows(field, [map_to_vec(b) for b in basis]).transpose()
     ker = kernel_of(_intertwining_relations(gens, gens) @ cols)
-    return _span_mats(field, [_combination(field, n, basis, row)
-                              for row in ker.rows], n)
+    return [vec_to_map(field, n, n, r)
+            for r in image_of(cols @ ker.basis_map()).rows]
 
 
 def full_commutant(field, gens, n):

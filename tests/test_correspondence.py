@@ -25,10 +25,11 @@ from coideals.catalog import (
     subgroup_table,
     sweedler4,
     symmetric_group_3,
+    taft,
 )
 from coideals import correspondence, repcats
 from coideals.certs import VerificationFailed
-from coideals.fields import QQ
+from coideals.fields import GF, QQ
 from coideals.hopf import check_pairing
 from coideals.linalg import (
     LinMap,
@@ -140,6 +141,43 @@ def test_subalgebra_witness_is_pinned(h4, idxs, witness):
     (check,) = [c for c in bad.report.checks if c.name == "is-subalgebra"]
     assert (check.ok, check.witness) == (False, witness)
     assert bad.algebra is None and bad.inclusion is None
+
+
+@pytest.mark.parametrize("idxs, witness", [
+    # the coproducts of x and gx both leave span{x, gx} (x) H: the first
+    # basis element is named
+    ((1, 3), "(x)"),
+    # 1 passes, x fails, gx passes: the passing rows around it are skipped
+    ((0, 1, 3), "(x)"),
+])
+def test_coideal_witness_is_the_first_failing_basis_element(h4, idxs, witness):
+    bad = verify_coideal_subalgebra(h4, span4(*idxs))
+    (check,) = [c for c in bad.report.checks if c.name == "is-coideal"]
+    assert (check.ok, check.witness) == (False, witness)
+
+
+@pytest.mark.parametrize("kernel, witness", [
+    # x is skew primitive, so its coproduct lies in K (x) H + H (x) K;
+    # that of gx^2 does not
+    (("x", "gx2"), "(gx2)"),
+    # the coproducts of x^2 and gx^2 both leave it: the first is named
+    (("x2", "gx2"), "(x2)"),
+])
+def test_kernel_coideal_witness_is_pinned(kernel, witness):
+    # kernels inside ker eps of the nine-dimensional Taft algebra that are
+    # not coideals; the projection onto the complement fails quotient_data
+    h = taft(3, GF(7))
+    f = h.field
+    k = Subspace.from_vectors(f, h.dim, [
+        basis_vector(f, h.dim, h.labels.index(l)) for l in kernel])
+    assert (h.counit @ k.basis_map()).is_zero()
+    proj, sect = repcats._quotient_maps(k)
+    labels = tuple(f"[{h.labels[c]}]" for c in range(h.dim) if c not in k.pivots)
+    b, sigma = quotient_through_section(h, proj, sect, labels)
+    with pytest.raises(VerificationFailed) as exc:
+        quotient_data(h, b, proj, sigma, section=sect)
+    (check,) = [c for c in exc.value.report.checks if c.name == "kernel-is-coideal"]
+    assert (check.ok, check.witness) == (False, witness)
 
 
 def test_augmentation_ideal_of_grouplike_span(a_1g):
@@ -569,16 +607,18 @@ def _dense_relations(f, left, right):
 
 
 def test_balanced_relations_match_the_dense_builder(sample_modules):
-    # identical rows, hence identical spans; the unit's operators are the
-    # identity, so every one of its rows meets l.a and a.r at one position
+    # the image of the placed relation maps is the span of the dense rows;
+    # the unit's operators are the identity, so every one of its rows
+    # meets l.a and a.r at one position
     rights, lefts = sample_modules
     for left in rights:
         for right in lefts:
             f = left.field
-            rels = _balanced_relations(f, left.action_operators(),
+            rels = _balanced_relations(left.action_operators(),
                                        right.action_operators(),
                                        left.dim, right.dim)
-            assert rels == _dense_relations(f, left, right)
+            assert rels == Subspace.from_vectors(
+                f, left.dim * right.dim, _dense_relations(f, left, right))
 
 
 def test_cyclic_group_tower_roundtrips():

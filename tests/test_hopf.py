@@ -609,7 +609,11 @@ def test_subspace_factor_is_the_one_membership_path():
     # Subspace.factor; no ambient projector basis_map() @ coords_map() and
     # neither of the helpers it replaced.  Likewise an operator on a map
     # space is placed (linalg.on_leg, on_leg_operator), never built by
-    # applying it to each elementary map as matrix_of_operator did
+    # applying it to each elementary map as matrix_of_operator did, and a
+    # spanned subspace is image_of a placed map, never eliminated from
+    # dense vectors written by hand as _times_basis and _span_mats did
+    # (the first coproduct outside a span is named by factor and
+    # hopf._witness, not by _first_coproduct_outside)
     src = Path(coideals.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -618,15 +622,16 @@ def test_subspace_factor_is_the_one_membership_path():
             names = _names(node)
             if isinstance(node, ast.FunctionDef):
                 names += (node.name,)
-            if {"contains_subspace", "left_inverse",
-                    "matrix_of_operator"} & set(names):
+            if {"contains_subspace", "left_inverse", "matrix_of_operator",
+                    "_times_basis", "_first_coproduct_outside",
+                    "_span_mats"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 left, right = _matmul_operands(node)
                 if _is_call_of(left, "basis_map") and _is_call_of(right, "coords_map"):
                     found.append(f"{path.name}:{node.lineno} projector")
-    assert not found, ("second membership or map-space operator paths in "
-                       "src/coideals: " + ", ".join(found))
+    assert not found, ("second membership, map-space operator or dense span "
+                       "paths in src/coideals: " + ", ".join(found))
 
 
 def _is_identity_call(node):

@@ -50,7 +50,6 @@ from coideals.repcats import (
     _colinearity_operator,
     _combination,
     _intertwining_relations,
-    _span_mats,
     commutant_in_span,
     comodule_on_subspace,
     hom_colinear,
@@ -740,9 +739,12 @@ def test_map_space_operators_match_the_elementary_map_formula(name):
             (gi * n * n + i, j): x
             for gi, g in enumerate(gens) for j, b in enumerate(basis)
             for i, x in enumerate(map_to_vec(b @ g - g @ b))})
-        assert commutant_in_span(f, basis, gens, n) == _span_mats(
-            f, [_combination(f, n, basis, row)
-                for row in kernel_of(commutators).rows], n)
+        # the canonical basis of the span of the kernel's combinations
+        span = Subspace.from_vectors(f, n * n, [
+            map_to_vec(_combination(f, n, basis, row))
+            for row in kernel_of(commutators).rows])
+        assert commutant_in_span(f, basis, gens, n) == [
+            vec_to_map(f, n, n, r) for r in span.rows]
 
     for m in mods:
         ops, da = m.action_operators(), m.over.dim
