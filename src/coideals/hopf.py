@@ -172,14 +172,6 @@ class AlgebraData:
                     w[i * self.dim + j] = f.mul(a, b)
         return self.mult.apply(tuple(w))
 
-    def left_mult_by(self, vec):
-        return after_leg(self.mult, 1, LinMap.from_column(self.field, vec),
-                         self.dim)
-
-    def right_mult_by(self, vec):
-        return after_leg(self.mult, self.dim,
-                         LinMap.from_column(self.field, vec), 1)
-
     def op(self):
         return AlgebraData(self.field, self.dim,
                            self.mult @ swap_map(self.field, self.dim, self.dim),

@@ -687,26 +687,3 @@ def stack_maps(maps):
             ent[(off + r, c)] = v
         off += m.rows
     return LinMap(field, off, cols, ent)
-
-
-# -- spaces of maps ----------------------------------------------------
-
-
-def map_to_vec(f):
-    """Flatten a LinMap entry-major: entry (r, c) -> position r*cols + c."""
-    field = f.field
-    out = [field.zero] * (f.rows * f.cols)
-    for (r, c), v in f.entries():
-        out[r * f.cols + c] = v
-    return tuple(out)
-
-
-def vec_to_map(field, rows, cols, vec):
-    ent = {}
-    for r in range(rows):
-        for c in range(cols):
-            v = vec[r * cols + c]
-            if v != field.zero:
-                ent[(r, c)] = v
-    return LinMap(field, rows, cols, ent)
-

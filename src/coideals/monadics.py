@@ -42,7 +42,6 @@ from .linalg import (
     LinMap,
     Subspace,
     after_leg,
-    basis_vector,
     identity_map,
     invert,
     kernel_of,
@@ -70,6 +69,7 @@ from .repcats import (
     recover_coalgebra_map,
     regular_comodule,
     regular_comodule_of,
+    regular_module,
     restrict_algebra,
     restricted_comultiplication,
     tensor_comodules,
@@ -546,9 +546,9 @@ def internal_hom(a, n):
             True, "the transform is onto, so the lift exists everywhere")
     rho = nu_inv @ omega
 
-    lmults = [a.algebra.left_mult_by(basis_vector(f, da, j)) for j in range(da)]
+    lmults = regular_module(a.algebra, "left").action_operators()
     pre = [on_leg(dn, l.transpose(), 1, id_space) for l in lmults]
-    rmults = [h.algebra.right_mult_by(basis_vector(f, dh, l)) for l in range(dh)]
+    rmults = regular_module(h.algebra, "right").action_operators()
     conds = []
     for j in range(da):
         lhs = rho @ pre[j]

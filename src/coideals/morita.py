@@ -24,10 +24,9 @@ from .linalg import (
     find_section,
     identity_map,
     image_of,
-    map_to_vec,
     on_leg,
     rank,
-    vec_to_map,
+    swap_map,
 )
 from .hopf import CoalgebraData
 from .certs import CertReport, VerificationFailed
@@ -40,7 +39,9 @@ from .repcats import (
     hom_colinear,
     is_coalgebra_map,
     cotensor,
+    matrix_algebra,
     regular_comodule_of,
+    restrict_algebra,
 )
 
 
@@ -258,15 +259,25 @@ class CoendResult:
         return self.report.ok
 
 
+def _stacked_maps(b, rows, cols):
+    """The columns of b, each a rows x cols map flattened entry-major,
+    stacked: block h of the (b.cols*rows) x cols result is column h."""
+    return LinMap(b.field, b.cols * rows, cols, {
+        (h * rows + i, j): x for (r, h), x in b.entries()
+        for i, j in [divmod(r, cols)]})
+
+
 def coend(m):
     """The coalgebra dual to the opposite of the colinear endomorphism
     algebra of m, with the canonical left coaction making m a bicomodule.
 
-    Orientation: with composition structure constants
-    phi_j o phi_i = sum_h c[h; j, i] phi_h, the comultiplication sends
-    the h-th dual vector to sum c[h; j, i] e^i (x) e^j and the counit
-    reads off the coordinates of the identity map.  This is the
-    orientation under which the bicomodule axioms hold.
+    The endomorphism algebra is restrict_algebra of the matrix algebra to
+    the colinear maps phi_h, so phi_j o phi_i = sum_h c[h; j, i] phi_h
+    with c[h; j, i] its mult[h, j*d + i].  The comultiplication sends the
+    h-th dual vector to sum c[h; j, i] e^i (x) e^j, the transpose of mult
+    after the flip, and the counit, the transposed unit, reads off the
+    coordinates of the identity map.  This is the orientation under which
+    the bicomodule axioms hold.
     """
     if m.side != "right":
         raise ValueError("coend expects a right comodule")
@@ -274,28 +285,14 @@ def coend(m):
     dm = m.dim
     rep = CertReport(f"coend of {_obj_name(m)}")
     s = hom_colinear(m, m)
-    basis = [vec_to_map(f, dm, dm, row) for row in s.rows]
-    coords = s.coords_map()
-
-    comult_ent = {}
-    for j, pj in enumerate(basis):
-        for i, pi in enumerate(basis):
-            vec = coords.apply(map_to_vec(pj @ pi))
-            for h, val in enumerate(vec):
-                if val != f.zero:
-                    comult_ent[(i * s.dim + j, h)] = val
-    comult = LinMap(f, s.dim * s.dim, s.dim, comult_ent)
-    counit = LinMap.from_row(f, coords.apply(map_to_vec(identity_map(f, dm))))
-    coal = CoalgebraData(f, s.dim, comult, counit)
+    e, b = restrict_algebra(matrix_algebra(f, dm), s)
+    comult = (e.mult @ swap_map(f, s.dim, s.dim)).transpose()
+    coal = CoalgebraData(f, s.dim, comult, e.unit.transpose())
     rep.merge(coal.check(), "coalgebra ")
 
-    lam_ent = {}
-    for h, ph in enumerate(basis):
-        for (i, j), val in ph.entries():
-            lam_ent[(h * dm + i, j)] = val
-    lam = LinMap(f, s.dim * dm, dm, lam_ent)
-    bicom = BicomoduleData(f, dm, coal, m.over, lam, m.coaction,
-                           _obj_name(m))
+    # the left coaction stacks the maps phi_h
+    bicom = BicomoduleData(f, dm, coal, m.over, _stacked_maps(b, dm, dm),
+                           m.coaction, _obj_name(m))
     rep.merge(check_bicomodule(bicom), "carrier ")
     if not rep.ok:
         raise VerificationFailed(rep)
@@ -317,17 +314,11 @@ def coend_regular_isomorphism(c):
     """Explicit coalgebra isomorphism from c onto the coend of its
     regular comodule: colinear endomorphisms of the regular comodule are
     convolutions by functionals, so the coend is the double dual."""
-    f = c.field
     ce = coend(regular_comodule_of(c))
     rep = CertReport("coend of the regular comodule against the coalgebra")
     rep.merge(ce.report)
-    ent = {}
-    basis = [vec_to_map(f, c.dim, c.dim, row) for row in ce.hom_space.rows]
-    for h, ph in enumerate(basis):
-        col = (c.counit @ ph)
-        for (_, y), val in col.entries():
-            ent[(h, y)] = val
-    iota = LinMap(f, ce.dim, c.dim, ent)
+    # row h is the counit after the colinear endomorphism phi_h
+    iota = on_leg(ce.dim, c.counit, 1, ce.bicomodule.left_coaction)
     rep.merge(is_coalgebra_map(iota, c, ce.coalgebra), "witness ")
     r = rank(iota)
     rep.add("witness bijective", r == c.dim == ce.dim,
@@ -516,12 +507,7 @@ def coend_pre_equivalence(m):
     lam_q = dual_comodule(right_sd).coaction
     q = BicomoduleData(f, sd.dim, d, c, lam_q, rho_q, "translate dual")
 
-    g_ent = {}
-    for s_, row in enumerate(sd.rows):
-        psi = vec_to_map(f, dm, d.dim, row)
-        for (i, y), val in psi.entries():
-            g_ent[(s_ * dm + i, y)] = val
-    g = LinMap(f, sd.dim * dm, d.dim, g_ent)
+    g = _stacked_maps(b_sd, dm, d.dim)
 
     # solve (f (x) id) o lambda_P = (id (x) g) o rho_M for f; the system
     # has full row rank because the coaction legs span the coend

@@ -12,25 +12,32 @@ Left-sided axioms are never written out separately: a left structure is
 transported across the tensor swap to a right structure over the opposite
 (co)algebra and the right-sided axioms are checked there.
 
-Structure theory is exact.  The radical comes from the trace form of the
-left regular representation, valid in characteristic zero or characteristic
-p strictly larger than the dimension of the algebra at hand; violating that
+Structure theory is exact.  The radical is the kernel of the trace form
+of the left regular representation, tr(L_i L_j) = sum over l, m of
+mult[l, i*d + m] * mult[m, j*d + l], read in one pass over the entries of
+mult.  It is valid in characteristic zero or characteristic p strictly
+larger than the dimension of the algebra at hand; violating that
 precondition raises instead of returning a wrong answer.
 
 The standard constructions have one builder each, used by every other
 module: regular_comodule_of (the regular comodule of any coalgebra),
-restrict_module (pull-back along an algebra map), generated_submodule
-(the submodule a vector generates), _quotient_maps (projection and
-section modulo a subspace) and comodule_on_subspace (a coaction
-restricted to a subspace, the one way to restrict a map on a tensor
-leg).  Restrictions that land in the subspace itself go through
-linalg's Subspace.factor.  A failed check names its first violating
-basis tuple through hopf._witness.
+restrict_module (pull-back along an algebra map), restrict_algebra (a
+subalgebra on a subspace), matrix_algebra (M_n on flattened matrices,
+so an algebra of matrices, such as the action algebra of a module or the
+colinear endomorphisms behind morita.coend, is restrict_algebra of it),
+generated_submodule (the submodule a vector generates, one run of the
+elimination kernel, and so also the closure matrix_algebra_closure),
+_quotient_maps (projection and section modulo a subspace) and
+comodule_on_subspace (a coaction restricted to a subspace, the one way
+to restrict a map on a tensor leg).  Restrictions that land in the
+subspace itself go through linalg's Subspace.factor.  A failed check
+names its first violating basis tuple through hopf._witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .certs import CertReport, VerificationFailed
 from .fields import same_field
@@ -50,15 +57,13 @@ from .linalg import (
     basis_vector,
     identity_map,
     image_of,
+    _eliminate,
     invert,
     kernel_of,
-    map_to_vec,
     on_leg,
     on_leg_operator,
-    solve,
     stack_maps,
     swap_map,
-    vec_to_map,
 )
 
 
@@ -468,14 +473,6 @@ def regular_relhopf(h, subalg, incl, name=""):
 
 # -- quotient algebras and radical -------------------------------------
 
-def _trace(m):
-    f = m.field
-    t = f.zero
-    for i in range(min(m.rows, m.cols)):
-        t = f.add(t, m.entry(i, i))
-    return t
-
-
 def _char_guard(field, dim, what):
     if field.char != 0 and field.char <= dim:
         raise ValueError(
@@ -485,12 +482,25 @@ def _char_guard(field, dim, what):
 
 def radical(a):
     """Jacobson radical of a finite-dimensional algebra, as the kernel of
-    the trace form of the left regular representation."""
+    the trace form of the left regular representation.
+
+    With L_i the operator of left multiplication by e_i, the form is
+    tr(L_i L_j) = sum over l, m of mult[l, i*d + m] * mult[m, j*d + l],
+    summed in one pass over the entries of mult; it assumes no
+    associativity of mult."""
     _char_guard(a.field, a.dim, "an algebra")
-    f = a.field
-    ops = [a.left_mult_by(basis_vector(f, a.dim, i)) for i in range(a.dim)]
-    gram = [[_trace(ops[i] @ ops[j]) for j in range(a.dim)] for i in range(a.dim)]
-    return kernel_of(LinMap.from_rows(f, gram))
+    f, d = a.field, a.dim
+    # back[(m, l)]: (j, w) over the entries w = mult[m, j*d + l]
+    back = {}
+    for (m, c), w in a.mult.entries():
+        j, l = divmod(c, d)
+        back.setdefault((m, l), []).append((j, w))
+    gram = {}
+    for (l, c), v in a.mult.entries():
+        i, m = divmod(c, d)
+        for j, w in back.get((m, l), ()):
+            gram[(i, j)] = f.add(gram.get((i, j), f.zero), f.mul(v, w))
+    return kernel_of(LinMap(f, d, d, gram))
 
 
 @dataclass
@@ -569,32 +579,34 @@ def module_on_quotient(m, s):
 
 def matrix_minpoly(m):
     """Monic minimal polynomial of a square matrix, as a low-degree-first
-    coefficient tuple."""
-    f = m.field
-    n = m.rows
-    span = Subspace.zero(f, n * n)
-    power = LinMap.identity(f, n)
-    vecs = []
-    while True:
-        v = map_to_vec(power)
-        if span.contains(v):
-            coords = _coords_in(f, vecs, v)
-            return tuple(f.neg(c) for c in coords) + (f.one,)
-        vecs.append(v)
-        span = span.sum_with(Subspace.from_vectors(f, n * n, [v]))
-        power = power @ m
+    coefficient tuple.
 
+    One elimination run over the rows vec(m^k) (+) e_k, the power k
+    tagged by a tracking column, until a row reduces to zero on the
+    matrix columns: that row holds m^k + sum c_j m^j = 0 on its tracking
+    columns, the lower powers being independent.  The tracking column of
+    m^k is n*n + n - k, left of those of the lower powers, so the row's
+    pivot is its leading coefficient and the kernel leaves it monic."""
+    f, n = m.field, m.rows
+    nn = n * n
 
-def _coords_in(f, vecs, target):
-    cols = {}
-    for j, v in enumerate(vecs):
-        for i, x in enumerate(v):
-            if x != f.zero:
-                cols[(i, j)] = x
-    sol = solve(LinMap(f, len(target), len(vecs), cols), target)
-    if sol is None:
-        raise ValueError("target is not in the span of the vectors")
-    return sol
+    def rows():
+        power = LinMap.identity(f, n)
+        # by Cayley-Hamilton a row reduces to zero by k = n
+        for k in range(n + 1):
+            row = {r * n + c: x for (r, c), x in power.entries()}
+            row[nn + n - k] = f.one
+            yield row
+            # the kernel has pivoted the row at its leftmost entry
+            if min(row) >= nn:
+                return
+            power = power @ m
+
+    basis = _eliminate(f, rows())
+    # every other pivot is on a matrix column
+    lead = max(basis)
+    return tuple(basis[lead].get(nn + n - j, f.zero)
+                 for j in range(nn + n - lead + 1))
 
 
 def factor_poly(field, coeffs):
@@ -631,70 +643,25 @@ def poly_at_matrix(field, coeffs, m):
 
 # -- submodule search and composition factors --------------------------
 
+def matrix_algebra(field, n):
+    """The algebra M_n on the entry-major flattening of n x n matrices:
+    e_(a,b) at position a*n + b, e_(a,b) e_(b,c) = e_(a,c), unit vec(I)."""
+    d, one = n * n, field.one
+    mult = LinMap(field, d, d * d, {
+        (a * n + c, (a * n + b) * d + b * n + c): one
+        for a in range(n) for b in range(n) for c in range(n)})
+    unit = LinMap(field, d, 1, {(a * n + a, 0): one for a in range(n)})
+    return AlgebraData(field, d, mult, unit)
+
+
 def matrix_algebra_closure(field, mats, n):
-    """Span-closure of a set of n x n matrices under products, seeded with
-    the identity.  Returns (subspace of flattened matrices, canonical basis).
-
-    A matrix joins the spanning list `kept` when it is not yet in the span.
-    Each round multiplies only the pairs of `kept` with a factor added in
-    the round before, so every product is taken once, and a round that adds
-    nothing leaves the span closed.  The closure is unique, so its
-    canonical basis does not depend on the order of the products."""
-    span = Subspace.zero(field, n * n)
-    kept = []
-    todo = [LinMap.identity(field, n), *mats]
-    while todo:
-        old = len(kept)
-        for m in todo:
-            v = map_to_vec(m)
-            if not span.contains(v):
-                span = span.sum_with(Subspace.from_vectors(field, n * n, [v]))
-                kept.append(m)
-        todo = [a @ b for i, a in enumerate(kept) for j, b in enumerate(kept)
-                if max(i, j) >= old]
-    return span, [vec_to_map(field, n, n, r) for r in span.rows]
-
-
-def algebra_from_matrix_span(field, span, n):
-    """Structure constants of a span-closed unital matrix algebra on the
-    canonical basis of its flattened span."""
-    basis = [vec_to_map(field, n, n, r) for r in span.rows]
-    d = span.dim
-    products = LinMap(field, n * n, d * d, {
-        (r * n + c, i * d + j): v for i, x in enumerate(basis)
-        for j, y in enumerate(basis) for (r, c), v in (x @ y).entries()})
-    mult, closed = span.factor(products)
-    if not closed:
-        raise ValueError("span is not closed under products")
-    unit, unital = span.factor(LinMap.from_column(
-        field, map_to_vec(LinMap.identity(field, n))))
-    if not unital:
-        raise ValueError("span does not contain the identity")
-    return AlgebraData(field, d, mult, unit), basis
-
-
-def _combination(field, n, basis, coeffs):
-    """The n x n matrix sum of c * basis[j] over the coefficients."""
-    m = LinMap.zero(field, n, n)
-    for j, c in enumerate(coeffs):
-        if c != field.zero:
-            m = m + basis[j].scale(c)
-    return m
-
-
-def commutant_in_span(field, basis, gens, n):
-    """Canonical basis matrices of the elements of the span of basis that
-    commute with every generator."""
-    cols = LinMap.from_rows(field, [map_to_vec(b) for b in basis]).transpose()
-    ker = kernel_of(_intertwining_relations(gens, gens) @ cols)
-    return [vec_to_map(field, n, n, r)
-            for r in image_of(cols @ ker.basis_map()).rows]
-
-
-def full_commutant(field, gens, n):
-    """All n x n matrices commuting with every generator."""
-    return [vec_to_map(field, n, n, r)
-            for r in kernel_of(_intertwining_relations(gens, gens)).rows]
+    """The unital algebra that n x n matrices generate, as a subspace of
+    flattened matrices: the left closure of vec(I) under postcomposition
+    by each of them, which holds every word in them."""
+    ident = identity_map(field, n * n)
+    # vec(I) is one at the positions a*n + a, the multiples of n + 1
+    one = tuple(field.zero if i % (n + 1) else field.one for i in range(n * n))
+    return generated_submodule(field, [on_leg(1, g, n, ident) for g in mats], one)
 
 
 def _split_by_minpoly(field, cand, n):
@@ -710,17 +677,42 @@ def _split_by_minpoly(field, cand, n):
     return None
 
 
+def _split_in(field, s, n):
+    """The first split that _split_by_minpoly finds among the canonical
+    basis matrices of a subspace s of flattened n x n matrices, their
+    pairwise products and their pairwise sums, tried in that order."""
+    ents = [{} for _ in range(s.dim)]
+    for (rc, h), x in s.basis_map().entries():
+        ents[h][divmod(rc, n)] = x
+    mats = [LinMap(field, n, n, e) for e in ents]
+    cands = chain(mats, (a @ b for a in mats for b in mats),
+                  (a + b for a in mats for b in mats))
+    for cand in cands:
+        ker = _split_by_minpoly(field, cand, n)
+        if ker is not None:
+            return ker
+    return None
+
+
 def generated_submodule(f, ops, vec):
     """The smallest subspace containing vec and stable under every operator
-    in ops: the submodule vec generates when ops are the action operators."""
-    span = Subspace.from_vectors(f, len(vec), [vec])
-    prev = -1
-    while span.dim != prev:
-        prev = span.dim
-        rows = span.rows
-        imgs = [op.apply(r) for op in ops for r in rows]
-        span = span.sum_with(Subspace.from_vectors(f, len(vec), imgs))
-    return span
+    in ops: the submodule vec generates when ops are the action operators.
+
+    One run of the elimination kernel grows the span.  It reduces vec,
+    then the image under each operator of each vector that enlarged the
+    span, once each; the kernel leaves a row empty exactly when it was
+    already in the span.  So each operator is applied once per basis
+    vector."""
+    def candidates():
+        todo = [vec]
+        while todo:
+            w = todo.pop()
+            row = {j: x for j, x in enumerate(w) if x}
+            yield row
+            if row:
+                todo += [op.apply(w) for op in ops]
+
+    return Subspace(f, len(vec), _eliminate(f, candidates()))
 
 
 def invariant_subspace(m):
@@ -742,46 +734,44 @@ def invariant_subspace(m):
         span = generated_submodule(f, ops, basis_vector(f, n, k))
         if 0 < span.dim < n:
             return span
-    span, _ = matrix_algebra_closure(f, ops, n)
-    e_alg, basis = algebra_from_matrix_span(f, span, n)
+    span = matrix_algebra_closure(f, ops, n)
+    e_alg, b = restrict_algebra(matrix_algebra(f, n), span)
     _char_guard(f, e_alg.dim, "the action algebra")
     j = radical(e_alg)
     if j.dim > 0:
-        mats = [_combination(f, n, basis, row) for row in j.rows]
-        cols = [mm.apply(basis_vector(f, n, k)) for mm in mats for k in range(n)]
-        sub = Subspace.from_vectors(f, n, cols)
+        # J V: the columns of the radical's matrices, which are flattened
+        # entry-major in the columns of rad
+        rad = b @ j.basis_map()
+        sub = image_of(LinMap(f, n, j.dim * n, {
+            (r, t * n + c): x for (rc, t), x in rad.entries()
+            for r, c in [divmod(rc, n)]}))
         if not 0 < sub.dim < n:
             raise ValueError(f"split gave dimension {sub.dim} of {n}")
         return sub
-    center = commutant_in_span(f, basis, basis, n)
-    cands = list(center)
-    cands += [a @ b for a in center for b in center]
-    cands += [a + b for a in center for b in center]
-    for cand in cands:
-        ker = _split_by_minpoly(f, cand, n)
-        if ker is not None:
-            return ker
-    if len(center) == e_alg.dim:
+    # commuting with the generators is commuting with the algebra they
+    # generate, so the center is the span meet the generators' commutant
+    comm = kernel_of(_intertwining_relations(ops, ops))
+    center = span.intersect(comm)
+    ker = _split_in(f, center, n)
+    if ker is not None:
+        return ker
+    if center.dim == e_alg.dim:
         # commutative semisimple action algebra with no composite minimal
         # polynomial in sight: it acts as a field, so the module splits into
         # lines over it and is simple exactly when it is one line
         if n > e_alg.dim:
-            cols = [b.apply(basis_vector(f, n, 0)) for b in basis]
-            sub = Subspace.from_vectors(f, n, cols)
+            # the first columns of the algebra's basis matrices
+            first = LinMap.from_row(f, basis_vector(f, n, 0))
+            sub = image_of(on_leg(n, first, 1, b))
             if not 0 < sub.dim < n:
                 raise ValueError(f"split gave dimension {sub.dim} of {n}")
             return sub
         return None
-    comm = full_commutant(f, basis, n)
-    cands = list(comm)
-    cands += [a @ b for a in comm for b in comm]
-    cands += [a + b for a in comm for b in comm]
-    for cand in cands:
-        ker = _split_by_minpoly(f, cand, n)
-        if ker is not None:
-            # invariant because the candidate commutes with the action
-            return ker
-    if len(comm) == len(center):
+    # a split of an element that commutes with the action is invariant
+    ker = _split_in(f, comm, n)
+    if ker is not None:
+        return ker
+    if comm.dim == center.dim:
         # the commutant coincides with the (field) center, so it is a
         # division algebra and the module is simple
         return None

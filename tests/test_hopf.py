@@ -465,9 +465,9 @@ def test_structure_shapes_are_checked(build, message):
     ("quotient_data(h, h.coalgebra, LinMap.identity(h.field, 4), h.mult,"
      " section=LinMap.identity(h.field, 4).scale(h.field.from_int(2)))",
      "ValueError projection after section is not the identity"),
-    ("algebra_from_matrix_span(h.field, Subspace.from_vectors(h.field, 4,"
-     " [(0, 1, 0, 0), (0, 0, 1, 0)]), 2)",
-     "ValueError span is not closed under products"),
+    ("restrict_algebra(matrix_algebra(h.field, 2), Subspace.from_vectors("
+     "h.field, 4, [(0, 1, 0, 0), (0, 0, 1, 0)]))",
+     "ValueError subspace is not closed under the product"),
 ], ids=["hopf", "linalg", "correspondence", "repcats"])
 def test_shape_check_survives_python_O(call, message):
     # python -O strips assert statements; the checks must still refuse
@@ -476,7 +476,7 @@ def test_shape_check_survives_python_O(call, message):
         "from coideals.correspondence import quotient_data\n"
         "from coideals.hopf import HopfAlgebraData\n"
         "from coideals.linalg import LinMap, Subspace\n"
-        "from coideals.repcats import algebra_from_matrix_span\n"
+        "from coideals.repcats import matrix_algebra, restrict_algebra\n"
         "h = sweedler4()\n"
         "print(__debug__)\n"
         "try:\n"
@@ -613,7 +613,15 @@ def test_subspace_factor_is_the_one_membership_path():
     # spanned subspace is image_of a placed map, never eliminated from
     # dense vectors written by hand as _times_basis and _span_mats did
     # (the first coproduct outside a span is named by factor and
-    # hopf._witness, not by _first_coproduct_outside)
+    # hopf._witness, not by _first_coproduct_outside).  Structure theory
+    # runs on the same builders: an algebra of matrices is restrict_algebra
+    # of repcats.matrix_algebra, not algebra_from_matrix_span; a center or
+    # commutant is a kernel or a meet of subspaces, not commutant_in_span
+    # or full_commutant; a closure or a minimal polynomial is one run of
+    # the elimination kernel, not _coords_in; the radical reads mult, not
+    # _trace of operator products; and no map is flattened to a dense
+    # vector or back (map_to_vec, vec_to_map, _combination) or built as a
+    # multiplication operator (left_mult_by, right_mult_by)
     src = Path(coideals.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -624,14 +632,18 @@ def test_subspace_factor_is_the_one_membership_path():
                 names += (node.name,)
             if {"contains_subspace", "left_inverse", "matrix_of_operator",
                     "_times_basis", "_first_coproduct_outside",
-                    "_span_mats"} & set(names):
+                    "_span_mats", "algebra_from_matrix_span",
+                    "commutant_in_span", "full_commutant", "_combination",
+                    "_coords_in", "_trace", "map_to_vec", "vec_to_map",
+                    "left_mult_by", "right_mult_by"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 left, right = _matmul_operands(node)
                 if _is_call_of(left, "basis_map") and _is_call_of(right, "coords_map"):
                     found.append(f"{path.name}:{node.lineno} projector")
-    assert not found, ("second membership, map-space operator or dense span "
-                       "paths in src/coideals: " + ", ".join(found))
+    assert not found, ("second membership, map-space operator, dense span "
+                       "or dense structure theory paths in src/coideals: "
+                       + ", ".join(found))
 
 
 def _is_identity_call(node):

@@ -32,7 +32,6 @@ from coideals.linalg import (
     image_of,
     invert,
     kernel_of,
-    map_to_vec,
     on_leg,
     on_leg_operator,
     rank,
@@ -40,7 +39,6 @@ from coideals.linalg import (
     solve,
     stack_maps,
     swap_map,
-    vec_to_map,
 )
 from coideals.monadics import _interleave_blocks, _module_to_hom_operator, internal_hom
 from coideals.morita import _transported_left_coaction, coend
@@ -48,11 +46,10 @@ from coideals.repcats import (
     ComoduleData,
     _colinearity_defect,
     _colinearity_operator,
-    _combination,
     _intertwining_relations,
-    commutant_in_span,
     comodule_on_subspace,
     hom_colinear,
+    matrix_algebra_closure,
     regular_comodule,
     regular_comodule_of,
     regular_module,
@@ -638,9 +635,27 @@ def test_no_stored_zeros():
 # -- map-space utilities ----------------------------------------------
 
 
-def test_map_vec_roundtrip():
-    m = qmap([[1, 2, 3], [4, 5, 6]])
-    assert vec_to_map(QQ, 2, 3, map_to_vec(m)) == m
+def _map_to_vec(m):
+    """A map flattened entry-major: entry (r, c) at position r*cols + c."""
+    out = [m.field.zero] * (m.rows * m.cols)
+    for (r, c), v in m.entries():
+        out[r * m.cols + c] = v
+    return tuple(out)
+
+
+def _commutant_in_span(f, basis, gens, n):
+    """The elements of the span of the n x n matrices in basis that commute
+    with every generator, from the commutators b g - g b of each basis
+    element, a kernel and the span of its combinations: the formula that
+    intersecting the span with the generators' commutant replaced."""
+    commutators = LinMap(f, len(gens) * n * n, len(basis), {
+        (gi * n * n + i, j): x
+        for gi, g in enumerate(gens) for j, b in enumerate(basis)
+        for i, x in enumerate(_map_to_vec(b @ g - g @ b))})
+    return Subspace.from_vectors(f, n * n, [
+        _map_to_vec(sum((b.scale(c) for b, c in zip(basis, row)),
+                        LinMap.zero(f, n, n)))
+        for row in kernel_of(commutators).rows])
 
 
 def _elementary_operator(field, rows, cols, fn):
@@ -721,7 +736,7 @@ def test_map_space_operators_match_the_elementary_map_formula(name):
         assert _colinearity_operator(v, w) == _elementary_operator(
             f, w.dim, v.dim, _colinearity_defect(v, w))
 
-    # hom_linear and full_commutant: X |-> [X r1 - r2 X] over one algebra
+    # hom_linear and the commutant: X |-> [X r1 - r2 X] over one algebra
     mods = [regular_module(a.algebra),
             restrict_module(regular_module(h.algebra), a.algebra, a.inclusion)]
     for m1 in mods:
@@ -731,20 +746,22 @@ def test_map_space_operators_match_the_elementary_map_formula(name):
                 f, m2.dim, m1.dim, lambda x: stack_maps(
                     [x @ r1 - r2 @ x for r1, r2 in zip(o1, o2)]))
 
-    # commutant_in_span: the commutators b g - g b of each basis element
-    basis = mods[1].action_operators()
-    n = basis[0].rows
-    for gens in (basis, basis[:2]):
-        commutators = LinMap(f, len(gens) * n * n, len(basis), {
-            (gi * n * n + i, j): x
-            for gi, g in enumerate(gens) for j, b in enumerate(basis)
-            for i, x in enumerate(map_to_vec(b @ g - g @ b))})
-        # the canonical basis of the span of the kernel's combinations
-        span = Subspace.from_vectors(f, n * n, [
-            map_to_vec(_combination(f, n, basis, row))
-            for row in kernel_of(commutators).rows])
-        assert commutant_in_span(f, basis, gens, n) == [
-            vec_to_map(f, n, n, r) for r in span.rows]
+    # the center in invariant_subspace, the span meet the generators'
+    # commutant, against the commutators of each basis element: on the
+    # span of the action operators, and on the algebra they generate,
+    # whose center is what commutes with its own basis
+    for m in mods:
+        ops = m.action_operators()
+        n = m.dim
+        span = Subspace.from_vectors(f, n * n, [_map_to_vec(b) for b in ops])
+        for gens in (ops, ops[:2]):
+            assert span.intersect(kernel_of(_intertwining_relations(gens, gens))) \
+                == _commutant_in_span(f, ops, gens, n)
+        alg = matrix_algebra_closure(f, ops, n)
+        basis = [LinMap(f, n, n, {divmod(i, n): x for i, x in enumerate(r) if x})
+                 for r in alg.rows]
+        assert alg.intersect(kernel_of(_intertwining_relations(ops, ops))) \
+            == _commutant_in_span(f, basis, basis, n)
 
     for m in mods:
         ops, da = m.action_operators(), m.over.dim

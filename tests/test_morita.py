@@ -27,7 +27,7 @@ from coideals.catalog import (
     taft,
 )
 from coideals.fields import GF, QQ
-from coideals.linalg import LinMap, identity_map, rank, vec_to_map
+from coideals.linalg import LinMap, identity_map, rank
 from coideals.repcats import (
     BicomoduleData,
     ComoduleData,
@@ -164,7 +164,9 @@ class TestCohom:
             assert res.dim == y.dim
             ent = {}
             for s, row in enumerate(res.hom_space.rows):
-                psi = vec_to_map(QQ, 6, y.dim, row)
+                # the basis map, unflattened entry-major
+                psi = LinMap(QQ, 6, y.dim, {divmod(i, y.dim): v
+                                            for i, v in enumerate(row) if v})
                 for (_, col), v in (ks3.counit @ psi).entries():
                     ent[(s, col)] = v
             iso = LinMap(QQ, res.dim, y.dim, ent)

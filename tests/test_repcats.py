@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
-from itertools import groupby
 from pathlib import Path
 from random import Random
 
@@ -24,7 +23,14 @@ from coideals.catalog import (
 from coideals.certs import VerificationFailed
 from coideals.fields import GF, QQ
 from coideals.hopf import AlgebraData, dual_algebra
-from coideals.linalg import LinMap, Subspace, basis_vector, kernel_of, map_to_vec
+from coideals.linalg import (
+    LinMap,
+    Subspace,
+    after_leg,
+    basis_vector,
+    kernel_of,
+    solve,
+)
 from coideals.repcats import (
     ComoduleData,
     _quotient_maps,
@@ -40,11 +46,13 @@ from coideals.repcats import (
     cotensor,
     distinct_modules,
     factor_poly,
+    generated_submodule,
     hom_colinear,
     hom_linear,
     invariant_subspace,
     is_cosemisimple,
     is_module_semisimple,
+    matrix_algebra,
     matrix_algebra_closure,
     matrix_minpoly,
     module_on_quotient,
@@ -177,6 +185,55 @@ def test_radical_char_guard():
     a = group_algebra(GF(2), cyclic_group(2)).algebra
     with pytest.raises(ValueError):
         radical(a)  # trace form invalid at p <= dim
+
+
+def _trace_form_kernel(a):
+    """The kernel of tr(L_i L_j), L_i the left multiplication by e_i built
+    as an operator and the d^2 products taken one by one: the formula that
+    reading mult in one pass replaced."""
+    f, d = a.field, a.dim
+    ops = [after_leg(a.mult, 1, LinMap.from_column(f, basis_vector(f, d, i)), d)
+           for i in range(d)]
+    gram = []
+    for li in ops:
+        row = []
+        for lj in ops:
+            t, prod = f.zero, li @ lj
+            for k in range(d):
+                t = f.add(t, prod.entry(k, k))
+            row.append(t)
+        gram.append(row)
+    return kernel_of(LinMap.from_rows(f, gram))
+
+
+@pytest.mark.parametrize("f", [QQ, GF(11)], ids=["QQ", "GF11"])
+def test_radical_matches_the_operator_trace_form(f):
+    # seeded structure constants, associative or not: sparse random ones,
+    # and the algebras that upper triangular matrices generate, which are
+    # associative and mostly have a radical; every d is below p = 11
+    rng = Random(20262001)
+    scalar = (-2, -1, 0, 0, 0, 0, 1, 2)
+    seen = 0
+    for _ in range(40):
+        d = rng.randint(1, 6)
+        mult = LinMap(f, d, d * d, {
+            (r, c): f.from_int(rng.choice(scalar))
+            for r in range(d) for c in range(d * d)})
+        unit = LinMap.from_column(f, basis_vector(f, d, 0))
+        a = AlgebraData(f, d, mult, unit)
+        assert radical(a) == _trace_form_kernel(a)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        mats = [LinMap(f, n, n, {(r, c): f.from_int(rng.choice(scalar))
+                                 for r in range(n) for c in range(r, n)})
+                for _ in range(rng.randint(1, 2))]
+        a, _ = restrict_algebra(matrix_algebra(f, n),
+                                matrix_algebra_closure(f, mats, n))
+        assert a.check().ok
+        j = radical(a)
+        assert j == _trace_form_kernel(a)
+        seen += j.dim > 0
+    assert seen >= 5
 
 
 def test_group_algebra_semisimple_char_zero():
@@ -353,40 +410,126 @@ def test_matrix_minpoly_against_hand_values():
     assert matrix_minpoly(LinMap.identity(QQ, 3)) == (Fr(-1), Fr(1))
 
 
-@pytest.mark.parametrize("field, gens, n, rows, runs", [
+def _minpoly_by_solve(m):
+    """The minimal polynomial from the span of the powers of m, the first
+    power inside it written in the earlier ones by solve: the loop that one
+    elimination run with tracking columns replaced."""
+    f, n = m.field, m.rows
+    vecs, power = [], LinMap.identity(f, n)
+    while True:
+        v = tuple(power.entry(r, c) for r in range(n) for c in range(n))
+        if Subspace.from_vectors(f, n * n, vecs).contains(v):
+            cols = LinMap(f, n * n, len(vecs), {
+                (i, j): x for j, w in enumerate(vecs) for i, x in enumerate(w)})
+            return tuple(f.neg(c) for c in solve(cols, v)) + (f.one,)
+        vecs.append(v)
+        power = power @ m
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_matrix_minpoly_matches_the_span_and_solve_loop(f):
+    # seeded sparse matrices, and block diagonal ones with repeated blocks,
+    # whose minimal polynomial has lower degree than the size
+    rng = Random(20262002)
+    scalar = (-1, 0, 0, 0, 1, 2)
+    degrees = set()
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = LinMap(f, n, n, {(r, c): f.from_int(rng.choice(scalar))
+                             for r in range(n) for c in range(n)})
+        if rng.random() < 0.5:
+            k = rng.randint(1, 2)
+            block = LinMap(f, k, k, {(r, c): f.from_int(rng.choice(scalar))
+                                     for r in range(k) for c in range(k)})
+            m = LinMap.identity(f, n // k + 1).tensor(block)
+        mp = matrix_minpoly(m)
+        assert mp == _minpoly_by_solve(m)
+        degrees.add((m.rows, len(mp) - 1))
+    assert any(deg < size for size, deg in degrees)
+
+
+def test_matrix_algebra_multiplies_flattened_matrices():
+    # M_n on the entry-major flattening: the product of two flattened
+    # matrices is the flattened composite, and the axioms hold
+    rng = Random(20262003)
+    for f in (QQ, GF(5)):
+        for n in (1, 2, 3):
+            a = matrix_algebra(f, n)
+            assert a.dim == n * n and a.check().ok
+            x, y = (LinMap(f, n, n, {(r, c): f.from_int(rng.randint(-2, 2))
+                                     for r in range(n) for c in range(n)})
+                    for _ in range(2))
+            flat = [tuple(m.entry(r, c) for r in range(n) for c in range(n))
+                    for m in (x, y, x @ y)]
+            assert a.product(flat[0], flat[1]) == flat[2]
+            assert a.unit_vector == tuple(
+                LinMap.identity(f, n).entry(r, c) for r in range(n) for c in range(n))
+
+
+@pytest.mark.parametrize("field, gens, n, rows, applies", [
     # the reflection representation of S3: all of M_2(QQ)
     (QQ, [[[0, -1], [1, -1]], [[0, 1], [1, 0]]], 2,
-     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [9, 7]),
+     [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 8),
     # diag(2, 3, 3) and a nilpotent Jordan block over GF(5): the upper
     # triangular matrices whose last two diagonal entries agree
     (GF(5), [[[2, 0, 0], [0, 3, 0], [0, 0, 3]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]]], 3,
      [(1, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0, 0),
       (0, 0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 0, 1),
-      (0, 0, 0, 0, 0, 1, 0, 0, 0)], [9, 16]),
+      (0, 0, 0, 0, 0, 1, 0, 0, 0)], 10),
 ], ids=["M2(QQ)", "GF(5) triangular"])
 def test_matrix_algebra_closure_takes_each_product_once(monkeypatch, field, gens,
-                                                        n, rows, runs):
-    # oracle: the span and canonical basis pinned from the loop that retested
-    # every pair each round; the closure is unique, so they must not move.
-    # A round's products all come before its membership tests, so the runs
-    # of products in the event log are the rounds: round one multiplies the
-    # k1 seeds pairwise, round two only the k2^2 - k1^2 pairs with a factor
-    # new in round one, fewer than the k2^2 a full retest takes
-    events = []
-    matmul, contains = LinMap.__matmul__, Subspace.contains
-    monkeypatch.setattr(LinMap, "__matmul__",
-                        lambda a, b: events.append("product") or matmul(a, b))
-    monkeypatch.setattr(Subspace, "contains",
-                        lambda s, v: events.append("test") or contains(s, v))
+                                                        n, rows, applies):
+    # oracle: the span pinned from the loop that retested every pair of
+    # products each round; the closure is unique, so it must not move.
+    # The closure is the submodule that vec(I) generates under
+    # postcomposition by the generators, so each generator is applied once
+    # to each basis vector: 2 * 4 and 2 * 5 products, against the 16 and
+    # 25 matrix products of the round-by-round loop
+    calls = []
+    apply = LinMap.apply
+    monkeypatch.setattr(LinMap, "apply",
+                        lambda m, v: calls.append(1) or apply(m, v))
     mats = [LinMap.from_rows(field, [[field.from_int(x) for x in r] for r in m])
             for m in gens]
-    span, basis = matrix_algebra_closure(field, mats, n)
+    span = matrix_algebra_closure(field, mats, n)
     assert span.rows == tuple(tuple(field.from_int(x) for x in r) for r in rows)
-    assert [map_to_vec(b) for b in basis] == list(span.rows)
-    rounds = [len(list(run)) for e, run in groupby(events) if e == "product"]
-    assert rounds == runs
-    assert sum(rounds) == span.dim ** 2
-    assert rounds[-1] < span.dim ** 2
+    assert len(calls) == applies == len(mats) * span.dim
+
+
+def _generated_by_rounds(f, ops, vec):
+    """The fixpoint loop that applied every operator to the whole span each
+    round and eliminated again, until a round added nothing."""
+    span = Subspace.from_vectors(f, len(vec), [vec])
+    prev = -1
+    while span.dim != prev:
+        prev = span.dim
+        imgs = [op.apply(r) for op in ops for r in span.rows]
+        span = span.sum_with(Subspace.from_vectors(f, len(vec), imgs))
+    return span
+
+
+@pytest.mark.parametrize("build, k", [
+    (lambda: group_algebra(QQ, symmetric_group_3()).algebra, 0),
+    (lambda: group_algebra(QQ, symmetric_group_3()).algebra, 1),
+    (lambda: sweedler4().algebra, 1),
+    (lambda: taft(3, GF(7)).algebra, 0),
+    (lambda: taft(3, GF(7)).algebra, 3),
+], ids=["kS3-e0", "kS3-e1", "sweedler-x", "taft3-1", "taft3-x"])
+def test_generated_submodule_applies_each_operator_once_per_basis_vector(
+        monkeypatch, build, k):
+    # oracle: the round-by-round fixpoint, which re-applied every operator
+    # to the whole span each round and so made more calls than this pin
+    a = build()
+    ops = regular_module(a, "right").action_operators()
+    vec = basis_vector(a.field, a.dim, k)
+    want = _generated_by_rounds(a.field, ops, vec)
+    calls = []
+    apply = LinMap.apply
+    monkeypatch.setattr(LinMap, "apply",
+                        lambda m, v: calls.append(1) or apply(m, v))
+    span = generated_submodule(a.field, ops, vec)
+    assert span == want
+    assert len(calls) == len(ops) * span.dim
 
 
 def test_factor_poly():
