@@ -553,7 +553,8 @@ def phi_quotient(m, a, q):
     f = m.field
     maplus = _times_aplus(m.module, a)
     proj, sect = _quotient_maps(maplus)
-    amb = proj.tensor(q.projection) @ m.comodule.coaction
+    amb = on_leg(1, proj, q.coalgebra.dim,
+                 on_leg(m.comodule.dim, q.projection, 1, m.comodule.coaction))
     well_defined = maplus.dim == 0 or (amb @ maplus.basis_map()).is_zero()
     com = ComoduleData(f, proj.rows, amb @ sect, q.coalgebra, "right",
                        name=f"quotient of {m.name or 'M'}")

@@ -12,6 +12,8 @@ Conventions used by the whole package:
   sends row (i*g.cols + k)*b + j of m to rows (i*g.rows + k2)*b + j, and
   after_leg does the same to columns.  `tensor` is for factors that are
   not identities; a leg map wanted as a matrix is on_leg of an identity.
+* A swap-and-contract of two maps is `diagonal`, never `tensor` followed
+  by placement: it walks their term pairs, so f (x) g is never built.
 * A linear map f: V -> W, seen as a vector (for Hom-space computations),
   is flattened entry-major: entry (r, c) sits at position r*cols + c.
   Operators on such maps are placed from entries, never built by applying
@@ -265,6 +267,33 @@ def on_leg(a, g, b, m):
                 else:
                     del out[key]
     return LinMap._trusted(f, a * gr * b, m.cols, out)
+
+
+def diagonal(f, dx, g, dy, mu):
+    """(I (x) I (x) mu) o (I (x) flip (x) I) o (f (x) g) for f: S -> X (x) C,
+    g: T -> Y (x) D, mu: C (x) D -> E, dx = dim X and dy = dim Y, never
+    building f (x) g: column (s, t) walks the terms x (x) c of f(e_s) and
+    y (x) d of g(e_t) against column c*dim D + d of mu."""
+    k = same_field(f.field, same_field(g.field, mu.field))
+    # an empty X or Y leg leaves no rows, so no term to walk
+    dc, dd = f.rows // (dx or 1), g.rows // (dy or 1)
+    if (dx * dc, dy * dd) != (f.rows, g.rows) or (dx * dy and dc * dd != mu.cols):
+        raise DimensionMismatchError(f"contract by {mu.rows}x{mu.cols}: "
+                                     f"{f.rows}x{f.cols} over {dx}, {g.rows}x{g.cols} over {dy}")
+    de, mcols = mu.rows, mu.sparse_columns()
+    gcols = [[divmod(r, dd) + (u,) for r, u in col] for col in g.sparse_columns()]
+    out = {}
+    for s, col in enumerate(f.sparse_columns()):
+        for r, v in col:
+            x, c = divmod(r, dc)
+            for t, terms in enumerate(gcols):
+                for y, d, u in terms:
+                    vu, row = k.mul(v, u), (x * dy + y) * de
+                    for e, w in mcols[c * dd + d]:
+                        key = (row + e, s * g.cols + t)
+                        out[key] = k.add(out.get(key, k.zero), k.mul(vu, w))
+    # the constructor drops the sums that cancelled
+    return LinMap(k, dx * dy * de, f.cols * g.cols, out)
 
 
 def after_leg(m, a, g, b):

@@ -42,6 +42,7 @@ from .linalg import (
     LinMap,
     Subspace,
     after_leg,
+    diagonal,
     identity_map,
     invert,
     kernel_of,
@@ -709,14 +710,10 @@ def surjectivity_from_coflatness(q):
 def translated_tensor(x, m, q):
     """Tensor a right comodule over the whole algebra against a comodule
     over the quotient, with coaction pushed through the translation
-    action: both coact, the legs swap, and the action contracts the pair
-    into the quotient."""
-    h = q.hopf
-    f = h.field
-    dx, dm = x.dim, m.dim
-    swapped = on_leg(dx, swap_map(f, h.dim, dm), q.coalgebra.dim,
-                     x.coaction.tensor(m.coaction))
-    return ComoduleData(f, dx * dm, on_leg(dx * dm, q.action, 1, swapped),
+    action: x (x) m -> x0 (x) m0 (x) x1.m1, `diagonal` of the two
+    coactions contracted by the action into the quotient."""
+    return ComoduleData(q.hopf.field, x.dim * m.dim,
+                        diagonal(x.coaction, x.dim, m.coaction, m.dim, q.action),
                         q.coalgebra, "right",
                         f"{_obj_name(x)} translated-tensor {_obj_name(m)}")
 
@@ -755,22 +752,14 @@ class GammaResult:
         return self.report.ok
 
 
-def _contract(h, dx, dm, mult, t):
-    """X (x) H (x) M (x) H -> X (x) M (x) H (x) H -> X (x) M (x) H: swap
-    the middle legs, then multiply the two H legs by mult."""
-    flip = swap_map(h.field, h.dim, dm)
-    return on_leg(dx * dm, mult, 1, on_leg(dx, flip, h.dim, t))
-
-
 def _gamma_forward(x, m, s1, q, left, rep):
     """The forward comparison map in subspace coordinates and the cotensor
     s2 of the translated tensor it lands in, checking that membership.  s1
     is the cotensor of m against left, the left quotient comodule of q."""
-    h = q.hopf
     s2 = cotensor(translated_tensor(x, m, q), left)
-    # (coaction (x) I_M (x) I_H) o (I_X (x) B_1) = coaction (x) B_1
-    forward, lands = s2.factor(_contract(h, x.dim, m.dim, h.mult,
-                                         x.coaction.tensor(s1.basis_map())))
+    # x (x) (m (x) h) -> x0 (x) m (x) x1*h on the basis B_1 of s1
+    forward, lands = s2.factor(
+        diagonal(x.coaction, x.dim, s1.basis_map(), m.dim, q.hopf.mult))
     rep.add("forward map lands in the translated cotensor", lands,
             None if lands
             else "membership in the cotensor over the quotient failed")
@@ -807,8 +796,9 @@ def gamma_isomorphism(x, m, q, seed=20260822):
     f = h.field
     dx, dm, dh = x.dim, m.dim, h.dim
     smult = after_leg(h.mult, 1, h.antipode, dh)
-    bwd_cols = _contract(h, dx, dm, smult,
-                         on_leg(1, x.coaction, dm * dh, s2.basis_map()))
+    # x (x) m (x) h -> x0 (x) x1 (x) m (x) h -> x0 (x) m (x) S(x1)*h on B_2
+    bwd_cols = on_leg(dx * dm, smult, 1, on_leg(dx, swap_map(f, dh, dm), dh, on_leg(
+        1, x.coaction, dm * dh, s2.basis_map())))
     backward = on_leg(dx, s1.coords_map(), 1, bwd_cols)
     lands = on_leg(dx, s1.basis_map(), 1, backward) == bwd_cols
     rep.add("backward map lands in the tensor against the cotensor", lands,

@@ -38,3 +38,13 @@ def test_demo_stdout_is_pinned(name):
                          capture_output=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr.decode()
     assert hashlib.sha256(out.stdout).hexdigest() == DIGESTS[name]
+
+
+def test_ks4_theorem2_script_passes():
+    # k^S4, the largest pipeline the workbench runs; the script exits 0
+    # only when every check passed and its report sha256 is the pinned one
+    src = str(Path(coideals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, str(DEMOS.parent / "scripts" / "ks4_theorem2.py")],
+                         capture_output=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stdout.decode() + out.stderr.decode()

@@ -557,6 +557,58 @@ def test_leg_placement_matches_the_kronecker_product(field, shape, data):
             after_leg(LinMap.zero(field, 1, a * gr * b + off), a, g, b)
 
 
+@pytest.mark.parametrize("shape", ["any", "cancelling", "zero"])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@seed(20261021)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_diagonal_matches_the_swapped_kronecker_product(field, shape, data):
+    # oracle: f (x) g built with tensor, the C and Y legs swapped and mu
+    # placed on C (x) D; "cancelling" draws entries from 0 and +-1, so term
+    # pairs often meet mu with opposite signs, and "zero" makes f zero
+    scalar = (st.sampled_from([0, 1, -1]) if shape == "cancelling"
+              else st.one_of(st.just(0), _entries(field)))
+
+    def linmap(rows, cols):
+        return st.lists(scalar, min_size=rows * cols, max_size=rows * cols).map(
+            lambda xs: LinMap(field, rows, cols, {
+                divmod(i, cols): field.parse(str(x)) for i, x in enumerate(xs)}))
+
+    dx, dc, dy, dd, de = (data.draw(st.integers(1, 3)) for _ in range(5))
+    cols = st.integers(0, 3)
+    f = (LinMap.zero(field, dx * dc, data.draw(cols)) if shape == "zero"
+         else data.draw(linmap(dx * dc, data.draw(cols))))
+    g = data.draw(linmap(dy * dd, data.draw(cols)))
+    mu = data.draw(linmap(de, dc * dd))
+    oracle = on_leg(dx * dy, mu, 1,
+                    on_leg(dx, swap_map(field, dc, dy), dd, f.tensor(g)))
+    assert linalg.diagonal(f, dx, g, dy, mu) == oracle
+
+
+def test_diagonal_drops_cancelled_sums_and_refuses_bad_shapes():
+    # f(e_0) = x (x) (c0 + c1) against mu = c0 - c1: the two term pairs cancel
+    f = LinMap.from_column(QQ, (F(1), F(1)))
+    g = identity_map(QQ, 1)
+    mu = LinMap.from_row(QQ, (F(1), F(-1)))
+    assert linalg.diagonal(f, 1, g, 1, mu) == LinMap.zero(QQ, 1, 1)
+    # an empty X leg has no rows to place
+    assert linalg.diagonal(LinMap.zero(QQ, 0, 2), 0, g, 1, mu) == LinMap.zero(QQ, 0, 2)
+    f2 = LinMap.zero(QQ, 6, 1)  # X (x) C with dim X = 2, dim C = 3
+    g2 = LinMap.zero(QQ, 4, 1)  # Y (x) D with dim Y = 2, dim D = 2
+    mu2 = LinMap.zero(QQ, 1, 6)
+    assert linalg.diagonal(f2, 2, g2, 2, mu2) == LinMap.zero(QQ, 4, 1)
+    bad = [(f2, 4, g2, 2, mu2),  # dim X does not divide the rows of f
+           (f2, 2, g2, 3, mu2),  # dim Y does not divide the rows of g
+           (f2, 2, g2, 2, LinMap.zero(QQ, 1, 5)),  # mu is not on C (x) D
+           (f2, 0, g2, 2, mu2),  # an empty X leg under a map with rows
+           (f2, 2, LinMap.zero(QQ, 4, 1), 0, mu2)]  # and an empty Y leg
+    for args in bad:
+        with pytest.raises(DimensionMismatchError, match="contract by"):
+            linalg.diagonal(*args)
+    with pytest.raises(FieldMismatchError):
+        linalg.diagonal(f2, 2, LinMap.zero(GF(5), 4, 1), 2, mu2)
+
+
 def test_swap_map_involution_and_action():
     s = swap_map(QQ, 2, 3)
     s_back = swap_map(QQ, 3, 2)
