@@ -4,8 +4,8 @@ The Hopf algebra is k^S4 over QQ (dimension 24), and the quotient is
 functions on the order-2 subgroup that the transposition (0 1)
 generates.  The pipeline's monad stage cotensors objects up to T^2 V of
 the regular comodule, so this is the largest instance the workbench
-runs end to end; it takes about 2 s (1.6 to 2.5 s and 130 MB peak RSS
-on a 2-vCPU x86-64 VM).  tests/test_demos.py runs it in a fresh process
+runs end to end; it takes about 2 s (1.7 to 2.1 s and 115 MB peak RSS
+in 3 fresh runs on a 2-vCPU x86-64 VM).  tests/test_demos.py runs it in a fresh process
 and asserts exit 0.
 
 The address space of this process is capped at 2.5 GB with

@@ -20,8 +20,10 @@ Conventions, fixed once here and relied on throughout:
   * Faithful coflatness is decided on the dual: transpose the comodule
     structure and run the same flatness core over the dual algebra.
   * Membership goes through Subspace.factor, with hopf._witness naming a
-    failure, and every spanned subspace is image_of a placed map: A (x) H,
-    K (x) H + H (x) K, H.A+ and the relations of L (x)_A R.
+    failure, and every spanned subspace is image_of a placed map: H.A+
+    and the relations of L (x)_A R.  The coideal conditions build no
+    span: Delta(A) <= A (x) H factors through A on the left leg, and
+    K (x) H + H (x) K is the kernel of pi (x) pi for K = ker pi.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .hopf import (
     hit_action,
 )
 from .linalg import (
-    DimensionMismatchError,
     LinMap,
     Subspace,
     after_leg,
@@ -84,18 +85,14 @@ from .repcats import (
 
 # -- shared small helpers ----------------------------------------------
 
-def _leg_span(a, s, b):
-    """k^a (x) S (x) k^b: the image of the basis of S placed on the
-    middle leg."""
-    return image_of(on_leg(a, s.basis_map(), b,
-                           identity_map(s.field, a * s.dim * b)))
-
-
-def _first_outside(space, m, labels):
-    """The witness "(label)" of the first column of m outside the space,
-    labels naming the columns, or None when every column lies in it."""
-    x, lands = space.factor(m)
-    return None if lands else _witness(space.basis_map() @ x - m, [labels])
+def _first_outside(s, m, labels):
+    """The witness "(label)" of the first column of m outside S (x) H, H
+    the ambient of S and labels naming the columns, or None when every
+    column lies in it."""
+    dh = s.ambient
+    x, lands = s.factor(m, 1, dh)
+    return None if lands else _witness(on_leg(1, s.basis_map(), dh, x) - m,
+                                       [labels])
 
 
 def _balanced_relations(left_ops, right_ops, dl, dr):
@@ -103,24 +100,10 @@ def _balanced_relations(left_ops, right_ops, dl, dr):
     l.a (x) e_k - e_i (x) a.r over all (a, i, k); left_ops act on L from
     the right, right_ops on R from the left, one per basis element a."""
     one = identity_map(left_ops[0].field, dl * dr)
-    return image_of(_hconcat([on_leg(1, la, dr, one) - on_leg(dl, ra, 1, one)
-                              for la, ra in zip(left_ops, right_ops)]))
-
-
-def _hconcat(maps):
-    """Place LinMaps with equal row counts side by side."""
-    f = maps[0].field
-    rows = maps[0].rows
-    ent = {}
-    off = 0
-    for m in maps:
-        if m.rows != rows:
-            raise DimensionMismatchError(
-                f"map with {m.rows} rows beside one with {rows}")
-        for (r, c), v in m.entries():
-            ent[(r, off + c)] = v
-        off += m.cols
-    return LinMap(f, rows, off, ent)
+    # the relations are the columns, so their transposes are stacked
+    return image_of(stack_maps(
+        [(on_leg(1, la, dr, one) - on_leg(dl, ra, 1, one)).transpose()
+         for la, ra in zip(left_ops, right_ops)]).transpose())
 
 
 # -- the two sides of the correspondence --------------------------------
@@ -214,8 +197,7 @@ def verify_coideal_subalgebra(h, s, name=""):
                 raise
     rep.add("is-subalgebra", sub_ok, sub_witness)
 
-    bad = _first_outside(_leg_span(1, s, h.dim), h.comult @ s.basis_map(),
-                         piv_labels)
+    bad = _first_outside(s, h.comult @ s.basis_map(), piv_labels)
     rep.add("is-coideal", bad is None, bad)
     return CoidealSubalgebraData(h, s, rep, algebra, inclusion, "right", name)
 
@@ -253,17 +235,14 @@ def quotient_data(h, b, pi, sigma, section=None, name=""):
     rep.add("kernel-counit-vanishes", eps_ker.is_zero(),
             _witness(eps_ker, [ker_labels]))
 
-    if ker.dim:
-        two_sided = _leg_span(1, ker, h.dim).sum_with(_leg_span(h.dim, ker, 1))
-        bad = _first_outside(two_sided, h.comult @ ker.basis_map(), ker_labels)
-        rep.add("kernel-is-coideal", bad is None, bad)
-        left_ideal = pi @ after_leg(h.mult, h.dim, ker.basis_map(), 1)
-        rep.add("kernel-is-left-ideal", left_ideal.is_zero(),
-                _witness(left_ideal, [[f"h{i},{l}" for i in range(h.dim)
-                                       for l in ker_labels]]))
-    else:
-        rep.add("kernel-is-coideal", True)
-        rep.add("kernel-is-left-ideal", True)
+    # K (x) H + H (x) K is the kernel of pi (x) pi
+    both = on_leg(1, pi, pi.rows,
+                  on_leg(h.dim, pi, 1, h.comult @ ker.basis_map()))
+    rep.add("kernel-is-coideal", both.is_zero(), _witness(both, [ker_labels]))
+    left_ideal = pi @ after_leg(h.mult, h.dim, ker.basis_map(), 1)
+    rep.add("kernel-is-left-ideal", left_ideal.is_zero(),
+            _witness(left_ideal, [[f"h{i},{l}" for i in range(h.dim)
+                                   for l in ker_labels]]))
 
     rep.merge(b.check(), "quotient ")
     rep.merge(is_coalgebra_map(pi, h.coalgebra, b), "projection ")
@@ -388,7 +367,7 @@ def module_flatness(mod, carrier_labels=()):
             raise ValueError("no candidate vector enlarges the span")
         chosen.append((name, blk))
         span = grown
-    p = _hconcat([blk for _, blk in chosen])
+    p = stack_maps([blk.transpose() for _, blk in chosen]).transpose()
     n = len(chosen)
 
     mops = mod.action_operators()
@@ -565,12 +544,11 @@ def cotensor_comodule(n, h, left):
     """N cotensor_B H inside N (x) H, for left the quotient coaction of H
     over B, with the H-coaction I_N (x) Delta restricted to it.  Returns
     (cotensor subspace, comodule)."""
-    f = h.field
-    dnh = n.dim * h.dim
     s = cotensor(n, left)
-    ambient = ComoduleData(f, dnh, on_leg(
-        n.dim, h.comult, 1, identity_map(f, dnh)), h.coalgebra, "right")
-    return s, comodule_on_subspace(ambient, s)[0]
+    coact, lands = s.factor(on_leg(n.dim, h.comult, 1, s.basis_map()), 1, h.dim)
+    if not lands:
+        raise ValueError("the cotensor is not invariant under I (x) Delta")
+    return s, ComoduleData(h.field, s.dim, coact, h.coalgebra, "right")
 
 
 def psi_cotensor(n, a, q):
@@ -578,14 +556,14 @@ def psi_cotensor(n, a, q):
     and the subalgebra acting there as well.  Returns (relative Hopf
     module, cotensor subspace of N (x) H)."""
     h = q.hopf
-    f = h.field
-    dnh = n.dim * h.dim
     s, com = cotensor_comodule(n, h, quotient_coaction(q, "left"))
     right_mult = after_leg(h.mult, h.dim, a.inclusion, 1)
-    ambient_mod = ModuleData(
-        f, dnh, on_leg(n.dim, right_mult, 1, identity_map(f, dnh * a.dim)),
-        a.algebra, "right")
-    mod, _ = module_on_subspace(ambient_mod, s)
+    # B (x) I_A, so the action I_N (x) right_mult runs on S (x) A only
+    b_a = on_leg(1, s.basis_map(), a.dim, identity_map(h.field, s.dim * a.dim))
+    act, lands = s.factor(on_leg(n.dim, right_mult, 1, b_a))
+    if not lands:
+        raise ValueError("the cotensor is not invariant under the action")
+    mod = ModuleData(h.field, s.dim, act, a.algebra, "right")
     rel = RelHopfModuleData(h, a.algebra, a.inclusion, com, mod,
                             name=f"cotensor of {n.name or 'N'}")
     return rel, s
@@ -692,7 +670,7 @@ def coideal_annihilator(p, z):
     subalgebra wins, and if neither does both failure reports are raised."""
     u, h = p.u, p.h
     f = u.field
-    bad = _first_outside(_leg_span(1, z, u.dim), u.comult @ z.basis_map(),
+    bad = _first_outside(z, u.comult @ z.basis_map(),
                          [u.labels[q] for q in z.pivots])
     if bad is not None:
         raise ValueError(

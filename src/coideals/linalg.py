@@ -29,10 +29,11 @@ Conventions used by the whole package:
   and two subspaces are equal iff their stored bases are identical.
   `Subspace.rows` is a dense view built on each access: tuples in pivot
   order, for callers that need vectors.
-* Restricting a map to a subspace goes through one method,
-  Subspace.factor: it returns the coordinates of the map's columns and
-  whether every column is a member, so membership and coordinates come
-  from one path.
+* Restricting a map to a subspace S, or to k^a (x) S (x) k^b on a tensor
+  leg, goes through one method, Subspace.factor(m, a, b): it returns the
+  coordinates of the map's columns and whether every column is a member,
+  so membership and coordinates come from one path, and the leg span is
+  never built.
 
 A LinMap is stored sparse: a dict keyed by (row, col), with no zeros kept.
 Every elimination (Subspace.from_vectors and sum_with, kernel_of,
@@ -517,16 +518,18 @@ class Subspace:
     def contains(self, vec):
         return self.coords(vec) is not None
 
-    def factor(self, m):
-        """Factor a LinMap m: k^n -> k^ambient through this subspace.
+    def factor(self, m, a=1, b=1):
+        """Factor a LinMap m: k^n -> k^a (x) k^ambient (x) k^b through
+        k^a (x) S (x) k^b, the legs read as in on_leg; that space is never
+        built.
 
-        Returns (X, lands) with X = coords_map() @ m, and lands true
-        exactly when basis_map() @ X == m, that is, when every column of m
-        is a member; X is then the unique such map.  Callers that report
-        a failed check may still read X.
+        Returns (X, lands) with X = on_leg(a, coords_map(), b, m), and
+        lands true exactly when on_leg(a, basis_map(), b, X) == m, that
+        is, when every column of m is a member; X is then the unique such
+        map.  Callers that report a failed check may still read X.
         """
-        x = self.coords_map() @ m
-        return x, self.basis_map() @ x == m
+        x = on_leg(a, self.coords_map(), b, m)
+        return x, on_leg(a, self.basis_map(), b, x) == m
 
     def _same_ambient(self, other):
         same_field(self.field, other.field)

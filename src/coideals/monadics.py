@@ -633,13 +633,9 @@ def adjunction_unit_counit_check(a, m, n):
     rep = CertReport(f"hom adjunction at ({_obj_name(m)}, {_obj_name(n)})")
     lhs = hom_colinear(m.comodule, n)
     t0 = _module_to_hom_operator(f, m.module, dn)
-    bmap = ihom.carrier.basis_map()
-    tmat = on_leg(1, ihom.carrier.coords_map(), dm, t0)
-
     lhs_b = lhs.basis_map()
-    translated = tmat @ lhs_b
-    rep.add("translate lands in the compatible part",
-            on_leg(1, bmap, dm, translated) == t0 @ lhs_b)
+    translated, lands = ihom.carrier.factor(t0 @ lhs_b, 1, dm)
+    rep.add("translate lands in the compatible part", lands)
 
     rel = _intertwining_relations(m.module.action_operators(),
                                   ihom.module.action_operators())
@@ -663,7 +659,8 @@ def adjunction_unit_counit_check(a, m, n):
             if uc != f.zero:
                 ev[(n0, n0 * da + j)] = uc
     evmap = LinMap(f, dn, dn * da, ev)
-    backward, lands = lhs.factor(on_leg(1, evmap @ bmap, dm, rhs.basis_map()))
+    backward, lands = lhs.factor(
+        on_leg(1, evmap @ ihom.carrier.basis_map(), dm, rhs.basis_map()))
     rep.add("evaluation lands in the colinear maps", lands)
     d3 = backward @ forward - identity_map(f, lhs.dim)
     rep.add("evaluation after translate is the identity", d3.is_zero())
@@ -799,8 +796,7 @@ def gamma_isomorphism(x, m, q, seed=20260822):
     # x (x) m (x) h -> x0 (x) x1 (x) m (x) h -> x0 (x) m (x) S(x1)*h on B_2
     bwd_cols = on_leg(dx * dm, smult, 1, on_leg(dx, swap_map(f, dh, dm), dh, on_leg(
         1, x.coaction, dm * dh, s2.basis_map())))
-    backward = on_leg(dx, s1.coords_map(), 1, bwd_cols)
-    lands = on_leg(dx, s1.basis_map(), 1, backward) == bwd_cols
+    backward, lands = s1.factor(bwd_cols, dx, 1)
     rep.add("backward map lands in the tensor against the cotensor", lands,
             None if lands
             else "membership in the source cotensor failed")

@@ -35,7 +35,6 @@ from .repcats import (
     ComoduleData,
     check_bicomodule,
     check_comodule,
-    comodule_on_subspace,
     hom_colinear,
     is_coalgebra_map,
     cotensor,
@@ -120,20 +119,14 @@ def _transported_left_coaction(gamma, left_coaction, target, s, rep, label):
     """Left coaction on a subspace s of maps into the bicomodule carrier,
     obtained by postcomposing the left coaction; the components of the
     postcomposition stay colinear because the two coactions commute, which
-    is re-checked here by restricting the postcomposition, a left coaction
-    on the whole map space, to s."""
-    f = target.field
-    op = on_leg(1, left_coaction, target.dim,
-                identity_map(f, left_coaction.cols * target.dim))
-    amb = ComoduleData(f, s.ambient, op, gamma, "left")
-    check = f"{label} transported coaction stays in the map space"
-    try:
-        restricted, _ = comodule_on_subspace(amb, s)
-    except ValueError:
-        rep.add(check, False)
+    is re-checked here by factoring the postcomposed basis of s through
+    Gamma (x) s."""
+    coact, lands = s.factor(
+        on_leg(1, left_coaction, target.dim, s.basis_map()), gamma.dim, 1)
+    rep.add(f"{label} transported coaction stays in the map space", lands)
+    if not lands:
         raise VerificationFailed(rep)
-    rep.add(check, True)
-    return restricted.coaction
+    return coact
 
 
 @dataclass
@@ -364,18 +357,15 @@ def _double_cotensor(v, mid, far):
     (the restriction is verified exactly, it holds because the two
     coactions on the middle carrier commute), the second condition is
     solved on that small carrier, and the result is embedded back."""
-    f = v.field
     first = cotensor(v, mid.left_comodule())
-    dvm = v.dim * mid.dim
-    amb_rho = ComoduleData(
-        f, dvm, on_leg(v.dim, mid.right_coaction, 1, identity_map(f, dvm)),
-        mid.right_over, "right")
-    try:
-        restricted, b = comodule_on_subspace(amb_rho, first)
-    except ValueError:
+    b = first.basis_map()
+    coact, lands = first.factor(on_leg(v.dim, mid.right_coaction, 1, b),
+                                1, mid.right_over.dim)
+    if not lands:
         rep = CertReport("iterated cotensor")
         rep.add("middle coaction restricts to the first cotensor", False)
         raise VerificationFailed(rep)
+    restricted = ComoduleData(v.field, first.dim, coact, mid.right_over, "right")
     inner = cotensor(restricted, far.left_comodule())
     return image_of(on_leg(1, b, far.dim, inner.basis_map()))
 

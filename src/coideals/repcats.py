@@ -28,10 +28,10 @@ colinear endomorphisms behind morita.coend, is restrict_algebra of it),
 generated_submodule (the submodule a vector generates, one run of the
 elimination kernel, and so also the closure matrix_algebra_closure),
 _quotient_maps (projection and section modulo a subspace) and
-comodule_on_subspace (a coaction restricted to a subspace, the one way
-to restrict a map on a tensor leg).  Restrictions that land in the
-subspace itself go through linalg's Subspace.factor.  A failed check
-names its first violating basis tuple through hopf._witness.
+comodule_on_subspace (a coaction restricted to a subspace).  Every
+restriction, on a tensor leg or not, goes through linalg's
+Subspace.factor.  A failed check names its first violating basis tuple
+through hopf._witness.
 """
 
 from __future__ import annotations
@@ -422,18 +422,15 @@ def comodule_on_subspace(v, s):
     """Restrict a comodule coaction to an invariant subspace; raises if the
     subspace is not invariant.  Returns (comodule, inclusion).
 
-    With B = s.basis_map() and P = s.coords_map(), which reads the pivot
-    coordinates and so inverts B on s, the restricted right coaction is
-    (P (x) I) o coaction o B, and (I (x) P) o coaction o B on the left.
-    s is invariant exactly when lifting that back, (B (x) I) on the right
-    or (I (x) B) on the left, gives coaction o B again.
+    With B = s.basis_map(), the restricted coaction is coaction o B
+    factored through s (x) C on the right and C (x) s on the left; s is
+    invariant exactly when it lands.
     """
     b = s.basis_map()
-    img = v.coaction @ b
     # the leg of V in V (x) C on the right, in C (x) V on the left
     a, c = (1, v.over.dim) if v.side == "right" else (v.over.dim, 1)
-    coact = on_leg(a, s.coords_map(), c, img)
-    if on_leg(a, b, c, coact) != img:
+    coact, invariant = s.factor(v.coaction @ b, a, c)
+    if not invariant:
         raise ValueError("subspace is not invariant under the coaction")
     return ComoduleData(v.field, s.dim, coact, v.over, v.side, v.name), b
 

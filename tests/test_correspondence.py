@@ -9,6 +9,7 @@ dimension counts forced by freeness."""
 
 from dataclasses import replace
 from fractions import Fraction as Fr
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -30,13 +31,15 @@ from coideals.catalog import (
 from coideals import correspondence, repcats
 from coideals.certs import VerificationFailed
 from coideals.fields import GF, QQ
-from coideals.hopf import check_pairing
+from coideals.hopf import _witness, check_pairing
 from coideals.linalg import (
     LinMap,
     Subspace,
     basis_vector,
     find_section,
     identity_map,
+    image_of,
+    on_leg,
 )
 from coideals.repcats import (
     ComoduleData,
@@ -178,6 +181,85 @@ def test_kernel_coideal_witness_is_pinned(kernel, witness):
         quotient_data(h, b, proj, sigma, section=sect)
     (check,) = [c for c in exc.value.report.checks if c.name == "kernel-is-coideal"]
     assert (check.ok, check.witness) == (False, witness)
+
+
+def _leg_span(a, s, b):
+    # k^a (x) S (x) k^b eliminated from the basis of S placed on an identity
+    return image_of(on_leg(a, s.basis_map(), b,
+                           identity_map(s.field, a * s.dim * b)))
+
+
+def _first_outside(space, m, labels):
+    # the witness of the first column of m outside an eliminated span
+    x, lands = space.factor(m)
+    return None if lands else _witness(space.basis_map() @ x - m, [labels])
+
+
+def _random_subspaces(h, rng, count):
+    # spans of basis vectors, which are often coideals, and of sparse
+    # vectors with small entries, which seldom are
+    f, n = h.field, h.dim
+    out = []
+    for t in range(count):
+        k = rng.randint(1, n - 1)
+        if t % 2:
+            vecs = [tuple(f.from_int(rng.choice((0, 0, 1, -1, 2)))
+                          for _ in range(n)) for _ in range(k)]
+        else:
+            vecs = [basis_vector(f, n, i) for i in rng.sample(range(n), k)]
+        out.append(Subspace.from_vectors(f, n, vecs))
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    sweedler4,
+    lambda: taft(3, GF(7)),
+    lambda: group_algebra(QQ, symmetric_group_3()),
+    lambda: function_algebra(QQ, symmetric_group_3()),
+    lambda: function_algebra(GF(5), cyclic_group(4)),
+], ids=["sweedler4", "taft3-GF7", "kS3", "k^S3", "k^C4-GF5"])
+def test_coideal_witnesses_match_the_eliminated_spans(make):
+    # oracle: the membership of each coproduct in A (x) H, and in
+    # K (x) H + H (x) K as the sum of two eliminated leg spans; the
+    # is-coideal and kernel-is-coideal lines and the coideal_annihilator
+    # refusal must be the ones these spans give
+    h = make()
+    rng = Random(20261020)
+    dh = h.dim
+    p = coevaluation_pairing(h)
+    outside = 0
+    for s in _random_subspaces(h, rng, 24):
+        labels = [h.labels[q] for q in s.pivots]
+        bad = _first_outside(_leg_span(1, s, dh), h.comult @ s.basis_map(), labels)
+        outside += bad is not None
+        (check,) = [c for c in verify_coideal_subalgebra(h, s).report.checks
+                    if c.name == "is-coideal"]
+        assert (check.ok, check.witness) == (bad is None, bad)
+
+        want = None if bad is None else (
+            f"the subspace is not a right coideal of {h.name or 'U'}: "
+            f"the coproduct of {bad} leaves it")
+        try:
+            coideal_annihilator(p, s)
+            got = None
+        except VerificationFailed:
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+
+        two_sided = _leg_span(1, s, dh).sum_with(_leg_span(dh, s, 1))
+        bad = _first_outside(two_sided, h.comult @ s.basis_map(), labels)
+        proj, sect = repcats._quotient_maps(s)
+        b, sigma = quotient_through_section(
+            h, proj, sect, tuple(f"[{i}]" for i in range(proj.rows)))
+        try:
+            report = quotient_data(h, b, proj, sigma, section=sect).report
+        except VerificationFailed as err:
+            report = err.report
+        (check,) = [c for c in report.checks if c.name == "kernel-is-coideal"]
+        assert (check.ok, check.witness) == (bad is None, bad)
+    assert outside
 
 
 def test_augmentation_ideal_of_grouplike_span(a_1g):

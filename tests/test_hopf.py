@@ -623,7 +623,10 @@ def test_subspace_factor_is_the_one_membership_path():
     # vector or back (map_to_vec, vec_to_map, _combination) or built as a
     # multiplication operator (left_mult_by, right_mult_by).  A diagonal
     # coaction is linalg.diagonal, not a Kronecker product swapped and
-    # contracted by _contract
+    # contracted by _contract.  A map factors through k^a (x) S (x) k^b by
+    # factor(m, a, b): no leg span is eliminated to test membership
+    # (_leg_span), and outside linalg no on_leg places coords_map() by
+    # hand
     src = Path(coideals.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -637,8 +640,13 @@ def test_subspace_factor_is_the_one_membership_path():
                     "_span_mats", "algebra_from_matrix_span",
                     "commutant_in_span", "full_commutant", "_combination",
                     "_coords_in", "_trace", "map_to_vec", "vec_to_map",
-                    "left_mult_by", "right_mult_by", "_contract"} & set(names):
+                    "left_mult_by", "right_mult_by", "_contract",
+                    "_leg_span"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
+            if (path.name != "linalg.py" and isinstance(node, ast.Call)
+                    and _names(node.func) == ("on_leg",) and len(node.args) > 1
+                    and _is_call_of(node.args[1], "coords_map")):
+                found.append(f"{path.name}:{node.lineno} leg factor")
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 left, right = _matmul_operands(node)
                 if _is_call_of(left, "basis_map") and _is_call_of(right, "coords_map"):

@@ -335,6 +335,59 @@ def test_factor_agrees_with_coords_column_by_column(field, data):
     assert (x.rows, x.cols) == (s.dim, k)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@seed(20261020)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_factor_on_a_leg_matches_the_leg_span(field, data):
+    # oracle: k^a (x) S (x) k^b built as image_of the basis placed on an
+    # identity, membership of each column in it, and the one solution of
+    # the placed basis against each member column, unique since the
+    # placed basis has zero kernel; the columns are members, members with
+    # one pushed off S on a middle leg coordinate, or arbitrary vectors
+    scalar = st.one_of(st.just(0), _entries(field))
+
+    def vector(k):
+        return st.lists(scalar, min_size=k, max_size=k).map(
+            lambda xs: tuple(field.parse(str(x)) for x in xs))
+
+    a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
+    s = Subspace.from_vectors(field, n, data.draw(st.lists(vector(n), max_size=3)))
+    placed = on_leg(a, s.basis_map(), b, identity_map(field, a * s.dim * b))
+    span = image_of(placed)
+    assert kernel_of(placed).dim == 0
+    k = data.draw(st.integers(0, 4))
+    kind = data.draw(st.sampled_from(["members", "one outside", "arbitrary"]))
+    if kind == "arbitrary":
+        cols = data.draw(st.lists(vector(a * n * b), min_size=k, max_size=k))
+    else:
+        cols = [placed.apply(c) for c in data.draw(
+            st.lists(vector(a * s.dim * b), min_size=k, max_size=k))]
+    free = [j for j in range(n) if j not in s.pivots]
+    pushed = kind == "one outside" and cols and free
+    if pushed:
+        c = data.draw(st.integers(0, k - 1))
+        i, l = data.draw(st.integers(0, a - 1)), data.draw(st.integers(0, b - 1))
+        r = (i * n + data.draw(st.sampled_from(free))) * b + l
+        cols[c] = tuple(field.add(x, field.one) if j == r else x
+                        for j, x in enumerate(cols[c]))
+    m = LinMap(field, a * n * b, k, {(r, c): x for c, col in enumerate(cols)
+                                     for r, x in enumerate(col)})
+    x, lands = s.factor(m, a, b)
+    assert (x.rows, x.cols) == (a * s.dim * b, k)
+    members = [span.contains(col) for col in cols]
+    assert lands == all(members)
+    if pushed:
+        assert members.count(False) == 1
+    if lands:
+        assert on_leg(a, s.basis_map(), b, x) == m
+        for c, col in enumerate(cols):
+            assert x.column(c) == solve(placed, col)
+    with pytest.raises(DimensionMismatchError):
+        s.factor(LinMap.zero(field, a * n * b + 1, k), a, b)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @seed(20261019)
 @settings(max_examples=80, deadline=None)
