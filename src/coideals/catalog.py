@@ -18,7 +18,7 @@ from .hopf import (
     PairingData,
     dual_hopf,
 )
-from .linalg import LinMap, Subspace, after_leg
+from .linalg import LinMap, Subspace, after_leg, identity_map, regroup
 
 
 class FiniteGroupTable:
@@ -148,28 +148,25 @@ def function_algebra(field, g, name=""):
 def canonical_pairing(kg, kfun):
     """Evaluation pairing between a group algebra and the function algebra
     on the same group, with mutually dual bases in matching order."""
-    f = kg.field
     n = kg.dim
     if kfun.dim != n:
         raise ValueError("pairing needs matching dimensions")
-    form = LinMap(f, 1, n * n, {(0, i * n + i): f.one for i in range(n)})
+    form = regroup(identity_map(kg.field, n), (n,), (n,), (), (0, 1))
     return PairingData(kg, kfun, form)
 
 
 def evaluation_pairing(h):
     """Tautological pairing of the transpose dual against the original."""
-    f = h.field
     n = h.dim
-    form = LinMap(f, 1, n * n, {(0, i * n + i): f.one for i in range(n)})
+    form = regroup(identity_map(h.field, n), (n,), (n,), (), (0, 1))
     return PairingData(dual_hopf(h), h, form)
 
 
 def coevaluation_pairing(h):
     """Tautological pairing of the original against its transpose dual, for
     letting a Hopf algebra hit-act on its own dual."""
-    f = h.field
     n = h.dim
-    form = LinMap(f, 1, n * n, {(0, i * n + i): f.one for i in range(n)})
+    form = regroup(identity_map(h.field, n), (n,), (n,), (), (0, 1))
     return PairingData(h, dual_hopf(h), form)
 
 

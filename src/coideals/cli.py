@@ -37,7 +37,7 @@ from .correspondence import (
 )
 from .fields import GF, QQ, int_token
 from .hopf import check_hopf_axioms
-from .linalg import LinMap, find_section, rank
+from .linalg import find_section, rank, regroup
 from .monadics import gamma_isomorphism, theorem2_pipeline
 from .morita import (
     coend_pre_equivalence,
@@ -186,11 +186,7 @@ def _object_checks(rep, sd, path):
                 f"dimension {s.dim} from {nvec} vectors")
     elif sd.kind == "pairing":
         du, dh = sd.dim, len(sd.over)
-        form = sd.maps["pairing"]
-        ent = {}
-        for (_, k), v in form.entries():
-            ent[divmod(k, dh)] = v
-        r = rank(LinMap(sd.field, du, dh, ent))
+        r = rank(regroup(sd.maps["pairing"], (), (du, dh), (0,), (1,)))
         rep.add("no-left-kernel", r == du, f"rank {r} of {du}")
         rep.add("no-right-kernel", r == dh, f"rank {r} of {dh}")
     elif sd.kind == "quotient":

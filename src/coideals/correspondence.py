@@ -50,8 +50,8 @@ from .linalg import (
     kernel_of,
     on_leg,
     rank,
+    regroup,
     stack_maps,
-    swap_map,
 )
 from .repcats import (
     ComoduleData,
@@ -827,8 +827,8 @@ def ses_cross_check(a, side="left"):
     else:
         algx = a.algebra.op()
         right_act = after_leg(h.mult, h.dim, a.inclusion, 1)
-        w_ops = ModuleData(f, h.dim, right_act @ swap_map(f, algx.dim, h.dim),
-                           algx, "left").action_operators()
+        w_ops = ModuleData(f, h.dim, regroup(right_act, (h.dim,), (h.dim, algx.dim),
+                                             (0,), (2, 1)), algx, "left").action_operators()
 
     # the flatness verdict decomposed this same algebra
     pool = [regular_module(algx, "right")]

@@ -66,7 +66,7 @@ from .linalg import (
     identity_map,
     on_leg,
     rank,
-    swap_map,
+    regroup,
 )
 
 
@@ -173,8 +173,8 @@ class AlgebraData:
         return self.mult.apply(tuple(w))
 
     def op(self):
-        return AlgebraData(self.field, self.dim,
-                           self.mult @ swap_map(self.field, self.dim, self.dim),
+        d = self.dim
+        return AlgebraData(self.field, d, regroup(self.mult, (d,), (d, d), (0,), (2, 1)),
                            self.unit, self.labels)
 
     def check(self):
@@ -321,8 +321,8 @@ class CoalgebraData:
         return cls(field, dim, comult, counit, tuple(labels))
 
     def cop(self):
-        return CoalgebraData(self.field, self.dim,
-                             swap_map(self.field, self.dim, self.dim) @ self.comult,
+        d = self.dim
+        return CoalgebraData(self.field, d, regroup(self.comult, (d, d), (d,), (1, 0), (2,)),
                              self.counit, self.labels)
 
     def check(self):
@@ -588,10 +588,9 @@ class PairingData:
 
 def check_pairing(p):
     rep = CertReport("bialgebra pairing")
-    f = p.u.field
     du, dh = p.u.dim, p.h.dim
     # (u, v, x, y) -> <u, x><v, y> on U (x) U (x) H (x) H
-    form2 = after_leg(p.form.tensor(p.form), du, swap_map(f, du, dh), dh)
+    form2 = regroup(p.form.tensor(p.form), (), (du, dh, du, dh), (), (0, 2, 1, 3))
     # <uv, x> = <u, x1><v, x2>
     d1 = after_leg(p.form, 1, p.u.mult, dh) \
         - after_leg(form2, du * du, p.h.comult, 1)
@@ -623,17 +622,16 @@ def hit_action(p, side):
     du, dh = p.u.dim, p.h.dim
     one = identity_map(f, du * dh)
     if side == "right":
-        # H (x) U -> H: (x, z) -> (x2, x1, z) -> x2 <z, x1>
-        cop = on_leg(1, swap_map(f, dh, dh) @ p.h.comult, du, one)
-        act = on_leg(dh, p.form @ swap_map(f, dh, du), 1, cop)
-        mod = ModuleData(f, dh, act, p.u.algebra, side="right")
+        # H (x) U -> H: (x, z) -> (x1, x2, z) -> (x2, z, x1) -> x2 <z, x1>
+        legs = regroup(on_leg(1, p.h.comult, du, one),
+                       (dh, dh, du), (dh * du,), (1, 2, 0), (3,))
     elif side == "left":
         # U (x) H -> H: (z, x) -> (z, x1, x2) -> (x1, z, x2) -> x1 <z, x2>
-        act = on_leg(dh, p.form, 1, on_leg(
-            1, swap_map(f, du, dh), dh, on_leg(du, p.h.comult, 1, one)))
-        mod = ModuleData(f, dh, act, p.u.algebra, side="left")
+        legs = regroup(on_leg(du, p.h.comult, 1, one),
+                       (du, dh, dh), (du * dh,), (1, 0, 2), (3,))
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    mod = ModuleData(f, dh, on_leg(dh, p.form, 1, legs), p.u.algebra, side=side)
     rep = check_module(mod)
     if not rep.ok:
         raise VerificationFailed(rep)

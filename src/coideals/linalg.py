@@ -12,6 +12,15 @@ Conventions used by the whole package:
   sends row (i*g.cols + k)*b + j of m to rows (i*g.rows + k2)*b + j, and
   after_leg does the same to columns.  `tensor` is for factors that are
   not identities; a leg map wanted as a matrix is on_leg of an identity.
+* Legs move in one place, regroup(m, row_legs, col_legs, rows, cols): the
+  rows of m are read as legs of dimensions row_legs and its columns as
+  legs of dimensions col_legs, numbered from 0 with the row legs first,
+  and the entry at leg indices (x_0, x_1, ...) goes to the row that
+  flattens x_k for k in rows and the column that flattens x_k for k in
+  cols, each in the order listed (an empty tuple gives one row or one
+  column).  A flip, op() and cop(), a dual coaction or a matrix read off
+  a flattened vector is a regroup; no permutation matrix is built, and
+  no other module decodes a map's keys to rebuild it.
 * A swap-and-contract of two maps is `diagonal`, never `tensor` followed
   by placement: it walks their term pairs, so f (x) g is never built.
 * A linear map f: V -> W, seen as a vector (for Hom-space computations),
@@ -46,6 +55,7 @@ tuples.
 
 from __future__ import annotations
 
+from math import prod
 from operator import itemgetter
 
 from .fields import same_field
@@ -324,10 +334,38 @@ def on_leg_operator(a, rows, b, m):
     return LinMap._trusted(m.field, a * rows * b * cols, rows * dv, out)
 
 
-def swap_map(field, m, n):
-    """The flip k^m (x) k^n -> k^n (x) k^m, e_i (x) e_j -> e_j (x) e_i."""
-    return LinMap(field, n * m, m * n,
-                  {(j * m + i, i * n + j): field.one for i in range(m) for j in range(n)})
+def regroup(m, row_legs, col_legs, rows, cols):
+    """m with its tensor legs moved, as in the module docstring: legs are
+    numbered from 0, row_legs first, and the result's rows and columns are
+    the legs listed in rows and cols.  Entries move and are never summed."""
+    legs = row_legs + col_legs
+    if (prod(row_legs), prod(col_legs)) != (m.rows, m.cols) \
+            or sorted(rows + cols) != list(range(len(legs))):
+        raise DimensionMismatchError(
+            f"{m.rows}x{m.cols} as legs {row_legs} x {col_legs} "
+            f"regrouped to {rows} x {cols}")
+    # each leg's step in the result's row and column index
+    step = {}
+    for group, (ur, uc) in ((rows, (1, 0)), (cols, (0, 1))):
+        s = 1
+        for k in reversed(group):
+            step[k] = (s * ur, s * uc)
+            s *= legs[k]
+    # the (row, col) of the result that each row, and each column, of m adds
+    tabs = []
+    for first, dims in ((0, row_legs), (len(row_legs), col_legs)):
+        tab = [(0, 0)]
+        for k, dk in enumerate(dims, first):
+            sr, sc = step[k]
+            tab = [(r + x * sr, c + x * sc) for r, c in tab for x in range(dk)]
+        tabs.append(tab)
+    rt, ct = tabs
+    out = {}
+    for (r, c), v in m._d.items():
+        (r1, c1), (r2, c2) = rt[r], ct[c]
+        out[(r1 + r2, c1 + c2)] = v
+    return LinMap._trusted(m.field, prod(legs[k] for k in rows),
+                           prod(legs[k] for k in cols), out)
 
 
 def identity_map(field, n):

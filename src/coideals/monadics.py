@@ -30,10 +30,9 @@ checked as a matrix identity on an explicit finite sample.  The pieces:
     ends with a certified coideal subalgebra carrying a faithful flatness
     verdict, halting with a stage name on the first failure.
 
-Conventions.  Tensor legs flatten left-to-right, (i, j) -> i*dim2 + j.  A
-map f: V -> W lives in a vector space of dimension dimW*dimV with index
-(w, v) -> w*dimV + v.  A map M -> Hom(A, N) flattens the Hom leg first:
-index ((n*dimA + a)*dimM + m).
+Conventions.  Tensor legs and map spaces flatten as the linalg module
+docstring says.  A map M -> Hom(A, N) flattens the Hom leg first: index
+((n*dimA + a)*dimM + m).
 """
 
 from dataclasses import dataclass, replace
@@ -49,8 +48,8 @@ from .linalg import (
     on_leg,
     on_leg_operator,
     rank,
+    regroup,
     stack_maps,
-    swap_map,
 )
 from .hopf import AlgebraData, antipode_bijective
 from .certs import CertReport, VerificationFailed
@@ -486,16 +485,6 @@ class InternalHomData:
         return self.report.ok
 
 
-def _interleave_blocks(f, blocks, out_rows, cols):
-    """Stack row i of block j into row i*len(blocks)+j of the result."""
-    da = len(blocks)
-    ent = {}
-    for j, b in enumerate(blocks):
-        for (r, c), val in b.entries():
-            ent[(r * da + j, c)] = val
-    return LinMap(f, out_rows, cols, ent)
-
-
 def internal_hom(a, n):
     """Internal hom from a verified coideal subalgebra into a right
     comodule, as a subspace of the plain map space.
@@ -530,12 +519,9 @@ def internal_hom(a, n):
     omega = on_leg(dn, twist, da, on_leg_operator(1, dn * dh, dh, delta)
                    @ on_leg(1, n.coaction, da, id_space))
 
-    ent = {}
-    for n0 in range(dn):
-        for a0 in range(da):
-            for hh in range(dh):
-                ent[((n0 * dh + hh) * da + a0, (n0 * da + a0) * dh + hh)] = f.one
-    nu = LinMap(f, dn * dh * da, dmap * dh, ent)
+    # (n, a, h) -> (n, h, a)
+    nu = regroup(identity_map(f, dmap * dh), (dn, da, dh), (dmap * dh,),
+                 (0, 2, 1), (3,))
     nu_inv = nu.transpose()
     ident = identity_map(f, dmap * dh)
     bij = (nu @ nu_inv - ident).is_zero() and (nu_inv @ nu - ident).is_zero()
@@ -564,12 +550,9 @@ def internal_hom(a, n):
 
     amb_com = ComoduleData(f, dmap, rho, h.coalgebra, "right",
                            "internal hom")
-    act_ent = {}
-    for j, p in enumerate(pre):
-        for (r, c), val in p.entries():
-            act_ent[(r, c * da + j)] = val
-    amb_mod = ModuleData(f, dmap, LinMap(f, dmap, dmap * da, act_ent),
-                         a.algebra, "right", amb_com.name)
+    # column c of the operator of e_j is column c*da + j of the action
+    act = regroup(stack_maps(pre), (da, dmap), (dmap,), (1,), (2, 0))
+    amb_mod = ModuleData(f, dmap, act, a.algebra, "right", amb_com.name)
     out = InternalHomData(a, n, carrier, hom_space, omega, nu, rho,
                           report=rep)
     try:
@@ -594,13 +577,12 @@ def internal_hom(a, n):
     return out
 
 
-def _module_to_hom_operator(f, m, dn):
+def _module_to_hom_operator(m, dn):
     """Matrix sending a map phi: M -> N to the map M -> Hom(A, N) that
     feeds the action into the map's argument, (phi (x) I_A) o sigma with
-    sigma: M -> M (x) A the action operators interleaved."""
-    da = m.over.dim
-    sigma = _interleave_blocks(f, m.action_operators(), m.dim * da, m.dim)
-    return on_leg_operator(1, dn, da, sigma)
+    sigma: M -> M (x) A the right action with its A leg moved to the rows."""
+    sigma = regroup(m.action, (m.dim,), (m.dim, m.over.dim), (0, 2), (1,))
+    return on_leg_operator(1, dn, m.over.dim, sigma)
 
 
 @dataclass
@@ -632,7 +614,7 @@ def adjunction_unit_counit_check(a, m, n):
     dm, dn = m.dim, n.dim
     rep = CertReport(f"hom adjunction at ({_obj_name(m)}, {_obj_name(n)})")
     lhs = hom_colinear(m.comodule, n)
-    t0 = _module_to_hom_operator(f, m.module, dn)
+    t0 = _module_to_hom_operator(m.module, dn)
     lhs_b = lhs.basis_map()
     translated, lands = ihom.carrier.factor(t0 @ lhs_b, 1, dm)
     rep.add("translate lands in the compatible part", lands)
@@ -794,8 +776,9 @@ def gamma_isomorphism(x, m, q, seed=20260822):
     dx, dm, dh = x.dim, m.dim, h.dim
     smult = after_leg(h.mult, 1, h.antipode, dh)
     # x (x) m (x) h -> x0 (x) x1 (x) m (x) h -> x0 (x) m (x) S(x1)*h on B_2
-    bwd_cols = on_leg(dx * dm, smult, 1, on_leg(dx, swap_map(f, dh, dm), dh, on_leg(
-        1, x.coaction, dm * dh, s2.basis_map())))
+    bwd_cols = on_leg(dx * dm, smult, 1, regroup(
+        on_leg(1, x.coaction, dm * dh, s2.basis_map()),
+        (dx, dh, dm, dh), (s2.dim,), (0, 2, 1, 3), (4,)))
     backward, lands = s1.factor(bwd_cols, dx, 1)
     rep.add("backward map lands in the tensor against the cotensor", lands,
             None if lands

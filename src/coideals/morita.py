@@ -7,12 +7,11 @@ map space; reports carry a note saying the colimit description of the
 infinite case is out of scope.
 
 Conventions.  A (C, D)-bicomodule has a left C-coaction and a right
-D-coaction that commute.  Map spaces are flattened entry-major, tensor
-legs row-major, as everywhere else in the package.  The dual of a right
-comodule is a left comodule over the same coalgebra (structure constants
-transposed), and vice versa; both directions appear below.  Regular
-comodules come from repcats.regular_comodule_of, which this module
-re-exports.
+D-coaction that commute.  Map spaces and tensor legs flatten as the linalg
+module docstring says.  The dual of a right comodule is a left comodule
+over the same coalgebra (structure constants transposed), and vice versa;
+both directions appear below.  Regular comodules come from
+repcats.regular_comodule_of, which this module re-exports.
 """
 
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .linalg import (
     image_of,
     on_leg,
     rank,
-    swap_map,
+    regroup,
 )
 from .hopf import CoalgebraData
 from .certs import CertReport, VerificationFailed
@@ -55,25 +54,14 @@ def dual_comodule(v):
     dual carries the left coaction lambda(v^i) = sum r[i,d;j] delta_d (x) v^j,
     and symmetrically in the other direction.
     """
-    f = v.field
-    dc = v.over.dim
-    ent = {}
+    dv, dc = v.dim, v.over.dim
     if v.side == "right":
-        # rho[(i*dc + d), j] -> lambda[(d*dim + j), i]
-        for (r, c), val in v.coaction.entries():
-            i, d = divmod(r, dc)
-            ent[(d * v.dim + c, i)] = val
-        coact = LinMap(f, dc * v.dim, v.dim, ent)
-        side = "left"
+        # rho[(i, d), j] -> lambda[(d, j), i]
+        coact, side = regroup(v.coaction, (dv, dc), (dv,), (1, 2), (0,)), "left"
     else:
-        # lambda[(d*dim + i), j] -> rho[(j*dc + d), i]
-        for (r, c), val in v.coaction.entries():
-            d, i = divmod(r, v.dim)
-            ent[(c * dc + d, i)] = val
-        coact = LinMap(f, v.dim * dc, v.dim, ent)
-        side = "right"
-    nm = _obj_name(v)
-    return ComoduleData(f, v.dim, coact, v.over, side, f"dual of {nm}")
+        # lambda[(d, i), j] -> rho[(j, d), i]
+        coact, side = regroup(v.coaction, (dc, dv), (dv,), (2, 0), (1,)), "right"
+    return ComoduleData(v.field, dv, coact, v.over, side, f"dual of {_obj_name(v)}")
 
 
 # -- quasi-finiteness ---------------------------------------------------
@@ -252,14 +240,6 @@ class CoendResult:
         return self.report.ok
 
 
-def _stacked_maps(b, rows, cols):
-    """The columns of b, each a rows x cols map flattened entry-major,
-    stacked: block h of the (b.cols*rows) x cols result is column h."""
-    return LinMap(b.field, b.cols * rows, cols, {
-        (h * rows + i, j): x for (r, h), x in b.entries()
-        for i, j in [divmod(r, cols)]})
-
-
 def coend(m):
     """The coalgebra dual to the opposite of the colinear endomorphism
     algebra of m, with the canonical left coaction making m a bicomodule.
@@ -279,12 +259,13 @@ def coend(m):
     rep = CertReport(f"coend of {_obj_name(m)}")
     s = hom_colinear(m, m)
     e, b = restrict_algebra(matrix_algebra(f, dm), s)
-    comult = (e.mult @ swap_map(f, s.dim, s.dim)).transpose()
+    comult = regroup(e.mult, (s.dim,), (s.dim, s.dim), (2, 1), (0,))
     coal = CoalgebraData(f, s.dim, comult, e.unit.transpose())
     rep.merge(coal.check(), "coalgebra ")
 
-    # the left coaction stacks the maps phi_h
-    bicom = BicomoduleData(f, dm, coal, m.over, _stacked_maps(b, dm, dm),
+    # the left coaction stacks the maps phi_h: row (h, i), column j
+    bicom = BicomoduleData(f, dm, coal, m.over,
+                           regroup(b, (dm, dm), (s.dim,), (2, 0), (1,)),
                            m.coaction, _obj_name(m))
     rep.merge(check_bicomodule(bicom), "carrier ")
     if not rep.ok:
@@ -479,39 +460,28 @@ def coend_pre_equivalence(m):
     rho_q = dual_comodule(left_sd).coaction
 
     # right coaction on the translate space dual to precomposition with
-    # the left translations (a (x) id) o comult of the base coalgebra
-    theta_ent = {}
-    b_sd = sd.basis_map()
-    for dd in range(d.dim):
-        lt = LinMap(f, d.dim, d.dim,
-                    {(j, k): val for (r, k), val in d.comult.entries()
-                     for dr, j in [divmod(r, d.dim)] if dr == dd})
-        co, lands = sd.factor(on_leg(dm, lt.transpose(), 1, b_sd))
-        if not lands:
-            rep.add("translations preserve the translate space", False)
-            raise VerificationFailed(rep)
-        for (t, s_), val in co.entries():
-            theta_ent[(t * d.dim + dd, s_)] = val
-    theta = LinMap(f, sd.dim * d.dim, sd.dim, theta_ent)
+    # the left translations (a (x) id) o comult of the base coalgebra: the
+    # transposed translation by e_t is row block t of lts, and the
+    # translation leg moves leftmost to factor, then back to the right
+    dd, b_sd = d.dim, sd.basis_map()
+    lts = regroup(d.comult, (dd, dd), (dd,), (0, 2), (1,))
+    placed = regroup(on_leg(dm, lts, 1, b_sd), (dm, dd, dd), (sd.dim,), (1, 0, 2), (3,))
+    co, lands = sd.factor(placed, dd, 1)
+    if not lands:
+        rep.add("translations preserve the translate space", False)
+        raise VerificationFailed(rep)
+    theta = regroup(co, (dd, sd.dim), (sd.dim,), (1, 0), (2,))
     right_sd = ComoduleData(f, sd.dim, theta, d, "right", "translate space")
     lam_q = dual_comodule(right_sd).coaction
     q = BicomoduleData(f, sd.dim, d, c, lam_q, rho_q, "translate dual")
 
-    g = _stacked_maps(b_sd, dm, d.dim)
+    g = regroup(b_sd, (dm, dd), (sd.dim,), (2, 0), (1,))
 
-    # solve (f (x) id) o lambda_P = (id (x) g) o rho_M for f; the system
-    # has full row rank because the coaction legs span the coend
-    lmat_ent = {}
-    for (r, mcol), val in p.left_coaction.entries():
-        cc, p2 = divmod(r, dm)
-        lmat_ent[(cc, p2 * dm + mcol)] = val
-    lmat = LinMap(f, c.dim, dm * dm, lmat_ent)
-    rhs = on_leg(dm, g, 1, m.coaction)
-    rmat_ent = {}
-    for (r, mcol), val in rhs.entries():
-        pq, p2 = divmod(r, dm)
-        rmat_ent[(pq, p2 * dm + mcol)] = val
-    rmat = LinMap(f, dm * sd.dim, dm * dm, rmat_ent)
+    # solve (f (x) id) o lambda_P = (id (x) g) o rho_M for f, with the
+    # carrier leg of each side moved to the columns; the system has full
+    # row rank because the coaction legs span the coend
+    lmat = regroup(p.left_coaction, (c.dim, dm), (dm,), (0,), (1, 2))
+    rmat = regroup(on_leg(dm, g, 1, m.coaction), (dm * sd.dim, dm), (dm,), (0,), (1, 2))
     sec = find_section(lmat)
     if sec is None:
         rep.add("coaction legs span the coend", False)

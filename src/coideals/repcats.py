@@ -63,8 +63,8 @@ from .linalg import (
     kernel_of,
     on_leg,
     on_leg_operator,
+    regroup,
     stack_maps,
-    swap_map,
 )
 
 
@@ -179,7 +179,7 @@ class RelHopfModuleData:
 def _as_right_module(m):
     if m.side == "right":
         return m.action, m.over
-    act = m.action @ swap_map(m.field, m.dim, m.over.dim)
+    act = regroup(m.action, (m.dim,), (m.over.dim, m.dim), (0,), (2, 1))
     return act, m.over.op()
 
 
@@ -198,7 +198,7 @@ def check_module(m):
 def _as_right_comodule(v):
     if v.side == "right":
         return v.coaction, v.over
-    rho = swap_map(v.field, v.over.dim, v.dim) @ v.coaction
+    rho = regroup(v.coaction, (v.over.dim, v.dim), (v.dim,), (1, 0), (2,))
     return rho, v.over.cop()
 
 
@@ -224,15 +224,17 @@ def restricted_comultiplication(h, inclusion):
     """
     # one elimination: the inclusion is injective exactly when reading its
     # image's pivot coordinates gives a square invertible matrix
-    coords = image_of(inclusion).coords_map()
-    inv = invert(coords @ inclusion)
+    s = image_of(inclusion)
+    inv = invert(s.coords_map() @ inclusion)
     if inv is None:
         raise ValueError("inclusion is not injective")
     image = h.comult @ inclusion
-    delta = on_leg(1, inv @ coords, h.dim, image)
-    diff = on_leg(1, inclusion, h.dim, delta) - image
-    return delta, ("coproduct-stays-in-subspace", diff.is_zero(),
-                   _witness(diff, [_default_labels(inclusion.cols, "a")]))
+    x, lands = s.factor(image, 1, h.dim)
+    # inclusion o inv is the canonical basis of s, so the difference below
+    # is on_leg(1, inclusion, h.dim, delta) - image
+    witness = None if lands else _witness(on_leg(1, s.basis_map(), h.dim, x) - image,
+                                          [_default_labels(inclusion.cols, "a")])
+    return on_leg(1, inv, h.dim, x), ("coproduct-stays-in-subspace", lands, witness)
 
 
 def check_relhopf(x):
@@ -734,10 +736,7 @@ def invariant_subspace(m):
     if j.dim > 0:
         # J V: the columns of the radical's matrices, which are flattened
         # entry-major in the columns of rad
-        rad = b @ j.basis_map()
-        sub = image_of(LinMap(f, n, j.dim * n, {
-            (r, t * n + c): x for (rc, t), x in rad.entries()
-            for r, c in [divmod(rc, n)]}))
+        sub = image_of(regroup(b @ j.basis_map(), (n, n), (j.dim,), (0,), (2, 1)))
         if not 0 < sub.dim < n:
             raise ValueError(f"split gave dimension {sub.dim} of {n}")
         return sub
@@ -812,12 +811,8 @@ def simple_comodules(c):
     f = c.field
     out = []
     for s in simples:
-        ops = s.action_operators()
-        ent = {}
-        for i, op in enumerate(ops):
-            for (k, jj), v in op.entries():
-                ent[(k * c.dim + i, jj)] = v
-        rho = LinMap(f, s.dim * c.dim, s.dim, ent)
+        # the coaction reads the right action v (x) a -> v.a as v -> v (x) a
+        rho = regroup(s.action, (s.dim,), (s.dim, c.dim), (0, 2), (1,))
         v = ComoduleData(f, s.dim, rho, c, "right", s.name)
         rep = check_comodule(v)
         if not rep.ok:

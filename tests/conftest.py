@@ -12,8 +12,13 @@ from coideals.catalog import (
 )
 from coideals.correspondence import _direct_sum
 from coideals.fields import GF, QQ
-from coideals.linalg import swap_map
+from coideals.linalg import identity_map, regroup
 from coideals.repcats import ModuleData, radical_and_simples, regular_module
+
+
+def _flip(f, m, n):
+    """The flip k^m (x) k^n -> k^n (x) k^m as a matrix."""
+    return regroup(identity_map(f, m * n), (m, n), (m * n,), (1, 0), (2,))
 
 
 @pytest.fixture(scope="module", params=[
@@ -35,7 +40,6 @@ def sample_modules(request):
     lefts = [regular_module(a, "left"), ModuleData(f, 1, h.counit, a, "left")]
     if f.char == 0:
         rights += radical_and_simples(a)[1]
-        lefts += [ModuleData(f, s.dim, s.action @ swap_map(f, a.dim, s.dim),
-                             a, "left")
+        lefts += [ModuleData(f, s.dim, s.action @ _flip(f, a.dim, s.dim), a, "left")
                   for s in radical_and_simples(a.op())[1]]
     return rights, lefts

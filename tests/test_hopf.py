@@ -49,7 +49,7 @@ from coideals.hopf import (
     dual_hopf,
     hit_action,
 )
-from coideals.linalg import DimensionMismatchError, LinMap, basis_vector, swap_map
+from coideals.linalg import DimensionMismatchError, LinMap, basis_vector, regroup
 from coideals.specfile import save_spec, spec_from_hopf, spec_from_quotient
 
 
@@ -100,13 +100,18 @@ def test_broken_antipode_reports_first_witness():
     assert "antipode-right" in fail
 
 
+def _flip(f, d):
+    """The flip of k^d (x) k^d as a matrix."""
+    return regroup(LinMap.identity(f, d * d), (d, d), (d * d,), (1, 0), (2,))
+
+
 def materialized_comult_multiplicative(h):
     """Reference oracle: the whole difference map
     comult.mult - (mult (x) mult)(id (x) swap (x) id)(comult (x) comult),
     built as matrices, and its first nonzero column as the witness."""
     f, d = h.field, h.dim
     i_d = LinMap.identity(f, d)
-    mult_hh = h.mult.tensor(h.mult) @ i_d.tensor(swap_map(f, d, d).tensor(i_d))
+    mult_hh = h.mult.tensor(h.mult) @ i_d.tensor(_flip(f, d).tensor(i_d))
     dm = h.comult @ h.mult - mult_hh @ h.comult.tensor(h.comult)
     return dm.is_zero(), _witness(dm, [h.labels] * 2)
 
@@ -604,6 +609,24 @@ def _matmul_operands(node):
     return left, right
 
 
+def _coords_on_a_leg(fn):
+    """Lines in fn where the leg map of an on_leg or after_leg call holds a
+    coords_map() call, or a name that fn binds to one."""
+    bound = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+             and _is_call_of(node.value, "coords_map")
+             for t in node.targets if isinstance(t, ast.Name)}
+    found = []
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        k = {("on_leg",): 1, ("after_leg",): 2}.get(_names(node.func))
+        if k is not None and len(node.args) > k and any(
+                _is_call_of(x, "coords_map") or isinstance(x, ast.Name) and x.id in bound
+                for x in ast.walk(node.args[k])):
+            found.append(node.lineno)
+    return found
+
+
 def test_subspace_factor_is_the_one_membership_path():
     # a map lands in a subspace, and gets its coordinates there, through
     # Subspace.factor; no ambient projector basis_map() @ coords_map() and
@@ -625,8 +648,11 @@ def test_subspace_factor_is_the_one_membership_path():
     # coaction is linalg.diagonal, not a Kronecker product swapped and
     # contracted by _contract.  A map factors through k^a (x) S (x) k^b by
     # factor(m, a, b): no leg span is eliminated to test membership
-    # (_leg_span), and outside linalg no on_leg places coords_map() by
-    # hand
+    # (_leg_span), and outside linalg no on_leg or after_leg leg map holds
+    # a coords_map() result, called there or through a name bound to one
+    # in the same function.  Tensor legs move by linalg.regroup: no flip
+    # matrix (swap_map) and no hand-written reindexing (_stacked_maps,
+    # _interleave_blocks)
     src = Path(coideals.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -641,18 +667,18 @@ def test_subspace_factor_is_the_one_membership_path():
                     "commutant_in_span", "full_commutant", "_combination",
                     "_coords_in", "_trace", "map_to_vec", "vec_to_map",
                     "left_mult_by", "right_mult_by", "_contract",
-                    "_leg_span"} & set(names):
+                    "_leg_span", "swap_map", "_stacked_maps",
+                    "_interleave_blocks"} & set(names):
                 found.append(f"{path.name}:{node.lineno}")
-            if (path.name != "linalg.py" and isinstance(node, ast.Call)
-                    and _names(node.func) == ("on_leg",) and len(node.args) > 1
-                    and _is_call_of(node.args[1], "coords_map")):
-                found.append(f"{path.name}:{node.lineno} leg factor")
+            if path.name != "linalg.py" and isinstance(node, ast.FunctionDef):
+                found += [f"{path.name}:{n} leg factor" for n in _coords_on_a_leg(node)]
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
                 left, right = _matmul_operands(node)
                 if _is_call_of(left, "basis_map") and _is_call_of(right, "coords_map"):
                     found.append(f"{path.name}:{node.lineno} projector")
-    assert not found, ("second membership, map-space operator, dense span "
-                       "or dense structure theory paths in src/coideals: "
+    assert not found, ("second membership, map-space operator, dense span, "
+                       "dense structure theory or leg reindexing paths in "
+                       "src/coideals: "
                        + ", ".join(found))
 
 
@@ -862,7 +888,7 @@ def test_antipode_is_coalgebra_antimorphism_matrixwise():
               function_algebra(QQ, symmetric_group_3())):
         f, d = h.field, h.dim
         lhs = h.comult @ h.antipode
-        rhs = h.antipode.tensor(h.antipode) @ swap_map(f, d, d) @ h.comult
+        rhs = h.antipode.tensor(h.antipode) @ _flip(f, d) @ h.comult
         assert lhs == rhs, h.name
 
 

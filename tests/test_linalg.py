@@ -8,6 +8,7 @@ Kronecker expansion by definition.
 import re
 from fractions import Fraction
 from itertools import product
+from math import prod
 from random import Random
 
 import pytest
@@ -17,9 +18,24 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from coideals import linalg
-from coideals.catalog import subgroup_data, sweedler4, symmetric_group_3, taft
+from coideals.catalog import (
+    canonical_pairing,
+    coevaluation_pairing,
+    cyclic_group,
+    evaluation_pairing,
+    function_algebra,
+    group_algebra,
+    subgroup_data,
+    sweedler4,
+    symmetric_group_3,
+    taft,
+)
 from coideals.certs import CertReport
-from coideals.correspondence import quotient_coaction, verify_coideal_subalgebra
+from coideals.correspondence import (
+    quotient_coaction,
+    quotient_module_coalgebra,
+    verify_coideal_subalgebra,
+)
 from coideals.fields import GF, QQ, FieldMismatchError
 from coideals.linalg import (
     DimensionMismatchError,
@@ -35,26 +51,40 @@ from coideals.linalg import (
     on_leg,
     on_leg_operator,
     rank,
+    regroup,
     rref,
     solve,
     stack_maps,
-    swap_map,
 )
-from coideals.monadics import _interleave_blocks, _module_to_hom_operator, internal_hom
-from coideals.morita import _transported_left_coaction, coend
+from coideals.hopf import PairingData, check_pairing, dual_algebra, hit_action
+from coideals.monadics import _module_to_hom_operator, gamma_isomorphism, internal_hom
+from coideals.morita import (
+    _transported_left_coaction,
+    coend,
+    coend_pre_equivalence,
+    dual_comodule,
+)
 from coideals.repcats import (
     ComoduleData,
+    ModuleData,
+    _as_right_comodule,
+    _as_right_module,
     _colinearity_defect,
     _colinearity_operator,
     _intertwining_relations,
     comodule_on_subspace,
     hom_colinear,
+    matrix_algebra,
     matrix_algebra_closure,
+    module_on_subspace,
+    radical_and_simples,
     regular_comodule,
     regular_comodule_of,
     regular_module,
+    restrict_algebra,
     restrict_module,
     restricted_comultiplication,
+    simple_comodules,
     trivial_comodule,
 )
 
@@ -633,8 +663,8 @@ def test_diagonal_matches_the_swapped_kronecker_product(field, shape, data):
          else data.draw(linmap(dx * dc, data.draw(cols))))
     g = data.draw(linmap(dy * dd, data.draw(cols)))
     mu = data.draw(linmap(de, dc * dd))
-    oracle = on_leg(dx * dy, mu, 1,
-                    on_leg(dx, swap_map(field, dc, dy), dd, f.tensor(g)))
+    flip = regroup(identity_map(field, dc * dy), (dc, dy), (dc * dy,), (1, 0), (2,))
+    oracle = on_leg(dx * dy, mu, 1, on_leg(dx, flip, dd, f.tensor(g)))
     assert linalg.diagonal(f, dx, g, dy, mu) == oracle
 
 
@@ -662,15 +692,71 @@ def test_diagonal_drops_cancelled_sums_and_refuses_bad_shapes():
         linalg.diagonal(f2, 2, LinMap.zero(GF(5), 4, 1), 2, mu2)
 
 
-def test_swap_map_involution_and_action():
-    s = swap_map(QQ, 2, 3)
-    s_back = swap_map(QQ, 3, 2)
+def _regroup_by_digits(m, row_legs, col_legs, rows, cols):
+    """regroup rebuilt densely: every tuple of leg indices, its entry of m
+    read at the flattened row and column legs and written at the
+    flattened rows and cols."""
+    legs = row_legs + col_legs
+
+    def flat(x, order):
+        i = 0
+        for k in order:
+            i = i * legs[k] + x[k]
+        return i
+
+    nr = len(row_legs)
+    ent = {}
+    for x in product(*(range(n) for n in legs)):
+        ent[(flat(x, rows), flat(x, cols))] = m.entry(
+            flat(x, range(nr)), flat(x, range(nr, len(legs))))
+    return LinMap(m.field, prod(legs[k] for k in rows), prod(legs[k] for k in cols), ent)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@seed(20261025)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_regroup_matches_the_digit_rebuild(field, data):
+    # legs of unequal dimensions, so a leg read with another leg's
+    # dimension moves entries to the wrong place
+    legs = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+        lambda d: len(d) == 1 or len(set(d)) > 1))
+    n = len(legs)
+    split = data.draw(st.integers(0, n))
+    row_legs, col_legs = tuple(legs[:split]), tuple(legs[split:])
+    order = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(0, n))
+    rows, cols = tuple(order[:k]), tuple(order[k:])
+    nr, nc = prod(row_legs), prod(col_legs)
+    xs = data.draw(st.lists(st.one_of(st.just(0), _entries(field)),
+                            min_size=nr * nc, max_size=nr * nc))
+    m = LinMap(field, nr, nc, {divmod(i, nc): field.parse(str(x))
+                               for i, x in enumerate(xs)})
+    out = regroup(m, row_legs, col_legs, rows, cols)
+    assert out == _regroup_by_digits(m, row_legs, col_legs, rows, cols)
+    # leg i of m is leg pos[i] of out, so this order moves every leg back
+    pos = {leg: j for j, leg in enumerate(rows + cols)}
+    back = regroup(out, tuple(legs[i] for i in rows), tuple(legs[i] for i in cols),
+                   tuple(pos[i] for i in range(split)),
+                   tuple(pos[i] for i in range(split, n)))
+    assert back == m
+
+
+def test_regroup_of_an_identity_is_the_flip_and_refuses_bad_legs():
+    s = regroup(identity_map(QQ, 6), (2, 3), (6,), (1, 0), (2,))
+    s_back = regroup(identity_map(QQ, 6), (3, 2), (6,), (1, 0), (2,))
     assert s_back @ s == identity_map(QQ, 6)
     # e_1 (x) e_2 of k^2 (x) k^3 sits at 1*3+2 = 5; image e_2 (x) e_1 at 2*2+1 = 5
     v = [F(0)] * 6
     v[1 * 3 + 2] = F(1)
     out = s.apply(tuple(v))
     assert out[2 * 2 + 1] == F(1) and sum(x != 0 for x in out) == 1
+    m = LinMap.zero(QQ, 6, 2)
+    for args in [((2, 2), (2,), (0, 1), (2,)),  # legs multiply to 4 rows, not 6
+                 ((2, 3), (2,), (0, 0), (2,)),  # leg 0 listed twice
+                 ((2, 3), (2,), (0,), (2,))]:  # leg 1 missing
+        with pytest.raises(DimensionMismatchError, match="regrouped to"):
+            regroup(m, *args)
 
 
 # -- sections ---------------------------------------------------------
@@ -761,6 +847,17 @@ def _commutant_in_span(f, basis, gens, n):
         _map_to_vec(sum((b.scale(c) for b, c in zip(basis, row)),
                         LinMap.zero(f, n, n)))
         for row in kernel_of(commutators).rows])
+
+
+def _interleave_blocks(f, blocks, out_rows, cols):
+    """Stack row i of block j into row i*len(blocks)+j of the result: the
+    interleaving monadics used before sigma was a regroup of the action."""
+    da = len(blocks)
+    ent = {}
+    for j, b in enumerate(blocks):
+        for (r, c), val in b.entries():
+            ent[(r * da + j, c)] = val
+    return LinMap(f, out_rows, cols, ent)
 
 
 def _elementary_operator(field, rows, cols, fn):
@@ -871,7 +968,7 @@ def test_map_space_operators_match_the_elementary_map_formula(name):
     for m in mods:
         ops, da = m.action_operators(), m.over.dim
         for dn in (1, 2):
-            assert _module_to_hom_operator(f, m, dn) == _elementary_operator(
+            assert _module_to_hom_operator(m, dn) == _elementary_operator(
                 f, dn, m.dim, lambda phi: _interleave_blocks(
                     f, [phi @ op for op in ops], dn * da, m.dim))
 
@@ -896,3 +993,176 @@ def test_map_space_operators_match_the_elementary_map_formula(name):
             ce.coalgebra, lc, dreg, sd, CertReport("transport"), "maps") == \
             comodule_on_subspace(amb, sd)[0].coaction
 
+
+
+# -- leg regrouping at its call sites ----------------------------------
+# Each oracle below is the construction a call site used before it became
+# one linalg.regroup: a built flip matrix, or a loop that decodes the
+# flattened keys of a map and writes them back in another order.
+
+
+def _swap_map(field, m, n):
+    """The flip k^m (x) k^n -> k^n (x) k^m, e_i (x) e_j -> e_j (x) e_i."""
+    return LinMap(field, n * m, m * n,
+                  {(j * m + i, i * n + j): field.one for i in range(m) for j in range(n)})
+
+
+def _dual_coaction_by_loops(v):
+    dc, ent = v.over.dim, {}
+    if v.side == "right":
+        # rho[(i*dc + d), j] -> lambda[(d*dim + j), i]
+        for (r, c), val in v.coaction.entries():
+            i, d = divmod(r, dc)
+            ent[(d * v.dim + c, i)] = val
+        return LinMap(v.field, dc * v.dim, v.dim, ent)
+    # lambda[(d*dim + i), j] -> rho[(j*dc + d), i]
+    for (r, c), val in v.coaction.entries():
+        d, i = divmod(r, v.dim)
+        ent[(c * dc + d, i)] = val
+    return LinMap(v.field, v.dim * dc, v.dim, ent)
+
+
+def _stacked_maps(b, rows, cols):
+    """The columns of b, each a rows x cols map flattened entry-major,
+    stacked: block h of the (b.cols*rows) x cols result is column h."""
+    return LinMap(b.field, b.cols * rows, cols, {
+        (h * rows + i, j): x for (r, h), x in b.entries()
+        for i, j in [divmod(r, cols)]})
+
+
+def _coend_data_by_loops(m):
+    """theta, g and f of coend_pre_equivalence(m): one factor call per
+    translation, and the coaction legs moved entry by entry."""
+    f, dm, d = m.field, m.dim, m.over
+    ce = coend(m)
+    c, p = ce.coalgebra, ce.bicomodule
+    sd = hom_colinear(regular_comodule_of(d, "regular comodule"), m)
+    b_sd = sd.basis_map()
+    theta_ent = {}
+    for dd in range(d.dim):
+        lt = LinMap(f, d.dim, d.dim,
+                    {(j, k): val for (r, k), val in d.comult.entries()
+                     for dr, j in [divmod(r, d.dim)] if dr == dd})
+        co, lands = sd.factor(on_leg(dm, lt.transpose(), 1, b_sd))
+        assert lands
+        for (t, s_), val in co.entries():
+            theta_ent[(t * d.dim + dd, s_)] = val
+    theta = LinMap(f, sd.dim * d.dim, sd.dim, theta_ent)
+    g = _stacked_maps(b_sd, dm, d.dim)
+    lmat_ent = {}
+    for (r, mcol), val in p.left_coaction.entries():
+        cc, p2 = divmod(r, dm)
+        lmat_ent[(cc, p2 * dm + mcol)] = val
+    lmat = LinMap(f, c.dim, dm * dm, lmat_ent)
+    rhs = on_leg(dm, g, 1, m.coaction)
+    rmat_ent = {}
+    for (r, mcol), val in rhs.entries():
+        pq, p2 = divmod(r, dm)
+        rmat_ent[(pq, p2 * dm + mcol)] = val
+    rmat = LinMap(f, dm * sd.dim, dm * dm, rmat_ent)
+    return theta, g, rmat @ find_section(lmat)
+
+
+def _internal_hom_action_by_loops(a, dn):
+    """The precomposition action on Hom(A, N): column c of the operator
+    of e_j written to column c*da + j."""
+    f, da = a.hopf.field, a.dim
+    id_space = identity_map(f, dn * da)
+    act_ent = {}
+    for j, lm in enumerate(regular_module(a.algebra, "left").action_operators()):
+        for (r, c), val in on_leg(dn, lm.transpose(), 1, id_space).entries():
+            act_ent[(r, c * da + j)] = val
+    return ModuleData(f, dn * da, LinMap(f, dn * da, dn * da * da, act_ent),
+                      a.algebra, "right")
+
+
+@pytest.mark.parametrize("name", ["sweedler4", "taft3-GF7", "kS3-functions"])
+def test_regrouped_sites_match_the_reindexing_they_replaced(name):
+    # the coideal subalgebra A as a comodule m has fewer dimensions than H
+    # (2 of 4, 3 of 9, 3 of 6), and for kS3-functions its coend has 2, so
+    # a leg read with another leg's dimension moves entries
+    h, a, q = _oracle_instance(name)
+    f, d = h.field, h.dim
+    assert h.algebra.op().mult == h.mult @ _swap_map(f, d, d)
+    assert h.coalgebra.cop().comult == _swap_map(f, d, d) @ h.comult
+
+    m = comodule_on_subspace(regular_comodule(h), a.space)[0]
+    left = dual_comodule(m)
+    assert left.coaction == _dual_coaction_by_loops(m)
+    assert dual_comodule(left).coaction == _dual_coaction_by_loops(left)
+    assert _as_right_comodule(left)[0] == _swap_map(f, d, m.dim) @ left.coaction
+    lmod = restrict_module(regular_module(h.algebra, "left"), a.algebra, a.inclusion)
+    assert _as_right_module(lmod)[0] == lmod.action @ _swap_map(f, d, a.dim)
+
+    ce = coend(m)
+    s = ce.hom_space.dim
+    e, b = restrict_algebra(matrix_algebra(f, m.dim), ce.hom_space)
+    assert ce.coalgebra.comult == (e.mult @ _swap_map(f, s, s)).transpose()
+    assert ce.bicomodule.left_coaction == _stacked_maps(b, m.dim, m.dim)
+    theta, g, fmap = _coend_data_by_loops(m)
+    data = coend_pre_equivalence(m)
+    assert (data.g, data.f) == (g, fmap)
+    assert data.q.left_coaction == _dual_coaction_by_loops(
+        ComoduleData(f, theta.cols, theta, m.over, "right"))
+
+    for n in (trivial_comodule(h), regular_comodule(h)):
+        ih = internal_hom(a, n)
+        dn, da = n.dim, a.dim
+        nu = LinMap(f, dn * d * da, dn * da * d, {
+            ((n0 * d + hh) * da + a0, (n0 * da + a0) * d + hh): f.one
+            for n0 in range(dn) for a0 in range(da) for hh in range(d)})
+        assert ih.nu == nu
+        amb = _internal_hom_action_by_loops(a, dn)
+        assert ih.module.action == module_on_subspace(amb, ih.carrier)[0].action
+
+    if f.char == 0:
+        # the coaction of each simple comodule, read off the action operators
+        c, old = h.coalgebra, []
+        for sm in radical_and_simples(dual_algebra(c).op())[1]:
+            ent = {}
+            for i, op in enumerate(sm.action_operators()):
+                for (k, jj), v in op.entries():
+                    ent[(k * c.dim + i, jj)] = v
+            old.append(LinMap(f, sm.dim * c.dim, sm.dim, ent))
+        assert [v.coaction for v in simple_comodules(c)] == old
+
+    if name != "taft3-GF7":
+        # gamma's backward map on B (x) H, with dim B = 2 < dim H
+        q = q or quotient_module_coalgebra(a)
+        x = regular_comodule(h)
+        breg = ComoduleData(f, q.dim, q.coalgebra.comult, q.coalgebra, "right")
+        res = gamma_isomorphism(x, breg, q)
+        smult = after_leg(h.mult, 1, h.antipode, d)
+        bwd = on_leg(d * q.dim, smult, 1, on_leg(d, _swap_map(f, d, q.dim), d, on_leg(
+            1, x.coaction, q.dim * d, res.target.basis_map())))
+        assert res.backward == res.source.factor(bwd, d, 1)[0]
+
+
+def test_pairing_sites_match_the_flip_products():
+    # U = kC2 paired with H = k^S3 through C2 -> S3, so dim U = 2 < dim H = 6
+    g3 = symmetric_group_3()
+    u, h = group_algebra(QQ, cyclic_group(2)), function_algebra(QQ, g3)
+    du, dh = 2, 6
+    flip = [t for t in range(6) if t != g3.identity and g3.mul(t, t) == g3.identity][0]
+    one = identity_map(QQ, du * dh)
+    for image, pairs in ((1, False), (flip, True)):
+        # sending the generator to a 3-cycle is no homomorphism; the loop
+        # ends on the pairing, whose hit actions are modules
+        p = PairingData(u, h, LinMap(QQ, 1, du * dh, {(0, g3.identity): 1,
+                                                       (0, dh + image): 1}))
+        form2 = after_leg(p.form.tensor(p.form), du, _swap_map(QQ, du, dh), dh)
+        d1 = after_leg(p.form, 1, u.mult, dh) - after_leg(form2, du * du, h.comult, 1)
+        d2 = after_leg(p.form, du, h.mult, 1) - after_leg(form2, 1, u.comult, dh * dh)
+        assert [c.ok for c in check_pairing(p).checks[:2]] == [d1.is_zero(), d2.is_zero()]
+        assert d1.is_zero() == pairs
+    cop = on_leg(1, _swap_map(QQ, dh, dh) @ h.comult, du, one)
+    right = on_leg(dh, p.form @ _swap_map(QQ, dh, du), 1, cop)
+    left = on_leg(dh, p.form, 1, on_leg(
+        1, _swap_map(QQ, du, dh), dh, on_leg(du, h.comult, 1, one)))
+    assert hit_action(p, "right").action == right
+    assert hit_action(p, "left").action == left
+
+    for n, form in ((h.dim, evaluation_pairing(h).form),
+                    (h.dim, coevaluation_pairing(h).form),
+                    (6, canonical_pairing(group_algebra(QQ, g3), h).form)):
+        assert form == LinMap(QQ, 1, n * n, {(0, i * n + i): 1 for i in range(n)})

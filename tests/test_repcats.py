@@ -22,13 +22,16 @@ from coideals.catalog import (
 )
 from coideals.certs import VerificationFailed
 from coideals.fields import GF, QQ
-from coideals.hopf import AlgebraData, dual_algebra
+from coideals.hopf import AlgebraData, _default_labels, _witness, dual_algebra
 from coideals.linalg import (
     LinMap,
     Subspace,
     after_leg,
     basis_vector,
+    image_of,
+    invert,
     kernel_of,
+    on_leg,
     solve,
 )
 from coideals.repcats import (
@@ -65,6 +68,7 @@ from coideals.repcats import (
     regular_module,
     regular_relhopf,
     restrict_algebra,
+    restricted_comultiplication,
     simple_comodules,
     socle_wrt,
     tensor_comodules,
@@ -102,8 +106,9 @@ def test_left_module_axioms_are_transported():
     a = group_algebra(QQ, symmetric_group_3()).algebra
     left = ModuleData(QQ, 6, a.mult, a, "left")
     assert check_module(left).ok
-    from coideals.linalg import swap_map
-    wrong = ModuleData(QQ, 6, a.mult @ swap_map(QQ, 6, 6), a, "right")
+    from coideals.linalg import identity_map, regroup
+    flip = regroup(identity_map(QQ, 36), (6, 6), (36,), (1, 0), (2,))
+    wrong = ModuleData(QQ, 6, a.mult @ flip, a, "right")
     assert not check_module(wrong).ok
 
 
@@ -738,3 +743,26 @@ def test_corestriction_keeps_axioms():
     h = sweedler4()
     v = corestrict_comodule(regular_comodule(h), h.coalgebra, LinMap.identity(QQ, 4))
     assert check_comodule(v).ok
+
+
+def test_restricted_comultiplication_matches_the_hand_written_factor():
+    # oracle: inv o coords placed on the left leg and lifted back with the
+    # inclusion.  The inclusions are not the canonical bases, so inv is no
+    # identity; span{1, x} of sweedler4 is no right coideal, span{1, g} is
+    h = sweedler4()
+    # columns 1, 1 + x and 1 + g, 1 - g in the basis 1, x, g, gx; only the
+    # second column of the first leaves, so the witness is not column 0
+    for cols, ok in (([{0: 1}, {0: 1, 1: 1}], False),
+                     ([{0: 1, 2: 1}, {0: 1, 2: -1}], True)):
+        inc = LinMap(QQ, 4, 2, {(i, j): v for j, col in enumerate(cols)
+                                for i, v in col.items()})
+        coords = image_of(inc).coords_map()
+        inv = invert(coords @ inc)
+        image = h.comult @ inc
+        delta = on_leg(1, inv @ coords, h.dim, image)
+        diff = on_leg(1, inc, h.dim, delta) - image
+        got, check = restricted_comultiplication(h, inc)
+        assert got == delta
+        assert check == ("coproduct-stays-in-subspace", diff.is_zero(),
+                         _witness(diff, [_default_labels(2, "a")]))
+        assert check[1] == ok and (check[2] is None) == ok
