@@ -4,7 +4,7 @@ The Hopf algebra is k^S4 over QQ (dimension 24), and the quotient is
 functions on the order-2 subgroup that the transposition (0 1)
 generates.  The pipeline's monad stage cotensors objects up to T^2 V of
 the regular comodule, so this is the largest instance the workbench
-runs end to end; it takes about 2 s (1.7 to 2.1 s and 115 MB peak RSS
+runs end to end; it takes about 0.5 s (0.4 to 0.5 s and 71 MB peak RSS
 in 3 fresh runs on a 2-vCPU x86-64 VM).  tests/test_demos.py runs it in a fresh process
 and asserts exit 0.
 

@@ -540,15 +540,14 @@ def phi_quotient(m, a, q):
     return com, proj, sect, well_defined
 
 
-def cotensor_comodule(n, h, left):
-    """N cotensor_B H inside N (x) H, for left the quotient coaction of H
-    over B, with the H-coaction I_N (x) Delta restricted to it.  Returns
-    (cotensor subspace, comodule)."""
-    s = cotensor(n, left)
+def cotensor_comodule(s, n, h):
+    """The H-comodule on s = N cotensor_B H, the cotensor of N against the
+    left quotient coaction of H over B inside N (x) H: the coaction
+    I_N (x) Delta restricted to s."""
     coact, lands = s.factor(on_leg(n.dim, h.comult, 1, s.basis_map()), 1, h.dim)
     if not lands:
         raise ValueError("the cotensor is not invariant under I (x) Delta")
-    return s, ComoduleData(h.field, s.dim, coact, h.coalgebra, "right")
+    return ComoduleData(h.field, s.dim, coact, h.coalgebra, "right")
 
 
 def psi_cotensor(n, a, q):
@@ -556,7 +555,8 @@ def psi_cotensor(n, a, q):
     and the subalgebra acting there as well.  Returns (relative Hopf
     module, cotensor subspace of N (x) H)."""
     h = q.hopf
-    s, com = cotensor_comodule(n, h, quotient_coaction(q, "left"))
+    s = cotensor(n, quotient_coaction(q, "left"))
+    com = cotensor_comodule(s, n, h)
     right_mult = after_leg(h.mult, h.dim, a.inclusion, 1)
     # B (x) I_A, so the action I_N (x) right_mult runs on S (x) A only
     b_a = on_leg(1, s.basis_map(), a.dim, identity_map(h.field, s.dim * a.dim))
@@ -842,7 +842,7 @@ def ses_cross_check(a, side="left"):
     memo = {}  # all modules here are right algx-modules: key by action
 
     def tensor_data(mod):
-        key = (mod.dim, tuple(mod.action.entries()))
+        key = (mod.dim, frozenset(mod.action.entries()))
         if key not in memo:
             memo[key] = _quotient_maps(_balanced_relations(
                 mod.action_operators(), w_ops, mod.dim, h.dim))

@@ -22,7 +22,9 @@ Conventions used by the whole package:
   a flattened vector is a regroup; no permutation matrix is built, and
   no other module decodes a map's keys to rebuild it.
 * A swap-and-contract of two maps is `diagonal`, never `tensor` followed
-  by placement: it walks their term pairs, so f (x) g is never built.
+  by placement: it walks their term pairs, so f (x) g is never built, and
+  only the pairs that meet a nonzero column of the contracting map (the
+  product of functions on a group has d of d^2).
 * A linear map f: V -> W, seen as a vector (for Hom-space computations),
   is flattened entry-major: entry (r, c) sits at position r*cols + c.
   Operators on such maps are placed from entries, never built by applying
@@ -42,7 +44,9 @@ Conventions used by the whole package:
   leg, goes through one method, Subspace.factor(m, a, b): it returns the
   coordinates of the map's columns and whether every column is a member,
   so membership and coordinates come from one path, and the leg span is
-  never built.
+  never built.  The coordinates are m's pivot rows, where the lift back
+  agrees with m by construction, so membership compares the non-pivot
+  rows only.
 
 A LinMap is stored sparse: a dict keyed by (row, col), with no zeros kept.
 Every elimination (Subspace.from_vectors and sum_with, kernel_of,
@@ -133,9 +137,9 @@ class LinMap:
         return self._d.get((r, c), self.field.zero)
 
     def entries(self):
-        """Iterate ((r, c), v) over nonzero entries in row-major order."""
-        for key in sorted(self._d):
-            yield key, self._d[key]
+        """The ((r, c), v) pairs of the nonzero entries, in no particular
+        order: a caller that needs one sorts them."""
+        return self._d.items()
 
     def nnz(self):
         return len(self._d)
@@ -150,8 +154,11 @@ class LinMap:
         """Every column as a list of (row, value) over its nonzeros, rows
         ascending; the list at index c is column c."""
         out = [[] for _ in range(self.cols)]
-        for (r, c), v in self.entries():
+        for (r, c), v in self._d.items():
             out[c].append((r, v))
+        # the rows of a column are distinct, so no two values are compared
+        for col in out:
+            col.sort()
         return out
 
     # -- arithmetic ---------------------------------------------------
@@ -283,28 +290,40 @@ def on_leg(a, g, b, m):
 def diagonal(f, dx, g, dy, mu):
     """(I (x) I (x) mu) o (I (x) flip (x) I) o (f (x) g) for f: S -> X (x) C,
     g: T -> Y (x) D, mu: C (x) D -> E, dx = dim X and dy = dim Y, never
-    building f (x) g: column (s, t) walks the terms x (x) c of f(e_s) and
-    y (x) d of g(e_t) against column c*dim D + d of mu."""
+    building f (x) g: each term x (x) c of f(e_s) meets only the nonzero
+    columns c*dim D + d of mu, and for each of them the terms y (x) d of
+    g(e_t), over every t."""
     k = same_field(f.field, same_field(g.field, mu.field))
     # an empty X or Y leg leaves no rows, so no term to walk
     dc, dd = f.rows // (dx or 1), g.rows // (dy or 1)
     if (dx * dc, dy * dd) != (f.rows, g.rows) or (dx * dy and dc * dd != mu.cols):
         raise DimensionMismatchError(f"contract by {mu.rows}x{mu.cols}: "
                                      f"{f.rows}x{f.cols} over {dx}, {g.rows}x{g.cols} over {dy}")
-    de, mcols = mu.rows, mu.sparse_columns()
-    gcols = [[divmod(r, dd) + (u,) for r, u in col] for col in g.sparse_columns()]
+    de, gc = mu.rows, g.cols
+    # the nonzero columns of mu by their C index, as (d, terms) pairs
+    mu_at = [[] for _ in range(dc)]
+    if dx * dy:
+        for cd, col in enumerate(mu.sparse_columns()):
+            if col:
+                c, d = divmod(cd, dd)
+                mu_at[c].append((d, col))
+    # the terms of g by their D index, as (t, y, value)
+    g_at = [[] for _ in range(dd)]
+    for (r, t), u in g._d.items():
+        y, d = divmod(r, dd)
+        g_at[d].append((t, y, u))
+    mul, add, zero = k.mul, k.add, k.zero
     out = {}
-    for s, col in enumerate(f.sparse_columns()):
-        for r, v in col:
-            x, c = divmod(r, dc)
-            for t, terms in enumerate(gcols):
-                for y, d, u in terms:
-                    vu, row = k.mul(v, u), (x * dy + y) * de
-                    for e, w in mcols[c * dd + d]:
-                        key = (row + e, s * g.cols + t)
-                        out[key] = k.add(out.get(key, k.zero), k.mul(vu, w))
+    for (r, s), v in f._d.items():
+        x, c = divmod(r, dc)
+        for d, col in mu_at[c]:
+            for t, y, u in g_at[d]:
+                vu, row, sc = mul(v, u), (x * dy + y) * de, s * gc + t
+                for e, w in col:
+                    key = (row + e, sc)
+                    out[key] = add(out.get(key, zero), mul(vu, w))
     # the constructor drops the sums that cancelled
-    return LinMap(k, dx * dy * de, f.cols * g.cols, out)
+    return LinMap(k, dx * dy * de, f.cols * gc, out)
 
 
 def after_leg(m, a, g, b):
@@ -565,9 +584,38 @@ class Subspace:
         lands true exactly when on_leg(a, basis_map(), b, X) == m, that
         is, when every column of m is a member; X is then the unique such
         map.  Callers that report a failed check may still read X.
+
+        X is read off the pivot rows of m.  The lift of X agrees with m
+        there by construction, since each basis row is one at its own
+        pivot and zero at the others, so lands compares the other rows
+        only: the lift of X through the basis rows' non-pivot entries
+        against what m has on the non-pivot rows.  Every entry of that
+        lift is on a non-pivot row, so it equals m there when it has as
+        many entries and each is m's; no copy of m's rows is made.
         """
-        x = on_leg(a, self.coords_map(), b, m)
-        return x, on_leg(a, self.basis_map(), b, x) == m
+        same_field(self.field, m.field)
+        n, dim, pivots = self.ambient, self.dim, self.pivots
+        if m.rows != a * n * b:
+            raise DimensionMismatchError(
+                f"I_{a} (x) {dim}x{n} (x) I_{b} before {m.rows}x{m.cols}")
+        at = {p: k for k, p in enumerate(pivots)}
+        x, rest = {}, 0
+        for (row, c), v in m._d.items():
+            q, j = divmod(row, b)
+            i, r = divmod(q, n)
+            k = at.get(r)
+            if k is None:
+                rest += 1
+            else:
+                x[((i * dim + k) * b + j, c)] = v
+        x = LinMap._trusted(self.field, a * dim * b, m.cols, x)
+        off = LinMap._trusted(self.field, n, dim, {
+            (r, k): v for k, p in enumerate(pivots)
+            for r, v in self._basis[p].items() if r != p})
+        lift = on_leg(a, off, b, x)._d
+        get = m._d.get
+        return x, len(lift) == rest and all(
+            get(key) == v for key, v in lift.items())
 
     def _same_ambient(self, other):
         same_field(self.field, other.field)

@@ -633,16 +633,9 @@ def adjunction_unit_counit_check(a, m, n):
             f"({lhs.dim}, {rhs.dim})")
     forward = rhs.coords_map() @ translated
 
-    unit_c = a.algebra.unit_vector
-    da = a.dim
-    ev = {}
-    for n0 in range(dn):
-        for j, uc in enumerate(unit_c):
-            if uc != f.zero:
-                ev[(n0, n0 * da + j)] = uc
-    evmap = LinMap(f, dn, dn * da, ev)
-    backward, lands = lhs.factor(
-        on_leg(1, evmap @ ihom.carrier.basis_map(), dm, rhs.basis_map()))
+    # evaluation at the unit: u^T on the A leg of each compatible map
+    ev = on_leg(dn, a.algebra.unit.transpose(), 1, ihom.carrier.basis_map())
+    backward, lands = lhs.factor(on_leg(1, ev, dm, rhs.basis_map()))
     rep.add("evaluation lands in the colinear maps", lands)
     d3 = backward @ forward - identity_map(f, lhs.dim)
     rep.add("evaluation after translate is the identity", d3.is_zero())
@@ -659,6 +652,14 @@ def surjectivity_from_coflatness(q):
     in the mixed cotensor, the projected map onto the one-sided cotensor
     is onto, and the full composite back to the original space is the
     identity."""
+    return _surjectivity(q, _Cotensors(q))
+
+
+def _surjectivity(q, cotensors):
+    """surjectivity_from_coflatness, its two cotensors looked up in
+    cotensors: the mixed one is that of F(H), H corestricted to the
+    quotient, and the one-sided one that of the quotient regular
+    comodule."""
     h = q.hopf
     f = h.field
     b = q.coalgebra
@@ -668,11 +669,10 @@ def surjectivity_from_coflatness(q):
             f"rank {r} against dim {b.dim}")
     dh = h.dim
     right = quotient_coaction(q, "right", "whole algebra, right quotient coaction")
-    left = quotient_coaction(q, "left", "whole algebra, left quotient coaction")
-    mixed = cotensor(right, left)
+    mixed = cotensors.space(right)
     rep.add("comultiplication lands in the cotensor",
             mixed.factor(h.comult)[1])
-    onesided = cotensor(regular_comodule_of(b, "quotient regular"), left)
+    onesided = cotensors.space(regular_comodule_of(b, "quotient regular"))
     mapped = onesided.coords_map() @ on_leg(1, q.projection, dh, mixed.basis_map())
     r = rank(mapped)
     rep.add("projected cotensor map is onto", r == onesided.dim,
@@ -731,18 +731,17 @@ class GammaResult:
         return self.report.ok
 
 
-def _gamma_forward(x, m, s1, q, left, rep):
-    """The forward comparison map in subspace coordinates and the cotensor
-    s2 of the translated tensor it lands in, checking that membership.  s1
-    is the cotensor of m against left, the left quotient comodule of q."""
-    s2 = cotensor(translated_tensor(x, m, q), left)
+def _gamma_forward(x, m, s1, s2, q, rep):
+    """The forward comparison map in subspace coordinates, checking that it
+    lands in s2.  s1 is the cotensor of m, and s2 that of
+    translated_tensor(x, m, q), against the left quotient comodule of q."""
     # x (x) (m (x) h) -> x0 (x) m (x) x1*h on the basis B_1 of s1
     forward, lands = s2.factor(
         diagonal(x.coaction, x.dim, s1.basis_map(), m.dim, q.hopf.mult))
     rep.add("forward map lands in the translated cotensor", lands,
             None if lands
             else "membership in the cotensor over the quotient failed")
-    return forward, s2
+    return forward
 
 
 # seeded random vectors on which gamma_isomorphism rechecks the round trip
@@ -771,7 +770,8 @@ def gamma_isomorphism(x, m, q, seed=20260822):
         raise VerificationFailed(rep)
     left = quotient_coaction(q, "left", "whole algebra, left coaction")
     s1 = cotensor(m, left)
-    forward, s2 = _gamma_forward(x, m, s1, q, left, rep)
+    s2 = cotensor(translated_tensor(x, m, q), left)
+    forward = _gamma_forward(x, m, s1, s2, q, rep)
     f = h.field
     dx, dm, dh = x.dim, m.dim, h.dim
     smult = after_leg(h.mult, 1, h.antipode, dh)
@@ -811,27 +811,69 @@ def cotensor_psi_adjunction(q):
 
     The unit at V is the coaction of V read in cotensor coordinates; the
     counit at N applies the algebra counit to the cotensor's second leg.
-    The left adjoint builds a new object on every call, so the cotensor
-    subspace and its comodule are memoized by the value of the object,
-    its dimension and coaction entries; every object of the target
+    The left adjoint builds a new object on every call, so each cotensor
+    and its comodule, and the unit, counit and right adjoint on maps, are
+    computed once per value of their arguments: an object's value is its
+    dimension and coaction entries, and every object of the target
     category is a comodule over the quotient.
     """
-    return _cotensor_psi(q, None)[0]
+    return _cotensor_psi(q, None, _Cotensors(q))
 
 
-def _cotensor_psi(q, objects):
-    """cotensor_psi_adjunction, the left quotient comodule and the memoized
-    lookup of an object's cotensor subspace and comodule."""
-    h = q.hopf
-    b = q.coalgebra
-    left = quotient_coaction(q, "left", "whole algebra, left coaction")
+def _by_value(n):
+    """The key of a comodule in the memos of the cotensor adjunction: its
+    dimension and coaction entries."""
+    return n.dim, frozenset(n.coaction.entries())
+
+
+def _memoized(fn, key):
+    """fn computed once per key(*args), for the life of the returned
+    function."""
     memo = {}
 
-    def cotensored(n):
-        key = (n.dim, tuple(n.coaction.entries()))
-        if key not in memo:
-            memo[key] = cotensor_comodule(n, h, left)
-        return memo[key]
+    def call(*args):
+        k = key(*args)
+        if k not in memo:
+            memo[k] = fn(*args)
+        return memo[k]
+
+    return call
+
+
+class _Cotensors:
+    """The cotensors against the left quotient comodule of q, each
+    computed once and found by the value of the right comodule (_by_value),
+    for one pipeline run or one adjunction.  Stages build objects of equal
+    value on their own: the left adjoint on every call, the surjectivity
+    certificate and each tensor witness.  The comodule on a cotensor is
+    built only for the stages that ask for it."""
+
+    def __init__(self, q):
+        self.hopf = q.hopf
+        self.left = quotient_coaction(q, "left", "whole algebra, left coaction")
+        self._memo = {}
+
+    def _entry(self, n):
+        key = _by_value(n)
+        e = self._memo.get(key)
+        if e is None:
+            e = self._memo[key] = [cotensor(n, self.left), None]
+        return e
+
+    def space(self, n):
+        return self._entry(n)[0]
+
+    def comodule(self, n):
+        e = self._entry(n)
+        if e[1] is None:
+            e[1] = cotensor_comodule(e[0], n, self.hopf)
+        return e[1]
+
+
+def _cotensor_psi(q, objects, cotensors):
+    """cotensor_psi_adjunction, its cotensors looked up in cotensors."""
+    h = q.hopf
+    b = q.coalgebra
 
     def left_on_objects(v):
         return corestrict_comodule(v, b, q.projection)
@@ -840,52 +882,56 @@ def _cotensor_psi(q, objects):
         return m
 
     def right_on_objects(n):
-        return replace(cotensored(n)[1],
+        return replace(cotensors.comodule(n),
                        name=f"cotensor against {_obj_name(n)}")
 
     def right_on_maps(nsrc, ndst, mat):
-        s_src, s_dst = cotensored(nsrc)[0], cotensored(ndst)[0]
+        s_src, s_dst = cotensors.space(nsrc), cotensors.space(ndst)
         out, lands = s_dst.factor(on_leg(1, mat, h.dim, s_src.basis_map()))
         if not lands:
             raise ValueError("map does not preserve the cotensor")
         return out
 
     def unit(v):
-        out, lands = cotensored(left_on_objects(v))[0].factor(v.coaction)
+        out, lands = cotensors.space(left_on_objects(v)).factor(v.coaction)
         if not lands:
             raise ValueError("coaction does not land in the cotensor")
         return out
 
     def counit(n):
-        return on_leg(n.dim, h.counit, 1, cotensored(n)[0].basis_map())
+        return on_leg(n.dim, h.counit, 1, cotensors.space(n).basis_map())
 
     if objects is None:
         objects = (trivial_comodule(h), regular_comodule(h))
     targets = (regular_comodule_of(b, "quotient regular"),)
-    adj = AdjunctionData(f"corestriction/cotensor over {q.name or 'quotient'}",
-                         left_on_objects, left_on_maps, right_on_objects,
-                         right_on_maps, unit, counit, tuple(objects),
-                         targets)
-    return adj, left, cotensored
+    return AdjunctionData(
+        f"corestriction/cotensor over {q.name or 'quotient'}",
+        left_on_objects, left_on_maps, right_on_objects,
+        _memoized(right_on_maps, lambda nsrc, ndst, mat: (
+            _by_value(nsrc), _by_value(ndst), mat.rows, mat.cols,
+            frozenset(mat.entries()))),
+        _memoized(unit, _by_value), _memoized(counit, _by_value),
+        tuple(objects), targets)
 
 
 def cotensor_psi_monad(q):
     """The induced monad with tensor witnesses given by the forward
     comparison map against the trivial comodule over the quotient."""
-    return _cotensor_psi_monad(q, None)[0]
+    return _cotensor_psi_monad(q, None, _Cotensors(q))[0]
 
 
-def _cotensor_psi_monad(q, objects):
+def _cotensor_psi_monad(q, objects, cotensors):
     """cotensor_psi_monad, and the cotensor carrying its unit object."""
     h = q.hopf
-    adj, left, cotensored = _cotensor_psi(q, objects)
+    adj = _cotensor_psi(q, objects, cotensors)
     i_obj = trivial_comodule(h)
     triv_b = corestrict_comodule(i_obj, q.coalgebra, q.projection)
-    s1 = cotensored(triv_b)[0]  # from the memo: triv_b is cotensored once
+    s1 = cotensors.space(triv_b)
 
     def witness(v):
         rep = CertReport("tensor witness")
-        forward, _ = _gamma_forward(v, triv_b, s1, q, left, rep)
+        s2 = cotensors.space(translated_tensor(v, triv_b, q))
+        forward = _gamma_forward(v, triv_b, s1, s2, q, rep)
         if not rep.ok:
             raise VerificationFailed(rep)
         return forward
@@ -933,6 +979,8 @@ def theorem2_pipeline(q, objects=None):
     rep = CertReport(f"quotient-to-subalgebra pipeline "
                      f"for {q.name or 'quotient'}")
     stages = []
+    # every cotensor of the run, shared by the surjectivity and monad stages
+    cotensors = _Cotensors(q)
 
     sub = CertReport("coalgebra map recovery")
     lam = quotient_coaction(q, "right").coaction
@@ -950,8 +998,7 @@ def theorem2_pipeline(q, objects=None):
     cofl = is_faithfully_coflat(q, "left")
     _pipeline_stage(rep, stages, "faithful coflatness", cofl.report)
 
-    _pipeline_stage(rep, stages, "surjectivity",
-                    surjectivity_from_coflatness(q))
+    _pipeline_stage(rep, stages, "surjectivity", _surjectivity(q, cotensors))
 
     a = coinvariants(q)
     _pipeline_stage(rep, stages, "coinvariants", a.report)
@@ -960,7 +1007,7 @@ def theorem2_pipeline(q, objects=None):
                     psi_module_functor_report(q))
 
     sub = CertReport("monad extraction")
-    ms, s1 = _cotensor_psi_monad(q, objects)
+    ms, s1 = _cotensor_psi_monad(q, objects, cotensors)
     sub.merge(ms.report)
     labels = tuple(h.labels[p] for p in a.space.pivots) if h.labels else ()
     ua = unit_object_algebra(ms, labels=labels)

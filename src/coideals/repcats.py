@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import isqrt
 
 from .certs import CertReport, VerificationFailed
 from .fields import same_field
@@ -605,8 +606,48 @@ def matrix_minpoly(m):
 
 
 def factor_poly(field, coeffs):
-    """Irreducible monic factors over the coefficient field via sympy.
-    Returns a sorted list of (factor coeffs low-first, multiplicity)."""
+    """Irreducible monic factors over the coefficient field.  Returns a
+    sorted list of (factor coeffs low-first, multiplicity).
+
+    Degree 1 over any field and degree 2 over QQ are split here.  A monic
+    x^2 + p x + q splits over QQ exactly when its discriminant p^2 - 4q
+    is the square of a rational, that is, when the numerator and the
+    denominator of that fraction in lowest terms are both squares.  Any
+    other polynomial goes to sympy."""
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    if len(cs) == 2:
+        out = [((field.mul(cs[0], field.inv(cs[1])), field.one), 1)]
+    elif len(cs) == 3 and field.char == 0:
+        out = _rational_quadratic_factors(field, cs)
+    else:
+        out = _sympy_factors(field, coeffs)
+    out.sort(key=lambda t: (len(t[0]), [field.fmt(c) for c in t[0]]))
+    return out
+
+
+def _rational_quadratic_factors(field, cs):
+    """The factors of cs[0] + cs[1] x + cs[2] x^2 over QQ, cs[2] nonzero."""
+    inv = field.inv(cs[2])
+    p, q = field.mul(cs[1], inv), field.mul(cs[0], inv)
+    disc = field.sub(field.mul(p, p), field.mul(field.from_int(4), q))
+    num, den = disc.numerator, disc.denominator
+    rn, rd = isqrt(max(num, 0)), isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        return [((q, p, field.one), 1)]
+    root = field.mul(rn, field.inv(rd))
+    half = field.inv(field.from_int(2))
+    # x^2 + p x + q = (x + (p - root)/2)(x + (p + root)/2)
+    lo = field.mul(field.sub(p, root), half)
+    if not root:
+        return [((lo, field.one), 2)]
+    return [((lo, field.one), 1),
+            ((field.mul(field.add(p, root), half), field.one), 1)]
+
+
+def _sympy_factors(field, coeffs):
+    """factor_poly's factors, unsorted, through sympy."""
     # imported on first use: sympy is most of the time `import coideals` takes
     import sympy
 
@@ -624,7 +665,6 @@ def factor_poly(field, coeffs):
         else:
             cs = [field.from_int(int(c)) for c in reversed(fac.all_coeffs())]
         out.append((tuple(cs), mult))
-    out.sort(key=lambda t: (len(t[0]), [field.fmt(c) for c in t[0]]))
     return out
 
 

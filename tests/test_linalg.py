@@ -640,7 +640,8 @@ def test_leg_placement_matches_the_kronecker_product(field, shape, data):
             after_leg(LinMap.zero(field, 1, a * gr * b + off), a, g, b)
 
 
-@pytest.mark.parametrize("shape", ["any", "cancelling", "zero"])
+@pytest.mark.parametrize("shape", ["any", "cancelling", "zero", "sparse mu",
+                                   "function mult"])
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
 @seed(20261021)
 @settings(max_examples=30, deadline=None)
@@ -648,7 +649,10 @@ def test_leg_placement_matches_the_kronecker_product(field, shape, data):
 def test_diagonal_matches_the_swapped_kronecker_product(field, shape, data):
     # oracle: f (x) g built with tensor, the C and Y legs swapped and mu
     # placed on C (x) D; "cancelling" draws entries from 0 and +-1, so term
-    # pairs often meet mu with opposite signs, and "zero" makes f zero
+    # pairs often meet mu with opposite signs, and "zero" makes f zero.
+    # diagonal walks only the nonzero columns of mu: "sparse mu" keeps at
+    # most a third of them, and "function mult" is the product of the
+    # functions on a group of order 3, 3 nonzero columns out of 9
     scalar = (st.sampled_from([0, 1, -1]) if shape == "cancelling"
               else st.one_of(st.just(0), _entries(field)))
 
@@ -658,11 +662,21 @@ def test_diagonal_matches_the_swapped_kronecker_product(field, shape, data):
                 divmod(i, cols): field.parse(str(x)) for i, x in enumerate(xs)}))
 
     dx, dc, dy, dd, de = (data.draw(st.integers(1, 3)) for _ in range(5))
+    if shape == "function mult":
+        dc = dd = de = 3
     cols = st.integers(0, 3)
     f = (LinMap.zero(field, dx * dc, data.draw(cols)) if shape == "zero"
          else data.draw(linmap(dx * dc, data.draw(cols))))
     g = data.draw(linmap(dy * dd, data.draw(cols)))
-    mu = data.draw(linmap(de, dc * dd))
+    if shape == "function mult":
+        mu = function_algebra(field, cyclic_group(3)).mult
+    else:
+        mu = data.draw(linmap(de, dc * dd))
+    if shape == "sparse mu":
+        live = data.draw(st.sets(st.integers(0, dc * dd - 1),
+                                 max_size=max(1, dc * dd // 3)))
+        mu = LinMap(field, de, dc * dd,
+                    {(e, c): v for (e, c), v in mu.entries() if c in live})
     flip = regroup(identity_map(field, dc * dy), (dc, dy), (dc * dy,), (1, 0), (2,))
     oracle = on_leg(dx * dy, mu, 1, on_leg(dx, flip, dd, f.tensor(g)))
     assert linalg.diagonal(f, dx, g, dy, mu) == oracle
@@ -815,7 +829,8 @@ def test_sparse_dense_paths_agree():
     assert (half_a @ x) + (half_b @ x) == m @ x
     assert half_a.transpose() + half_b.transpose() == m.transpose()
     assert kernel_of(m) == kernel_of(half_a + half_b)
-    assert list(m.entries()) == list((half_a + half_b).entries())
+    # entries() keeps no order, so the two lists are compared sorted
+    assert sorted(m.entries()) == sorted((half_a + half_b).entries())
 
 
 def test_no_stored_zeros():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from coideals.catalog import subgroup_data, sweedler4, symmetric_group_3
 from coideals.certs import VerificationFailed
 from coideals.fields import QQ
-from coideals.linalg import LinMap, Subspace, basis_vector, identity_map
+from coideals.linalg import LinMap, Subspace, basis_vector, identity_map, on_leg
 from coideals.repcats import (
     ComoduleData,
     check_comodule,
@@ -334,6 +334,26 @@ def test_adjunction_bijection_on_the_subalgebra_pair(h4, a_1g):
     assert res.module_maps.dim == 2
 
 
+@pytest.mark.parametrize("pair", ["regular", "subalgebra"])
+def test_adjunction_evaluation_matches_the_entrywise_evaluation(h4, a_1g, pair):
+    # oracle: evaluation at the subalgebra unit written entry by entry as
+    # I_N (x) u^T, u the unit vector, on the two pairs of criterion 8
+    rel = (regular_relhopf(h4, a_1g.algebra, a_1g.inclusion, name="regular")
+           if pair == "regular" else coideal_as_relhopf(a_1g))
+    n = regular_comodule(h4)
+    res = adjunction_unit_counit_check(a_1g, rel, n)
+    assert res.ok
+    da, dn = a_1g.dim, n.dim
+    evmap = LinMap(QQ, dn, dn * da, {
+        (n0, n0 * da + j): u for n0 in range(dn)
+        for j, u in enumerate(a_1g.algebra.unit_vector) if u})
+    carrier = internal_hom(a_1g, n).carrier
+    want, lands = res.colinear_maps.factor(on_leg(
+        1, evmap @ carrier.basis_map(), rel.dim, res.module_maps.basis_map()))
+    assert lands
+    assert res.backward == want
+
+
 # -- surjectivity of the projected cotensor map -------------------------
 
 def test_surjectivity_on_the_grouplike_quotient(q_1g):
@@ -437,23 +457,51 @@ def test_pipeline_on_functions_on_the_symmetric_group():
     assert res.subalgebra.space == a3.space
 
 
-def test_cotensor_adjunction_cotensors_each_object_once(monkeypatch):
-    # the left adjoint builds a new object on every call; the cotensor is
-    # still computed once per distinct object, compared by value.  The
-    # adjunction cotensors through correspondence.cotensor_comodule
+def _count_cotensors(monkeypatch, record):
+    """Patch cotensor at both sites that the adjunction and the pipeline
+    reach it from, monadics and correspondence, calling record(v, w) on
+    each call."""
     import coideals.correspondence as correspondence
-    _, _, q3 = subgroup_data(QQ, symmetric_group_3(), (0, 3))
-    seen = []
+    import coideals.monadics as monadics
     real = correspondence.cotensor
 
     def counted(v, w):
-        seen.append((v.dim, tuple(v.coaction.entries())))
+        record(v, w)
         return real(v, w)
 
-    monkeypatch.setattr(correspondence, "cotensor", counted)
+    for module in (correspondence, monadics):
+        monkeypatch.setattr(module, "cotensor", counted)
+
+
+def _cotensor_pair(v, w):
+    """A (V, W) pair of a cotensor call, by value."""
+    return (v.dim, frozenset(v.coaction.entries()),
+            w.dim, frozenset(w.coaction.entries()))
+
+
+def test_cotensor_adjunction_cotensors_each_object_once(monkeypatch):
+    # the left adjoint builds a new object on every call; the cotensor is
+    # still computed once per distinct object, compared by value
+    _, _, q3 = subgroup_data(QQ, symmetric_group_3(), (0, 3))
+    seen = []
+    _count_cotensors(monkeypatch, lambda v, w: seen.append(_cotensor_pair(v, w)))
     assert cotensor_psi_monad(q3).report.ok
     assert len(seen) > 1
     assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("case", ["k^S3/quot3", "h4/q1g"])
+def test_theorem2_cotensors_each_pair_once(monkeypatch, case, q_1g, ks3_pair):
+    # one pipeline run shares its cotensors between the surjectivity
+    # stage, the adjunction and the tensor witnesses: F(H), the quotient
+    # regular comodule, F(I), F(T(I)) and F(T(H)), each once, where
+    # before the stages met them 12 times
+    q = ks3_pair[1] if case == "k^S3/quot3" else q_1g
+    seen = []
+    _count_cotensors(monkeypatch, lambda v, w: seen.append(_cotensor_pair(v, w)))
+    assert theorem2_pipeline(q).ok
+    assert len(seen) == 5
+    assert len(set(seen)) == 5
 
 
 @pytest.mark.parametrize("case", ["k^S3/quot3", "h4/q1g"])
@@ -461,16 +509,9 @@ def test_cotensor_monad_cotensors_nothing_above_t2v(monkeypatch, case, q_1g,
                                                     ks3_pair):
     # F keeps carriers, so cotensoring F(T^k V) builds T^(k+1) V; the
     # largest object cotensored must be F(TV), whose cotensor is T^2 V
-    import coideals.correspondence as correspondence
     q = ks3_pair[1] if case == "k^S3/quot3" else q_1g
     dims = []
-    real = correspondence.cotensor
-
-    def counted(v, w):
-        dims.append(v.dim)
-        return real(v, w)
-
-    monkeypatch.setattr(correspondence, "cotensor", counted)
+    _count_cotensors(monkeypatch, lambda v, w: dims.append(v.dim))
     ms = cotensor_psi_monad(q)
     assert ms.report.ok
     built = list(dims)

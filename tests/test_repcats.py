@@ -11,11 +11,15 @@ from pathlib import Path
 from random import Random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coideals.catalog import (
     cyclic_group,
     function_algebra,
     group_algebra,
+    subgroup_data,
     sweedler4,
     symmetric_group_3,
     taft,
@@ -75,6 +79,7 @@ from coideals.repcats import (
     trivial_comodule,
     trivial_comodule_at,
 )
+from coideals.specfile import save_spec, spec_from_hopf, spec_from_quotient
 
 
 def left_regular_comodule(h):
@@ -548,6 +553,91 @@ def test_factor_poly():
     assert len(facs3) == 2 and all(len(f) == 2 and m == 1 for f, m in facs3)
     # x^2 + x + 1 is irreducible over the rationals
     assert len(factor_poly(QQ, (Fr(1), Fr(1), Fr(1)))) == 1
+
+
+def _factor_list_oracle(field, coeffs):
+    """sympy's factor_list, monic factors low-first, in factor_poly's order."""
+    x = sympy.Symbol("x")
+    if field.char == 0:
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(coeffs)], x, domain="QQ")
+        read = lambda c: field.parse(str(c))  # noqa: E731
+    else:
+        poly = sympy.Poly([int(c) for c in reversed(coeffs)], x,
+                          modulus=field.char)
+        read = lambda c: field.from_int(int(c))  # noqa: E731
+    out = [(tuple(read(c) for c in reversed(fac.monic().all_coeffs())), m)
+           for fac, m in poly.factor_list()[1]]
+    return sorted(out, key=lambda t: (len(t[0]), [field.fmt(c) for c in t[0]]))
+
+
+def _times(field, p, q):
+    """The product of two low-first coefficient lists."""
+    out = [field.zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = field.add(out[i + j], field.mul(a, b))
+    return tuple(out)
+
+
+_RATIONAL = st.fractions(-12, 12, max_denominator=6).map(lambda c: QQ.parse(str(c)))
+_UNIT = _RATIONAL.filter(bool)
+
+
+@st.composite
+def _rational_polys(draw):
+    """Non-monic polynomials over QQ of degree 1 to 3: any coefficients, a
+    double root (zero discriminant), two rational roots, a quadratic with
+    irrational roots (x^2 - k, k not a square), or a cubic."""
+    lead = draw(_UNIT)
+    kind = draw(st.sampled_from(["any", "double", "split", "irrational", "cubic"]))
+    if kind == "any":
+        return draw(st.lists(_RATIONAL, min_size=1, max_size=2)) + [lead]
+    if kind == "cubic":
+        return draw(st.lists(_RATIONAL, min_size=3, max_size=3)) + [lead]
+    if kind == "irrational":
+        k = draw(st.sampled_from([2, 3, 5, 6, 7, 10, -1, -3]))
+        return _times(QQ, (lead,), (QQ.from_int(-k), 0, 1))
+    r = draw(_RATIONAL)
+    t = r if kind == "double" else draw(_RATIONAL)
+    return _times(QQ, (lead,), _times(QQ, (QQ.neg(r), 1), (QQ.neg(t), 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=_rational_polys())
+def test_factor_poly_matches_sympy_over_the_rationals(coeffs):
+    # degrees 1 and 2 are split without sympy, degree 3 still through it
+    assert factor_poly(QQ, tuple(coeffs)) == _factor_list_oracle(QQ, coeffs)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_factor_poly_matches_sympy_at_degree_one_over_prime_fields(p, data):
+    f = GF(p)
+    coeffs = (data.draw(st.integers(0, p - 1)), data.draw(st.integers(1, p - 1)))
+    assert factor_poly(f, coeffs) == _factor_list_oracle(f, coeffs)
+
+
+def test_theorem2_on_the_functions_on_s3_leaves_sympy_unloaded(tmp_path):
+    # the minimal polynomials met there have degree 1 or 2, split without
+    # sympy
+    g = symmetric_group_3()
+    save_spec(spec_from_hopf(function_algebra(QQ, g, name="k^S3")),
+              tmp_path / "ks3fun.spec")
+    save_spec(spec_from_quotient(subgroup_data(QQ, g, (0, 3))[2]),
+              tmp_path / "quot3.spec")
+    import coideals
+    src = str(Path(coideals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    code = ("import sys; from coideals.cli import main; "
+            f"code = main(['theorem2', {str(tmp_path / 'ks3fun.spec')!r}, "
+            f"'--quotient', {str(tmp_path / 'quot3.spec')!r}]); "
+            "print(code, 'sympy' in sys.modules, file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split()[-2:] == ["0", "False"]
 
 
 def test_import_leaves_sympy_unloaded():
