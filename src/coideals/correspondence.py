@@ -49,6 +49,7 @@ from .linalg import (
     image_of,
     kernel_of,
     on_leg,
+    placed,
     rank,
     regroup,
     stack_maps,
@@ -97,13 +98,23 @@ def _first_outside(s, m, labels):
 
 def _balanced_relations(left_ops, right_ops, dl, dr):
     """The relations of the balanced tensor L (x)_A R: the image of
-    l.a (x) e_k - e_i (x) a.r over all (a, i, k); left_ops act on L from
-    the right, right_ops on R from the left, one per basis element a."""
-    one = identity_map(left_ops[0].field, dl * dr)
-    # the relations are the columns, so their transposes are stacked
-    return image_of(stack_maps(
-        [(on_leg(1, la, dr, one) - on_leg(dl, ra, 1, one)).transpose()
-         for la, ra in zip(left_ops, right_ops)]).transpose())
+    l_i.a (x) e_k - e_i (x) a.r_k over all (a, i, k), column
+    (a*dl + i)*dr + k of the relation matrix; left_ops act on L from the
+    right, right_ops on R from the left, one per basis element a."""
+    f = left_ops[0].field
+    sub, zero = f.sub, f.zero
+    out = {}
+    for a, (la, ra) in enumerate(zip(left_ops, right_ops)):
+        for (r, i), w in la.entries():
+            col = (a * dl + i) * dr
+            for k in range(dr):
+                out[(r * dr + k, col + k)] = w
+        for (r, k), w in ra.entries():
+            for i in range(dl):
+                key = (i * dr + r, (a * dl + i) * dr + k)
+                out[key] = sub(out.get(key, zero), w)
+    # the constructor drops the relations' cancelled entries
+    return image_of(LinMap(f, dl * dr, len(left_ops) * dl * dr, out))
 
 
 # -- the two sides of the correspondence --------------------------------
@@ -294,7 +305,7 @@ def coinvariants(q):
     f = h.field
     pi_one = LinMap.from_column(f, q.projection.apply(h.unit_vector()))
     diff = quotient_coaction(q, "left").coaction \
-        - on_leg(1, pi_one, h.dim, identity_map(f, h.dim))
+        - placed(1, pi_one, h.dim)
     ker = kernel_of(diff)
     a = verify_coideal_subalgebra(h, ker, f"coinvariants of {q.name or 'B'}")
     if not a.ok:
@@ -372,8 +383,7 @@ def module_flatness(mod, carrier_labels=()):
 
     mops = mod.action_operators()
     regs = regular_module(alg, mod.side).action_operators()
-    one = identity_map(f, n * da)
-    constraints = [(op, on_leg(n, reg, 1, one)) for op, reg in zip(mops, regs)]
+    constraints = [(op, placed(n, reg, 1)) for op, reg in zip(mops, regs)]
     section = find_section(p, constraints)
     projective = section is not None
     rep.add("projective", projective,
@@ -559,7 +569,7 @@ def psi_cotensor(n, a, q):
     com = cotensor_comodule(s, n, h)
     right_mult = after_leg(h.mult, h.dim, a.inclusion, 1)
     # B (x) I_A, so the action I_N (x) right_mult runs on S (x) A only
-    b_a = on_leg(1, s.basis_map(), a.dim, identity_map(h.field, s.dim * a.dim))
+    b_a = placed(1, s.basis_map(), a.dim)
     act, lands = s.factor(on_leg(n.dim, right_mult, 1, b_a))
     if not lands:
         raise ValueError("the cotensor is not invariant under the action")

@@ -65,6 +65,7 @@ from .linalg import (
     basis_vector,
     identity_map,
     on_leg,
+    placed,
     rank,
     regroup,
 )
@@ -620,14 +621,13 @@ def hit_action(p, side):
 
     f = p.u.field
     du, dh = p.u.dim, p.h.dim
-    one = identity_map(f, du * dh)
     if side == "right":
         # H (x) U -> H: (x, z) -> (x1, x2, z) -> (x2, z, x1) -> x2 <z, x1>
-        legs = regroup(on_leg(1, p.h.comult, du, one),
+        legs = regroup(placed(1, p.h.comult, du),
                        (dh, dh, du), (dh * du,), (1, 2, 0), (3,))
     elif side == "left":
         # U (x) H -> H: (z, x) -> (z, x1, x2) -> (x1, z, x2) -> x1 <z, x2>
-        legs = regroup(on_leg(du, p.h.comult, 1, one),
+        legs = regroup(placed(du, p.h.comult, 1),
                        (du, dh, dh), (du * dh,), (1, 0, 2), (3,))
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")

@@ -10,8 +10,12 @@ Conventions used by the whole package:
   with row index i*rows_g + i2, column index j*cols_g + j2.
 * A map g on one leg, I_a (x) g (x) I_b, is placed, never built: on_leg
   sends row (i*g.cols + k)*b + j of m to rows (i*g.rows + k2)*b + j, and
-  after_leg does the same to columns.  `tensor` is for factors that are
-  not identities; a leg map wanted as a matrix is on_leg of an identity.
+  after_leg sends column (i*g.rows + k2)*b + j of m to columns
+  (i*g.cols + k)*b + j, each summing over the terms g[k2][k].  `tensor`
+  is for factors that are not identities.
+* A leg map wanted as a matrix is placed(a, g, b): entry (k2, k) of g
+  goes to row (i*g.rows + k2)*b + j and column (i*g.cols + k)*b + j for
+  each i < a and j < b, nothing summed, never on_leg of a built identity.
 * Legs move in one place, regroup(m, row_legs, col_legs, rows, cols): the
   rows of m are read as legs of dimensions row_legs and its columns as
   legs of dimensions col_legs, numbered from 0 with the row legs first,
@@ -29,8 +33,8 @@ Conventions used by the whole package:
   is flattened entry-major: entry (r, c) sits at position r*cols + c.
   Operators on such maps are placed from entries, never built by applying
   them to each elementary map: X |-> g o X on maps with `cols` columns is
-  on_leg(1, g, cols, I), and X |-> X o h on maps with `rows` rows is
-  on_leg(rows, h^T, 1, I).  on_leg_operator places
+  placed(1, g, cols), and X |-> X o h on maps with `rows` rows is
+  placed(rows, h^T, 1).  on_leg_operator places
   X |-> (I_a (x) X (x) I_b) o m for X of shape rows x dv: entry
   m[(i*dv + k)*b + j, c] goes to row ((i*rows + r)*b + j)*m.cols + c,
   column r*dv + k, for each r < rows.
@@ -169,9 +173,15 @@ class LinMap:
             raise DimensionMismatchError(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
         d = dict(self._d)
         f = self.field
+        zero = f.zero
         for k, v in other._d.items():
-            d[k] = op(d.get(k, f.zero), v)
-        return LinMap(f, self.rows, self.cols, d)
+            # op(0, v) is nonzero, so a zero sum is of a key d holds
+            s = op(d.get(k, zero), v)
+            if s:
+                d[k] = s
+            else:
+                del d[k]
+        return LinMap._trusted(f, self.rows, self.cols, d)
 
     def __add__(self, other):
         return self._binop(other, self.field.add)
@@ -257,7 +267,8 @@ class LinMap:
 def on_leg(a, g, b, m):
     """(I_a (x) g (x) I_b) o m, with no Kronecker product built: row r of m
     splits as r = (i*g.cols + k)*b + j, and each term w of g's column k adds
-    w * m[r][c] at row (i*g.rows + k2)*b + j, k2 the term's row."""
+    w * m[r][c] at row (i*g.rows + k2)*b + j, k2 the term's row.  For m an
+    identity, the leg map itself, use placed(a, g, b)."""
     same_field(g.field, m.field)
     if m.rows != a * g.cols * b:
         raise DimensionMismatchError(
@@ -327,12 +338,49 @@ def diagonal(f, dx, g, dy, mu):
 
 
 def after_leg(m, a, g, b):
-    """m o (I_a (x) g (x) I_b): on_leg on the transposes, so column c of m
-    splits as c = (i*g.rows + k2)*b + j."""
+    """m o (I_a (x) g (x) I_b), with no Kronecker product built: column c of
+    m splits as c = (i*g.rows + k2)*b + j, and each term w of g's row k2
+    adds m[r][c] * w at column (i*g.cols + k)*b + j, k the term's column."""
     if m.cols != a * g.rows * b:
         raise DimensionMismatchError(
             f"{m.rows}x{m.cols} after I_{a} (x) {g.rows}x{g.cols} (x) I_{b}")
-    return on_leg(a, g.transpose(), b, m.transpose()).transpose()
+    f = same_field(g.field, m.field)
+    mul, add = f.mul, f.add
+    gc, gr = g.cols, g.rows
+    row = {}
+    for (k2, k), w in g._d.items():
+        row.setdefault(k2, []).append((k, w))
+    out = {}
+    for (r, c), v in m._d.items():
+        q, j = divmod(c, b)
+        i, k2 = divmod(q, gr)
+        base = i * gc
+        for k, w in row.get(k2, ()):
+            key = (r, (base + k) * b + j)
+            cur = out.get(key)
+            if cur is None:
+                out[key] = mul(w, v)
+            else:
+                s = add(cur, mul(w, v))
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return LinMap._trusted(f, m.rows, a * gc * b, out)
+
+
+def placed(a, g, b):
+    """I_a (x) g (x) I_b, entry by entry: entry (k2, k) of g goes to row
+    (i*g.rows + k2)*b + j and column (i*g.cols + k)*b + j, for each i < a
+    and j < b.  Nothing is summed or multiplied."""
+    gr, gc = g.rows, g.cols
+    out = {}
+    for i in range(a):
+        for (k2, k), w in g._d.items():
+            r, c = (i * gr + k2) * b, (i * gc + k) * b
+            for j in range(b):
+                out[(r + j, c + j)] = w
+    return LinMap._trusted(g.field, a * gr * b, a * gc * b, out)
 
 
 def on_leg_operator(a, rows, b, m):

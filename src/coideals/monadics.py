@@ -47,6 +47,7 @@ from .linalg import (
     kernel_of,
     on_leg,
     on_leg_operator,
+    placed,
     rank,
     regroup,
     stack_maps,
@@ -260,7 +261,7 @@ def _free_object(h, a, acom, v):
     right tensor leg."""
     f = h.field
     com = tensor_comodules(h, v, acom, name=f"{_obj_name(v)} (x) subalgebra")
-    act = on_leg(v.dim, a.algebra.mult, 1, identity_map(f, v.dim * a.dim * a.dim))
+    act = placed(v.dim, a.algebra.mult, 1)
     mod = ModuleData(f, v.dim * a.dim, act, a.algebra, "right", com.name)
     return RelHopfModuleData(h, a.algebra, a.inclusion, com, mod, com.name)
 
@@ -283,7 +284,7 @@ def free_forget_adjunction(a, objects=None, morphisms=()):
         return _free_object(h, a, acom, v)
 
     def left_on_maps(src, dst, m):
-        return on_leg(1, m, a.dim, identity_map(f, m.cols * a.dim))
+        return placed(1, m, a.dim)
 
     def right_on_objects(m):
         return m.comodule
@@ -292,7 +293,7 @@ def free_forget_adjunction(a, objects=None, morphisms=()):
         return mat
 
     def unit(v):
-        return on_leg(v.dim, unit_col, 1, identity_map(f, v.dim))
+        return placed(v.dim, unit_col, 1)
 
     def counit(m):
         return m.module.action
@@ -513,11 +514,10 @@ def internal_hom(a, n):
     rep = CertReport(f"internal hom into {_obj_name(n)}")
     delta, _ = restricted_comultiplication(h, a.inclusion)
     twist = after_leg(h.mult, dh, h.antipode, 1)
-    id_space = identity_map(f, dmap)
 
     # fm |-> (I_N (x) twist) o (coaction o fm (x) I_H) o delta
     omega = on_leg(dn, twist, da, on_leg_operator(1, dn * dh, dh, delta)
-                   @ on_leg(1, n.coaction, da, id_space))
+                   @ placed(1, n.coaction, da))
 
     # (n, a, h) -> (n, h, a)
     nu = regroup(identity_map(f, dmap * dh), (dn, da, dh), (dmap * dh,),
@@ -534,7 +534,7 @@ def internal_hom(a, n):
     rho = nu_inv @ omega
 
     lmults = regular_module(a.algebra, "left").action_operators()
-    pre = [on_leg(dn, l.transpose(), 1, id_space) for l in lmults]
+    pre = [placed(dn, l.transpose(), 1) for l in lmults]
     rmults = regular_module(h.algebra, "right").action_operators()
     conds = []
     for j in range(da):
@@ -702,6 +702,12 @@ def psi_module_functor_report(q):
     tensoring by a comodule: corestricting a tensor product equals the
     translated tensor against the corestriction.  Only this one adjoint
     is asked to respect the action; the report records the asymmetry."""
+    return _module_functor(q, _Cotensors(q))
+
+
+def _module_functor(q, cotensors):
+    """psi_module_functor_report, its corestrictions looked up in
+    cotensors."""
     h = q.hopf
     rep = CertReport("module functor check, corestriction")
     rep.assume("hypothesis set: only the corestriction functor is required "
@@ -709,10 +715,8 @@ def psi_module_functor_report(q):
     reg = regular_comodule(h)
     for x, v in ((reg, trivial_comodule(h)), (reg, reg)):
         nm = f"({_obj_name(x)}, {_obj_name(v)})"
-        lhs = corestrict_comodule(tensor_comodules(h, x, v), q.coalgebra,
-                                  q.projection)
-        rhs = translated_tensor(x, corestrict_comodule(v, q.coalgebra,
-                                                       q.projection), q)
+        lhs = cotensors.corestrict(tensor_comodules(h, x, v))
+        rhs = translated_tensor(x, cotensors.corestrict(v), q)
         rep.add(f"corestriction square at {nm}",
                 (lhs.coaction - rhs.coaction).is_zero())
     return rep
@@ -811,9 +815,10 @@ def cotensor_psi_adjunction(q):
 
     The unit at V is the coaction of V read in cotensor coordinates; the
     counit at N applies the algebra counit to the cotensor's second leg.
-    The left adjoint builds a new object on every call, so each cotensor
-    and its comodule, and the unit, counit and right adjoint on maps, are
-    computed once per value of their arguments: an object's value is its
+    The left adjoint builds a new object on every call, so its
+    corestricted coaction, each cotensor and its comodule, and the unit,
+    counit and right adjoint on maps, are computed once per value of
+    their arguments: an object's value is its
     dimension and coaction entries, and every object of the target
     category is a comodule over the quotient.
     """
@@ -846,12 +851,25 @@ class _Cotensors:
     for one pipeline run or one adjunction.  Stages build objects of equal
     value on their own: the left adjoint on every call, the surjectivity
     certificate and each tensor witness.  The comodule on a cotensor is
-    built only for the stages that ask for it."""
+    built only for the stages that ask for it.  Corestrictions along the
+    projection are kept the same way, keyed by side as well, so a left
+    comodule is still refused."""
 
     def __init__(self, q):
         self.hopf = q.hopf
         self.left = quotient_coaction(q, "left", "whole algebra, left coaction")
+        self._quotient = q.coalgebra, q.projection
         self._memo = {}
+        self._corestricted = {}
+
+    def corestrict(self, v):
+        """corestrict_comodule(v, ...) along the projection: a new object,
+        named after v, on every call."""
+        key = v.side, _by_value(v)
+        c = self._corestricted.get(key)
+        if c is None:
+            c = self._corestricted[key] = corestrict_comodule(v, *self._quotient)
+        return replace(c, name=v.name)
 
     def _entry(self, n):
         key = _by_value(n)
@@ -875,9 +893,6 @@ def _cotensor_psi(q, objects, cotensors):
     h = q.hopf
     b = q.coalgebra
 
-    def left_on_objects(v):
-        return corestrict_comodule(v, b, q.projection)
-
     def left_on_maps(src, dst, m):
         return m
 
@@ -893,7 +908,7 @@ def _cotensor_psi(q, objects, cotensors):
         return out
 
     def unit(v):
-        out, lands = cotensors.space(left_on_objects(v)).factor(v.coaction)
+        out, lands = cotensors.space(cotensors.corestrict(v)).factor(v.coaction)
         if not lands:
             raise ValueError("coaction does not land in the cotensor")
         return out
@@ -906,7 +921,7 @@ def _cotensor_psi(q, objects, cotensors):
     targets = (regular_comodule_of(b, "quotient regular"),)
     return AdjunctionData(
         f"corestriction/cotensor over {q.name or 'quotient'}",
-        left_on_objects, left_on_maps, right_on_objects,
+        cotensors.corestrict, left_on_maps, right_on_objects,
         _memoized(right_on_maps, lambda nsrc, ndst, mat: (
             _by_value(nsrc), _by_value(ndst), mat.rows, mat.cols,
             frozenset(mat.entries()))),
@@ -925,7 +940,7 @@ def _cotensor_psi_monad(q, objects, cotensors):
     h = q.hopf
     adj = _cotensor_psi(q, objects, cotensors)
     i_obj = trivial_comodule(h)
-    triv_b = corestrict_comodule(i_obj, q.coalgebra, q.projection)
+    triv_b = cotensors.corestrict(i_obj)
     s1 = cotensors.space(triv_b)
 
     def witness(v):
@@ -1004,7 +1019,7 @@ def theorem2_pipeline(q, objects=None):
     _pipeline_stage(rep, stages, "coinvariants", a.report)
 
     _pipeline_stage(rep, stages, "module functor",
-                    psi_module_functor_report(q))
+                    _module_functor(q, cotensors))
 
     sub = CertReport("monad extraction")
     ms, s1 = _cotensor_psi_monad(q, objects, cotensors)

@@ -21,9 +21,9 @@ from .linalg import (
     Subspace,
     after_leg,
     find_section,
-    identity_map,
     image_of,
     on_leg,
+    placed,
     rank,
     regroup,
 )
@@ -173,12 +173,12 @@ def cohom(x, y):
     bij = {}
     for w in _COHOM_WIDTHS:
         wx = ComoduleData(
-            f, w * x.dim, on_leg(w, xr.coaction, 1, identity_map(f, w * x.dim)),
+            f, w * x.dim, placed(w, xr.coaction, 1),
             xr.over, "right", f"width {w} against X")
         t = hom_colinear(y, wx)
         rep.add(f"dimension bookkeeping at width {w}", t.dim == w * s.dim,
                 f"{t.dim} against {w} * {s.dim}")
-        bij[w] = on_leg(w, s.basis_map(), 1, identity_map(f, w * s.dim))
+        bij[w] = placed(w, s.basis_map(), 1)
         rep.add(f"bijection image is colinear at width {w}", t.factor(bij[w])[1])
         r = rank(bij[w])
         rep.add(f"bijection at width {w}", r == w * s.dim == t.dim,

@@ -57,13 +57,13 @@ from .linalg import (
     after_leg,
     basis_vector,
     diagonal,
-    identity_map,
     image_of,
     _eliminate,
     invert,
     kernel_of,
     on_leg,
     on_leg_operator,
+    placed,
     regroup,
     stack_maps,
 )
@@ -369,7 +369,7 @@ def _colinearity_operator(v, w):
     entry-major: postcomposition by w.coaction minus the placement of
     v.coaction."""
     dc = v.over.dim
-    post = on_leg(1, w.coaction, v.dim, identity_map(v.field, w.dim * v.dim))
+    post = placed(1, w.coaction, v.dim)
     a, b = (1, dc) if v.side == "right" else (dc, 1)
     return post - on_leg_operator(a, w.dim, b, v.coaction)
 
@@ -389,9 +389,7 @@ def _intertwining_relations(ops1, ops2):
     flattened entry-major, one block per pair (r1_a, r2_a) of ops1 and ops2
     stacked in order: precomposition by r1_a minus postcomposition by r2_a."""
     d1, d2 = ops1[0].rows, ops2[0].rows
-    ident = identity_map(ops1[0].field, d2 * d1)
-    return stack_maps([on_leg(d2, r1.transpose(), 1, ident)
-                       - on_leg(1, r2, d1, ident)
+    return stack_maps([placed(d2, r1.transpose(), 1) - placed(1, r2, d1)
                        for r1, r2 in zip(ops1, ops2)])
 
 
@@ -416,9 +414,7 @@ def cotensor(v, w):
         raise ValueError("cotensor takes a right comodule then a left comodule")
     if v.over.dim != w.over.dim or v.over.comult != w.over.comult:
         raise ValueError("cotensor over mismatched coalgebras")
-    one = LinMap.identity(v.field, v.dim * w.dim)
-    return kernel_of(on_leg(1, v.coaction, w.dim, one)
-                     - on_leg(v.dim, w.coaction, 1, one))
+    return kernel_of(placed(1, v.coaction, w.dim) - placed(v.dim, w.coaction, 1))
 
 
 def comodule_on_subspace(v, s):
@@ -693,10 +689,9 @@ def matrix_algebra_closure(field, mats, n):
     """The unital algebra that n x n matrices generate, as a subspace of
     flattened matrices: the left closure of vec(I) under postcomposition
     by each of them, which holds every word in them."""
-    ident = identity_map(field, n * n)
     # vec(I) is one at the positions a*n + a, the multiples of n + 1
     one = tuple(field.zero if i % (n + 1) else field.one for i in range(n * n))
-    return generated_submodule(field, [on_leg(1, g, n, ident) for g in mats], one)
+    return generated_submodule(field, [placed(1, g, n) for g in mats], one)
 
 
 def _split_by_minpoly(field, cand, n):

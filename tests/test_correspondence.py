@@ -40,6 +40,7 @@ from coideals.linalg import (
     identity_map,
     image_of,
     on_leg,
+    stack_maps,
 )
 from coideals.repcats import (
     ComoduleData,
@@ -72,7 +73,7 @@ from coideals.correspondence import (
     ses_cross_check,
     verify_coideal_subalgebra,
 )
-from coideals.suite import DEFAULT_SEED, criterion_10
+from coideals.suite import DEFAULT_SEED, S3_SUBGROUPS, criterion_10
 
 
 def span4(*idxs_or_vecs):
@@ -701,6 +702,42 @@ def test_balanced_relations_match_the_dense_builder(sample_modules):
                                        left.dim, right.dim)
             assert rels == Subspace.from_vectors(
                 f, left.dim * right.dim, _dense_relations(f, left, right))
+
+
+def _stacked_relations(left_ops, right_ops, dl, dr):
+    """Oracle: the relations as they were built before they were written
+    directly, two placements on a built identity per basis element,
+    subtracted, transposed, stacked and transposed back."""
+    one = identity_map(left_ops[0].field, dl * dr)
+    return image_of(stack_maps(
+        [(on_leg(1, la, dr, one) - on_leg(dl, ra, 1, one)).transpose()
+         for la, ra in zip(left_ops, right_ops)]).transpose())
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_balanced_relations_match_the_stacked_construction(monkeypatch, side):
+    # every call that criterion 10 makes on one side, on the sweedler4
+    # spans and the S3 coset algebras: the flatness verdict's simples and
+    # the cross-check's pool modules, their submodules and quotients
+    seen = []
+    real = correspondence._balanced_relations
+
+    def checked(left_ops, right_ops, dl, dr):
+        out = real(left_ops, right_ops, dl, dr)
+        assert out == _stacked_relations(left_ops, right_ops, dl, dr)
+        seen.append((dl, dr))
+        return out
+
+    monkeypatch.setattr(correspondence, "_balanced_relations", checked)
+    h4 = sweedler4()
+    instances = [verify_coideal_subalgebra(h4, s) for s in (
+        span4(0), span4(0, 2), span4(0, 3), Subspace.full(QQ, 4))]
+    g = symmetric_group_3()
+    instances += [subgroup_data(QQ, g, idx)[1] for idx in S3_SUBGROUPS]
+    for a in instances:
+        assert ses_cross_check(a, side).ok
+    # both the verdict's and the cross-check's calls were compared
+    assert len(seen) > len(instances)
 
 
 def test_cyclic_group_tower_roundtrips():

@@ -48,3 +48,19 @@ def test_ks4_theorem2_script_passes():
     out = subprocess.run([sys.executable, str(DEMOS.parent / "scripts" / "ks4_theorem2.py")],
                          capture_output=True, env=env, timeout=120)
     assert out.returncode == 0, out.stdout.decode() + out.stderr.decode()
+
+
+def test_paired_passes_script_times_a_tree_against_itself():
+    # both sides are this checkout's src, so the outputs must agree, every
+    # round times both sides, and the summary names both and the ratio
+    src = str(Path(coideals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, str(DEMOS.parent / "scripts" / "paired_passes.py"),
+                          src, src, "--workload", "theorem2_cli", "--seconds", "1"],
+                         capture_output=True, env=env, timeout=120, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["parent", "change"]
+    wins, rounds = map(int, lines[2].split(" in ")[1].split()[0].split("/"))
+    assert lines[2].startswith("median ratio change/parent ")
+    assert 0 <= wins <= rounds and rounds >= 1

@@ -609,12 +609,17 @@ def _matmul_operands(node):
     return left, right
 
 
+def _bound_to(fn, is_value):
+    """The names that fn assigns a value to that is_value accepts."""
+    return {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+            and is_value(node.value)
+            for t in node.targets if isinstance(t, ast.Name)}
+
+
 def _coords_on_a_leg(fn):
     """Lines in fn where the leg map of an on_leg or after_leg call holds a
     coords_map() call, or a name that fn binds to one."""
-    bound = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
-             and _is_call_of(node.value, "coords_map")
-             for t in node.targets if isinstance(t, ast.Name)}
+    bound = _bound_to(fn, lambda x: _is_call_of(x, "coords_map"))
     found = []
     for node in ast.walk(fn):
         if not isinstance(node, ast.Call):
@@ -692,9 +697,24 @@ def _is_identity_call(node):
         and isinstance(fn.value, ast.Name) and fn.value.id == "LinMap")
 
 
+def _identity_under_a_leg(fn):
+    """Lines in fn where the map that an on_leg call places its leg map on
+    (the fourth argument) is an identity call, or a name that fn binds to
+    one."""
+    bound = _bound_to(fn, _is_identity_call)
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and _names(node.func) == ("on_leg",)
+            and len(node.args) > 3 and (
+                _is_identity_call(node.args[3]) or isinstance(node.args[3], ast.Name)
+                and node.args[3].id in bound)]
+
+
 def test_no_kronecker_product_takes_a_built_identity():
     # a map on one tensor leg goes through linalg.on_leg or after_leg; an
-    # identity built to be a factor of tensor is the idiom they replace
+    # identity built to be a factor of tensor is the idiom they replace.
+    # A leg map wanted as a matrix, I_a (x) g (x) I_b, is linalg.placed,
+    # so outside linalg no on_leg places its leg map on an identity, called
+    # there or through a name bound to one in the same function
     src = Path(coideals.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -702,7 +722,11 @@ def test_no_kronecker_product_takes_a_built_identity():
             if _is_call_of(node, "tensor") and any(
                     _is_identity_call(x) for x in (node.func.value, *node.args)):
                 found.append(f"{path.name}:{node.lineno}")
-    assert not found, "identity factors of tensor in src/coideals: " + ", ".join(found)
+            if path.name != "linalg.py" and isinstance(node, ast.FunctionDef):
+                found += [f"{path.name}:{n} on_leg of an identity"
+                          for n in _identity_under_a_leg(node)]
+    assert not found, ("identity factors of tensor or identities under on_leg "
+                       "in src/coideals: " + ", ".join(found))
 
 
 def test_only_check_pairing_builds_a_kronecker_product():

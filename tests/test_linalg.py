@@ -50,6 +50,7 @@ from coideals.linalg import (
     kernel_of,
     on_leg,
     on_leg_operator,
+    placed,
     rank,
     regroup,
     rref,
@@ -606,6 +607,20 @@ def test_tensor_bilinear():
     assert (f + f2).tensor(g) == f.tensor(g) + f2.tensor(g)
 
 
+def _maps(field, cancelling):
+    """rows, cols |-> a strategy for rows x cols LinMaps; cancelling draws
+    entries from 0 and +-1, so the sums of a placement often cancel."""
+    scalar = (st.sampled_from([0, 1, -1]) if cancelling
+              else st.one_of(st.just(0), _entries(field)))
+
+    def linmap(rows, cols):
+        return st.lists(scalar, min_size=rows * cols, max_size=rows * cols).map(
+            lambda xs: LinMap(field, rows, cols, {
+                divmod(i, cols): field.parse(str(x)) for i, x in enumerate(xs)}))
+
+    return linmap
+
+
 @pytest.mark.parametrize("shape", ["unit", "counit", "rectangular", "zero"])
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
 @seed(20261020)
@@ -614,13 +629,7 @@ def test_tensor_bilinear():
 def test_leg_placement_matches_the_kronecker_product(field, shape, data):
     # oracle: I_a (x) g (x) I_b built with tensor and composed with @; g is
     # a column (a unit), a row (a counit), any shape, or zero
-    scalar = st.one_of(st.just(0), _entries(field))
-
-    def linmap(rows, cols):
-        return st.lists(scalar, min_size=rows * cols, max_size=rows * cols).map(
-            lambda xs: LinMap(field, rows, cols, {
-                divmod(i, cols): field.parse(str(x)) for i, x in enumerate(xs)}))
-
+    linmap = _maps(field, False)
     a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     size = st.integers(1, 3)
     gr = 1 if shape == "counit" else data.draw(size)
@@ -640,6 +649,54 @@ def test_leg_placement_matches_the_kronecker_product(field, shape, data):
             after_leg(LinMap.zero(field, 1, a * gr * b + off), a, g, b)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@seed(20261028)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_placed_and_after_leg_match_the_constructions_they_replace(field, data):
+    # oracles: placed was on_leg of a built identity, and after_leg was
+    # on_leg on the transposes, transposed back
+    linmap = _maps(field, data.draw(st.booleans()))
+    a, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    size = st.integers(0, 3)
+    g = data.draw(linmap(data.draw(size), data.draw(size)))
+    assert placed(a, g, b) == on_leg(a, g, b, identity_map(field, a * g.cols * b))
+    m = data.draw(linmap(data.draw(size), a * g.rows * b))
+    got = after_leg(m, a, g, b)
+    assert got == on_leg(a, g.transpose(), b, m.transpose()).transpose()
+    assert all(v for _, v in got.entries())
+    with pytest.raises(DimensionMismatchError):
+        after_leg(LinMap.zero(field, 1, a * g.rows * b + 1), a, g, b)
+
+
+def test_after_leg_drops_cancelled_sums():
+    # (1 -1) o (1 1)^T = 0: the two terms meet at one entry and cancel
+    g = LinMap.from_column(QQ, (F(1), F(1)))
+    got = after_leg(LinMap.from_row(QQ, (F(1), F(-1))), 1, g, 1)
+    assert got.nnz() == 0 and (got.rows, got.cols) == (1, 1)
+    # placed moves entries and sums nothing: I_2 (x) g (x) I_1 has 2*nnz(g)
+    assert placed(2, g, 1).nnz() == 4
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+@seed(20261029)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sum_and_difference_match_a_dict_sum_and_store_no_zeros(field, data):
+    # oracle: the sum over the union of the keys, zeros dropped
+    linmap = _maps(field, data.draw(st.booleans()))
+    rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    x, y = data.draw(linmap(rows, cols)), data.draw(linmap(rows, cols))
+    keys = {k for k, _ in x.entries()} | {k for k, _ in y.entries()}
+    for got, op in ((x + y, field.add), (x - y, field.sub)):
+        want = {k: op(x.entry(*k), y.entry(*k)) for k in keys}
+        assert got == LinMap(field, rows, cols, want)
+        assert all(v for _, v in got.entries())
+    assert (x - x).nnz() == 0
+    with pytest.raises(DimensionMismatchError):
+        x + LinMap.zero(field, rows + 1, cols)
+
+
 @pytest.mark.parametrize("shape", ["any", "cancelling", "zero", "sparse mu",
                                    "function mult"])
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
@@ -653,14 +710,7 @@ def test_diagonal_matches_the_swapped_kronecker_product(field, shape, data):
     # diagonal walks only the nonzero columns of mu: "sparse mu" keeps at
     # most a third of them, and "function mult" is the product of the
     # functions on a group of order 3, 3 nonzero columns out of 9
-    scalar = (st.sampled_from([0, 1, -1]) if shape == "cancelling"
-              else st.one_of(st.just(0), _entries(field)))
-
-    def linmap(rows, cols):
-        return st.lists(scalar, min_size=rows * cols, max_size=rows * cols).map(
-            lambda xs: LinMap(field, rows, cols, {
-                divmod(i, cols): field.parse(str(x)) for i, x in enumerate(xs)}))
-
+    linmap = _maps(field, shape == "cancelling")
     dx, dc, dy, dd, de = (data.draw(st.integers(1, 3)) for _ in range(5))
     if shape == "function mult":
         dc = dd = de = 3
@@ -895,21 +945,15 @@ def _elementary_operator(field, rows, cols, fn):
 @given(data=st.data())
 def test_placement_rules_match_the_elementary_map_formula(field, data):
     # the module docstring's rules: postcomposition and precomposition are
-    # on_leg of an identity, and on_leg_operator places X |-> on_leg(a, X, b, m)
-    scalar = st.one_of(st.just(0), _entries(field))
-
-    def linmap(rows, cols):
-        return st.lists(scalar, min_size=rows * cols, max_size=rows * cols).map(
-            lambda xs: LinMap(field, rows, cols, {
-                divmod(i, cols): field.parse(str(x)) for i, x in enumerate(xs)}))
-
+    # placed leg maps, and on_leg_operator places X |-> on_leg(a, X, b, m)
+    linmap = _maps(field, False)
     size = st.integers(1, 3)
     rows, cols, k = data.draw(size), data.draw(size), data.draw(size)
     g = data.draw(linmap(k, rows))
-    assert on_leg(1, g, cols, identity_map(field, rows * cols)) == \
+    assert placed(1, g, cols) == \
         _elementary_operator(field, rows, cols, lambda x: g @ x)
     h = data.draw(linmap(cols, k))
-    assert on_leg(rows, h.transpose(), 1, identity_map(field, rows * cols)) == \
+    assert placed(rows, h.transpose(), 1) == \
         _elementary_operator(field, rows, cols, lambda x: x @ h)
     a, b = data.draw(size), data.draw(size)
     m = data.draw(linmap(a * cols * b, data.draw(size)))

@@ -504,6 +504,24 @@ def test_theorem2_cotensors_each_pair_once(monkeypatch, case, q_1g, ks3_pair):
     assert len(set(seen)) == 5
 
 
+def test_theorem2_corestricts_each_object_once(monkeypatch, ks3_pair):
+    # the left adjoint, the module functor check and the unit object meet
+    # five comodules by value in one pipeline run on k^S3/quot3, and each
+    # is corestricted once; before, the left adjoint corestricted again on
+    # every call, 41 times in all
+    import coideals.monadics as monadics
+    seen = []
+    real = monadics.corestrict_comodule
+
+    def counted(v, b, psi):
+        seen.append((v.dim, frozenset(v.coaction.entries())))
+        return real(v, b, psi)
+
+    monkeypatch.setattr(monadics, "corestrict_comodule", counted)
+    assert theorem2_pipeline(ks3_pair[1]).ok
+    assert len(seen) == len(set(seen)) == 5
+
+
 @pytest.mark.parametrize("case", ["k^S3/quot3", "h4/q1g"])
 def test_cotensor_monad_cotensors_nothing_above_t2v(monkeypatch, case, q_1g,
                                                     ks3_pair):
